@@ -2,20 +2,13 @@
 /// \brief Ablations for the parallel-blackboard design choices called out
 /// in DESIGN.md: worker-pool width, job-FIFO array width (contention
 /// spreading), payload size, the multi-sensitivity join cost, and the
-/// scheduler contention sweep (work-stealing deques + batched submission
-/// vs the paper's locked-FIFO array).
+/// contention sweep of the locked-FIFO scheduler under batched submission.
 /// google-benchmark micro-benchmarks over the real engine, plus a quick
-/// JSON mode for the CI bench-regression gate:
+/// JSON mode for the bench-regression gate (tools/bench_gate.py):
 ///
 ///   ESP_BB_BENCH_JSON=out.json ./ablation_blackboard
 ///       runs only the contention sweep and writes one JSON record per
-///       (scheduler, workers, producers, batch) cell, then exits;
-///   ESP_BB_BASELINE=baseline.json   compare each cell against a checked-in
-///       baseline; a drop > ESP_BB_MAX_DROP (default 0.20) warns, or fails
-///       when ESP_BB_GATE=fail;
-///   ESP_BB_MIN_SPEEDUP (default 1.2)  hard floor on the work-stealing
-///       speedup over the pre-PR scheduler (locked FIFOs, per-entry push)
-///       at the 8-workers / 4-producers / batch-64 cell;
+///       (workers, producers, batch) cell, then exits;
 ///   ESP_BB_JOBS (default 120000)    jobs per sweep cell.
 
 #include <benchmark/benchmark.h>
@@ -24,9 +17,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,28 +123,21 @@ void BM_DynamicKsChurn(benchmark::State& state) {
 BENCHMARK(BM_DynamicKsChurn);
 
 // ---------------------------------------------------------------------------
-// Contention sweep: scheduler x workers x producers x batch size.
+// Contention sweep: workers x producers x batch size.
 // ---------------------------------------------------------------------------
 
 struct SweepCell {
-  SchedulerMode mode = SchedulerMode::WorkStealing;
   int workers = 4;
   int producers = 1;
   int batch = 1;
 };
-
-const char* mode_name(SchedulerMode m) {
-  return m == SchedulerMode::WorkStealing ? "work_stealing" : "locked_fifos";
-}
 
 /// Jobs/sec for one sweep cell: `producers` threads submit `total_jobs`
 /// trivial single-sensitivity jobs in batches of `batch` entries, then the
 /// board drains. The KS operation is one relaxed atomic add, so the
 /// measurement isolates the submission + scheduling hot path.
 double run_contention_cell(const SweepCell& c, std::int64_t total_jobs) {
-  Blackboard board({.workers = c.workers,
-                    .fifo_count = 16,
-                    .scheduler = c.mode});
+  Blackboard board({.workers = c.workers, .fifo_count = 16});
   std::atomic<std::uint64_t> sink{0};
   const TypeId t = type_id("evt");
   board.register_ks({"consume", {t}, [&](Blackboard&, auto) {
@@ -189,14 +173,12 @@ double run_contention_cell(const SweepCell& c, std::int64_t total_jobs) {
 }
 
 /// google-benchmark wrapper so the sweep is also explorable interactively:
-/// args = {mode, workers, producers, batch}.
+/// args = {workers, producers, batch}.
 void BM_Contention(benchmark::State& state) {
   SweepCell c;
-  c.mode = state.range(0) == 0 ? SchedulerMode::WorkStealing
-                               : SchedulerMode::LockedFifos;
-  c.workers = static_cast<int>(state.range(1));
-  c.producers = static_cast<int>(state.range(2));
-  c.batch = static_cast<int>(state.range(3));
+  c.workers = static_cast<int>(state.range(0));
+  c.producers = static_cast<int>(state.range(1));
+  c.batch = static_cast<int>(state.range(2));
   constexpr std::int64_t kJobs = 20000;
   double total_rate = 0;
   for (auto _ : state) total_rate += run_contention_cell(c, kJobs);
@@ -205,85 +187,17 @@ void BM_Contention(benchmark::State& state) {
       total_rate / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_Contention)
-    ->ArgsProduct({{0, 1}, {2, 8}, {1, 4}, {1, 64}})
+    ->ArgsProduct({{2, 8}, {1, 4}, {1, 64}})
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Quick-mode JSON + CI regression gate.
+// Quick-mode JSON for tools/bench_gate.py.
 // ---------------------------------------------------------------------------
 
-struct SweepResult {
-  SweepCell cell;
-  double jobs_per_sec = 0;
-};
-
-std::string cell_key(const char* mode, int workers, int producers,
-                     int batch) {
-  std::ostringstream os;
-  os << mode << '/' << workers << 'w' << producers << 'p' << batch << 'b';
-  return os.str();
-}
-
-/// Parse a BENCH_blackboard.json previously written by this binary. The
-/// writer emits one result object per line, so a line-based scan with a
-/// fixed format is reliable (and avoids a JSON library dependency).
-bool load_baseline(const std::string& path,
-                   std::vector<std::pair<std::string, double>>& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    char mode[32] = {0};
-    int workers = 0, producers = 0, batch = 0;
-    double rate = 0;
-    if (std::sscanf(line.c_str(),
-                    " {\"mode\":\"%31[^\"]\",\"workers\":%d,"
-                    "\"producers\":%d,\"batch\":%d,\"jobs_per_sec\":%lf",
-                    mode, &workers, &producers, &batch, &rate) == 5)
-      out.emplace_back(cell_key(mode, workers, producers, batch), rate);
-  }
-  return true;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
-}
-
 int run_quick_sweep(const std::string& json_path) {
-  const auto jobs =
-      static_cast<std::int64_t>(env_double("ESP_BB_JOBS", 120000));
-  const int worker_axis[] = {1, 2, 4, 8};
-  const int producer_axis[] = {1, 4};
-  const int batch_axis[] = {1, 64};
-  const SchedulerMode modes[] = {SchedulerMode::WorkStealing,
-                                 SchedulerMode::LockedFifos};
-  std::vector<SweepResult> results;
-  for (SchedulerMode m : modes)
-    for (int w : worker_axis)
-      for (int p : producer_axis)
-        for (int b : batch_axis) {
-          SweepCell c{m, w, p, b};
-          SweepResult r{c, run_contention_cell(c, jobs)};
-          std::printf("%-13s workers=%d producers=%d batch=%-3d %12.0f jobs/s\n",
-                      mode_name(m), w, p, b, r.jobs_per_sec);
-          std::fflush(stdout);
-          results.push_back(r);
-        }
-
-  auto find_rate = [&](SchedulerMode m, int w, int p, int b) {
-    for (const auto& r : results)
-      if (r.cell.mode == m && r.cell.workers == w && r.cell.producers == p &&
-          r.cell.batch == b)
-        return r.jobs_per_sec;
-    return 0.0;
-  };
-  // Pre-PR hot path = locked FIFOs fed one entry at a time; the tentpole
-  // claim is the batched work-stealing path beats it at the contended cell.
-  const double ws = find_rate(SchedulerMode::WorkStealing, 8, 4, 64);
-  const double prepr = find_rate(SchedulerMode::LockedFifos, 8, 4, 1);
-  const double speedup = prepr > 0 ? ws / prepr : 0.0;
-
+  const char* jobs_env = std::getenv("ESP_BB_JOBS");
+  const std::int64_t jobs =
+      jobs_env != nullptr && *jobs_env != '\0' ? std::atoll(jobs_env) : 120000;
   std::ofstream out(json_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -291,63 +205,25 @@ int run_quick_sweep(const std::string& json_path) {
   }
   out << "{\n  \"schema\": 1,\n  \"jobs_per_cell\": " << jobs
       << ",\n  \"fifo_count\": 16,\n  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"mode\":\"%s\",\"workers\":%d,\"producers\":%d,"
-                  "\"batch\":%d,\"jobs_per_sec\":%.1f}%s\n",
-                  mode_name(r.cell.mode), r.cell.workers, r.cell.producers,
-                  r.cell.batch, r.jobs_per_sec,
-                  i + 1 < results.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n  \"speedup_vs_prepr_8w4p64\": " << speedup << "\n}\n";
-  out.close();
-  std::printf("speedup vs pre-PR scheduler @8w/4p/b64: %.2fx -> %s\n",
-              speedup, json_path.c_str());
-
-  int rc = 0;
-  // Gate 1 (hardware-neutral): the work-stealing + batching hot path must
-  // beat the pre-PR scheduler by ESP_BB_MIN_SPEEDUP on this same host.
-  const double min_speedup = env_double("ESP_BB_MIN_SPEEDUP", 1.2);
-  if (speedup < min_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: speedup %.2fx below required %.2fx\n", speedup,
-                 min_speedup);
-    rc = 1;
-  }
-  // Gate 2 (baseline comparison): warn — or fail with ESP_BB_GATE=fail —
-  // when any cell drops more than ESP_BB_MAX_DROP vs the checked-in
-  // numbers. Absolute rates are hardware-dependent, hence warn by default.
-  const char* baseline_path = std::getenv("ESP_BB_BASELINE");
-  if (baseline_path != nullptr && *baseline_path != '\0') {
-    const char* gate = std::getenv("ESP_BB_GATE");
-    const bool hard = gate != nullptr && std::strcmp(gate, "fail") == 0;
-    const double max_drop = env_double("ESP_BB_MAX_DROP", 0.20);
-    std::vector<std::pair<std::string, double>> baseline;
-    if (!load_baseline(baseline_path, baseline)) {
-      std::fprintf(stderr, "cannot read baseline %s\n", baseline_path);
-      return hard ? 2 : rc;
-    }
-    for (const auto& r : results) {
-      const std::string key = cell_key(mode_name(r.cell.mode),
-                                       r.cell.workers, r.cell.producers,
-                                       r.cell.batch);
-      for (const auto& [bkey, brate] : baseline) {
-        if (bkey != key || brate <= 0) continue;
-        const double drop = 1.0 - r.jobs_per_sec / brate;
-        if (drop > max_drop) {
-          std::fprintf(stderr,
-                       "%s: %s %.0f -> %.0f jobs/s (%.0f%% drop > %.0f%%)\n",
-                       hard ? "FAIL" : "WARN", key.c_str(), brate,
-                       r.jobs_per_sec, drop * 100, max_drop * 100);
-          if (hard) rc = 1;
-        }
+  const char* sep = "";
+  for (int w : {1, 2, 4, 8})
+    for (int p : {1, 4})
+      for (int b : {1, 64}) {
+        const double rate = run_contention_cell({w, p, b}, jobs);
+        std::printf("workers=%d producers=%d batch=%-3d %12.0f jobs/s\n", w, p,
+                    b, rate);
+        std::fflush(stdout);
+        char buf[160];
+        std::snprintf(buf, sizeof buf,
+                      "%s    {\"workers\":%d,\"producers\":%d,\"batch\":%d,"
+                      "\"jobs_per_sec\":%.1f}",
+                      sep, w, p, b, rate);
+        out << buf;
+        sep = ",\n";
       }
-    }
-  }
-  return rc;
+  out << "\n  ]\n}\n";
+  std::printf("-> %s\n", json_path.c_str());
+  return out ? 0 : 2;
 }
 
 }  // namespace

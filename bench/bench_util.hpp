@@ -19,7 +19,6 @@
 #include "common/units.hpp"
 #include "instrument/online_instrument.hpp"
 #include "nas/workloads.hpp"
-#include "net/progress.hpp"
 
 namespace esp::benchutil {
 
@@ -31,10 +30,6 @@ inline std::string results_dir() {
 
 struct WorkloadRun {
   double app_walltime = 0;          ///< Virtual seconds, instrumented span.
-  /// app_walltime net of what the opt-in progress engine absorbed off the
-  /// app path; identical to app_walltime with the engine off.
-  double app_walltime_net = 0;
-  double absorbed = 0;              ///< Engine-absorbed virtual seconds.
   std::uint64_t events = 0;         ///< Events recorded (0 for reference).
   std::uint64_t streamed_bytes = 0; ///< Online coupling volume.
   std::uint64_t trace_bytes = 0;    ///< Baseline trace volume.
@@ -42,15 +37,11 @@ struct WorkloadRun {
 
 /// Run one workload at `nprocs` under a tool configuration.
 /// `analyzer_ratio` = instrumented processes per analysis core (paper
-/// writer/reader ratio); only used for OnlineCoupling. `progress`, when
-/// non-null, configures the per-node progress engine explicitly;
-/// otherwise the ESP_PROGRESS* environment (the same knobs Session
-/// honours) drives it.
+/// writer/reader ratio); only used for OnlineCoupling.
 inline WorkloadRun run_workload(nas::WorkloadParams params, int nprocs,
                                 baseline::ToolKind tool, int analyzer_ratio,
                                 const net::MachineConfig& machine,
-                                int iterations,
-                                const net::ProgressConfig* progress = nullptr) {
+                                int iterations) {
   params.iterations = iterations;
   WorkloadRun out;
   mpi::RuntimeConfig rcfg;
@@ -59,15 +50,6 @@ inline WorkloadRun run_workload(nas::WorkloadParams params, int nprocs,
   // stream block size so large-message workloads stay host-affordable
   // (virtual costs still use the full sizes; event packs stay intact).
   rcfg.payload_copy_cap = 1u << 20;
-  if (progress != nullptr) {
-    rcfg.progress = *progress;
-  } else {
-    rcfg.progress.enabled = env_flag("ESP_PROGRESS", rcfg.progress.enabled);
-    rcfg.progress.handoff =
-        env_double("ESP_PROGRESS_HANDOFF", rcfg.progress.handoff);
-    rcfg.progress.ring_depth = static_cast<int>(
-        env_int("ESP_PROGRESS_RING", rcfg.progress.ring_depth));
-  }
 
   std::vector<mpi::ProgramSpec> progs;
   progs.push_back({nas::workload_label(params.bench, params.cls), nprocs,
@@ -94,8 +76,6 @@ inline WorkloadRun run_workload(nas::WorkloadParams params, int nprocs,
   }
   rt.run();
   out.app_walltime = rt.partition_walltime(0);
-  out.app_walltime_net = rt.partition_app_walltime(0);
-  out.absorbed = rt.partition_absorbed(0);
   if (online) {
     out.events = online->totals().events;
     out.streamed_bytes = online->totals().streamed_bytes;

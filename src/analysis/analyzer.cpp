@@ -437,7 +437,7 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
     if (!batch.empty()) board.submit_batch(batch);
     // Fabric: one submission per application so the batch carries a
     // tenant affinity — the fair-share scheduler keys each tenant's jobs
-    // to a stable injection FIFO and round-robins across them.
+    // to its own FIFO and round-robins across them.
     for (auto& [app, ab] : app_batches) board.submit_batch(ab, app);
     bool drained = true;
     if (admission) drained = admission->poll(rc);
@@ -570,11 +570,10 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
   // rank).
   const auto bstats = board.stats();
   const auto sstats = stream.stats();
-  std::uint64_t health[10] = {
-      bstats.jobs_failed,   bstats.ks_quarantined, bstats.jobs_executed,
-      bstats.jobs_stolen,   bstats.batches_submitted, sstats.blocks_read,
-      sstats.bytes_read,    sstats.eagain_returns,  sstats.drain_joins,
-      sstats.failover_joins};
+  std::uint64_t health[9] = {
+      bstats.jobs_failed,       bstats.ks_quarantined, bstats.jobs_executed,
+      bstats.batches_submitted, sstats.blocks_read,    sstats.bytes_read,
+      sstats.eagain_returns,    sstats.drain_joins,    sstats.failover_joins};
   if (arank != root) {
     world.psend(health, sizeof health, root, kReduceTag + 1);
     return;
@@ -583,16 +582,15 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
   session_health.jobs_failed = health[0];
   session_health.ks_quarantined = health[1];
   session_health.telemetry.jobs_executed = health[2];
-  session_health.telemetry.jobs_stolen = health[3];
-  session_health.telemetry.batches_submitted = health[4];
-  session_health.telemetry.blocks_read = health[5];
-  session_health.telemetry.bytes_read = health[6];
-  session_health.telemetry.eagain_returns = health[7];
-  session_health.planned_handoffs = health[8];
-  session_health.failover_joins = health[9];
+  session_health.telemetry.batches_submitted = health[3];
+  session_health.telemetry.blocks_read = health[4];
+  session_health.telemetry.bytes_read = health[5];
+  session_health.telemetry.eagain_returns = health[6];
+  session_health.planned_handoffs = health[7];
+  session_health.failover_joins = health[8];
   for (int src = 0; src < world.size(); ++src) {
     if (src == arank) continue;
-    std::uint64_t h[10] = {};
+    std::uint64_t h[9] = {};
     if (world.precv(h, sizeof h, src, kReduceTag + 1).error != 0) {
       merge_dead_ranks(session_health.dead_analyzer_ranks, src);
       continue;
@@ -600,13 +598,12 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
     session_health.jobs_failed += h[0];
     session_health.ks_quarantined += h[1];
     session_health.telemetry.jobs_executed += h[2];
-    session_health.telemetry.jobs_stolen += h[3];
-    session_health.telemetry.batches_submitted += h[4];
-    session_health.telemetry.blocks_read += h[5];
-    session_health.telemetry.bytes_read += h[6];
-    session_health.telemetry.eagain_returns += h[7];
-    session_health.planned_handoffs += h[8];
-    session_health.failover_joins += h[9];
+    session_health.telemetry.batches_submitted += h[3];
+    session_health.telemetry.blocks_read += h[4];
+    session_health.telemetry.bytes_read += h[5];
+    session_health.telemetry.eagain_returns += h[6];
+    session_health.planned_handoffs += h[7];
+    session_health.failover_joins += h[8];
   }
   // Membership roll-up: the plan facts every rank shares, plus the joins
   // that actually announced themselves (a crashed joiner's announce fails

@@ -200,7 +200,6 @@ struct AppResults {
 /// how hard the measurement machinery itself worked.
 struct SessionTelemetry {
   std::uint64_t jobs_executed = 0;      ///< Blackboard operation invocations.
-  std::uint64_t jobs_stolen = 0;        ///< Jobs migrated between workers.
   std::uint64_t batches_submitted = 0;  ///< Blackboard submission batches.
   std::uint64_t blocks_read = 0;        ///< Stream blocks drained.
   std::uint64_t bytes_read = 0;         ///< Stream payload bytes drained.

@@ -166,7 +166,7 @@ void register_unpacker(bb::Blackboard& board, const AppLevel& level) {
            if (posix_buf) out.emplace_back(out_posix, std::move(posix_buf));
          }
          // Derived entries keep the tenant's affinity so the fair-share
-         // scheduler can key them to the same injection FIFO.
+         // scheduler can key them to the same FIFO.
          b.submit_batch(out, tenant);
          // Drop the view references now — a scratch entry lingering until
          // the next pack would pin this pack's stream block.

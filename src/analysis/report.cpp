@@ -265,7 +265,7 @@ bool write_report(const std::string& output_dir,
     if (tel.jobs_executed != 0 || tel.blocks_read != 0) {
       // Only virtual-time-deterministic totals are printed here, so two
       // same-seed runs emit bit-identical reports. Scheduling-dependent
-      // counters (job executions, steals, batch shapes, empty polls) stay
+      // counters (job executions, batch shapes, empty polls) stay
       // in SessionTelemetry and the metrics.json export.
       md << "\n## Engine telemetry\n\n"
          << "Reduced over every surviving analyzer rank — deterministic "

@@ -85,17 +85,6 @@ void AdmissionController::drain_control(mpi::RankContext& rc) {
                     active_.end());
     }
   }
-  // Progress-engine bookkeeping: with the engine on, control-tag drains
-  // are work a dedicated progress rank would perform. The drain's clock
-  // cost is real-time racy (how many messages are queued depends on
-  // thread interleaving), so it is booked in the lane's *diagnostic*
-  // fields only — never into `absorbed` or `frontier`, whose values must
-  // stay a pure function of the virtual schedule (see net/progress.hpp).
-  if (env_.runtime->config().progress.enabled && rc.clock > saved) {
-    auto& lane = env_.runtime->progress_lane(rc.world_rank);
-    lane.control_seconds += rc.clock - saved;
-    ++lane.control_drains;
-  }
   rc.clock = saved;
 
   // Crash-oracle sweep: a tenant whose rank 0 died will never attach or

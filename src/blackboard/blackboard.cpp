@@ -1,7 +1,6 @@
 #include "blackboard/blackboard.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -15,26 +14,15 @@ namespace {
 /// Registry lookups hoisted out of the job hot path; every use is guarded
 /// by obs::enabled().
 struct BoardObs {
-  obs::Counter& steals = obs::counter("bb.steals");
   obs::Counter& backoff_waits = obs::counter("bb.backoff_waits");
   obs::Counter& jobs = obs::counter("bb.jobs_executed");
   obs::Histogram& batch_size = obs::histogram("bb.batch_size");
-  obs::Histogram& deque_depth = obs::histogram("bb.deque_depth");
 };
 
 BoardObs& bobs() {
   static BoardObs o;
   return o;
 }
-
-/// Worker identity of the current thread: lets enqueue_batch route jobs
-/// submitted from inside a KS operation onto that worker's own deque
-/// (lock-free) instead of through the injection FIFOs.
-struct WorkerTls {
-  const Blackboard* board = nullptr;
-  int index = -1;
-};
-thread_local WorkerTls t_worker;
 
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
@@ -99,32 +87,11 @@ Blackboard::Blackboard(BlackboardConfig cfg) : cfg_(cfg) {
     throw std::invalid_argument("BlackboardConfig::workers must be > 0");
   if (cfg_.fifo_count <= 0)
     throw std::invalid_argument("BlackboardConfig::fifo_count must be > 0");
-  if (cfg_.injection_fifos < 0)
-    throw std::invalid_argument(
-        "BlackboardConfig::injection_fifos must be >= 0 (0 = use the "
-        "fifo_count alias)");
   if (cfg_.quarantine_threshold <= 0)
     throw std::invalid_argument(
         "BlackboardConfig::quarantine_threshold must be > 0");
   if (cfg_.index_shards <= 0)
     throw std::invalid_argument("BlackboardConfig::index_shards must be > 0");
-
-  // Alias resolution: the explicit field wins. When both were set to
-  // conflicting values, say so once — silently preferring one would make
-  // the deprecated knob appear to work until the day it doesn't.
-  int fifo_width = cfg_.fifo_count;
-  if (cfg_.injection_fifos > 0) {
-    fifo_width = cfg_.injection_fifos;
-    if (cfg_.fifo_count != BlackboardConfig{}.fifo_count &&
-        cfg_.fifo_count != cfg_.injection_fifos) {
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true))
-        std::fprintf(stderr,
-                     "esperf: BlackboardConfig sets both injection_fifos=%d "
-                     "and deprecated fifo_count=%d; using injection_fifos\n",
-                     cfg_.injection_fifos, cfg_.fifo_count);
-    }
-  }
 
   // Latched here (not per call) so acquire/release pairing stays
   // consistent even if a test flips the global switch mid-run.
@@ -141,16 +108,13 @@ Blackboard::Blackboard(BlackboardConfig cfg) : cfg_(cfg) {
   index_shards_ = std::vector<IndexShard>(shards);
   shard_mask_ = shards - 1;
 
-  fifos_.reserve(static_cast<std::size_t>(fifo_width));
-  for (int i = 0; i < fifo_width; ++i)
+  fifos_.reserve(static_cast<std::size_t>(cfg_.fifo_count));
+  for (int i = 0; i < cfg_.fifo_count; ++i)
     fifos_.push_back(std::make_unique<Fifo>());
 
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int i = 0; i < cfg_.workers; ++i)
-    workers_.push_back(std::make_unique<Worker>());
-  for (int i = 0; i < cfg_.workers; ++i)
-    workers_[static_cast<std::size_t>(i)]->thread =
-        std::thread([this, i] { worker_loop(i); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 Blackboard::~Blackboard() { stop(); }
@@ -353,50 +317,32 @@ void Blackboard::enqueue_batch(std::vector<Job*>& jobs, int affinity) {
   if (jobs.empty()) return;
   inflight_.fetch_add(static_cast<std::int64_t>(jobs.size()),
                       std::memory_order_acq_rel);
-  if (cfg_.scheduler == SchedulerMode::WorkStealing &&
-      t_worker.board == this) {
-    // Hot path: a KS operation submitting follow-up work lands on its own
-    // worker's deque, lock-free; idle workers steal it if this one lags.
-    auto& dq = workers_[static_cast<std::size_t>(t_worker.index)]->deque;
-    for (Job* j : jobs) dq.push(j);
-    if (obs::enabled()) bobs().deque_depth.observe(dq.size_estimate());
-  } else if (cfg_.scheduler == SchedulerMode::WorkStealing) {
-    // External producer: one injection-FIFO lock for the whole batch.
-    // Tenant-affine batches (affinity >= 0) always use the same FIFO so
-    // fair-share sweeping gives each tenant its own service quantum.
-    const std::size_t qi =
-        affinity >= 0
-            ? mix64(static_cast<std::uint64_t>(affinity) + 1) % fifos_.size()
-            : mix64(rr_seed_.fetch_add(0x9e3779b9)) % fifos_.size();
-    auto& f = *fifos_[qi];
-    std::lock_guard lock(f.mu);
-    for (Job* j : jobs) {
-      j->link = nullptr;
-      if (f.tail != nullptr)
-        f.tail->link = j;
-      else
-        f.head = j;
-      f.tail = j;
-    }
+  if (cfg_.fair_share && affinity >= 0) {
+    // Tenant fabric: the tenant's jobs share one FIFO, so the rotating
+    // sweep gives each tenant one quantum per round however many jobs a
+    // flooder queued.
+    const std::size_t qi = static_cast<std::size_t>(affinity) % fifos_.size();
+    for (Job* j : jobs) push_fifo(qi, j);
   } else {
     // Paper-faithful contention spreading: each job to a random FIFO.
-    for (Job* j : jobs) {
-      const std::size_t qi =
-          mix64(rr_seed_.fetch_add(0x9e3779b9)) % fifos_.size();
-      auto& f = *fifos_[qi];
-      std::lock_guard lock(f.mu);
-      j->link = nullptr;
-      if (f.tail != nullptr)
-        f.tail->link = j;
-      else
-        f.head = j;
-      f.tail = j;
-    }
+    for (Job* j : jobs)
+      push_fifo(mix64(rr_seed_.fetch_add(0x9e3779b9)) % fifos_.size(), j);
   }
   if (jobs.size() == 1)
     wake_cv_.notify_one();
   else
     wake_cv_.notify_all();
+}
+
+void Blackboard::push_fifo(std::size_t qi, Job* job) {
+  auto& f = *fifos_[qi];
+  std::lock_guard lock(f.mu);
+  job->link = nullptr;
+  if (f.tail != nullptr)
+    f.tail->link = job;
+  else
+    f.head = job;
+  f.tail = job;
 }
 
 Blackboard::Job* Blackboard::pop_fifo(std::size_t qi) {
@@ -410,40 +356,9 @@ Blackboard::Job* Blackboard::pop_fifo(std::size_t qi) {
   return j;
 }
 
-Blackboard::Job* Blackboard::next_job(int worker_index, Rng& rng) {
-  const auto wi = static_cast<std::size_t>(worker_index);
-  if (cfg_.scheduler == SchedulerMode::LockedFifos) {
-    // Random-start sweep over the FIFO array (paper Fig. 13).
-    const std::size_t start = rng.below(fifos_.size());
-    for (std::size_t k = 0; k < fifos_.size(); ++k)
-      if (Job* j = pop_fifo((start + k) % fifos_.size())) return j;
-    return nullptr;
-  }
-  // 1. Own deque (lock-free LIFO: freshest work, hottest caches).
-  if (Job* j = workers_[wi]->deque.pop()) return j;
-  // 2. Injection FIFOs. Default: own slot first so external work spreads
-  // evenly. Fair share: rotate the sweep start every visit — one job per
-  // grab means each non-empty FIFO (i.e. each tenant, under affine
-  // submission) gets a one-job quantum per round.
-  const std::size_t start =
-      cfg_.fair_share ? wi + workers_[wi]->fifo_rr++ : wi;
+Blackboard::Job* Blackboard::next_job(std::size_t start) {
   for (std::size_t k = 0; k < fifos_.size(); ++k)
     if (Job* j = pop_fifo((start + k) % fifos_.size())) return j;
-  // 3. Steal from a victim's deque, random start to avoid convoys.
-  if (workers_.size() > 1) {
-    const std::size_t start = rng.below(workers_.size());
-    for (std::size_t k = 0; k < workers_.size(); ++k) {
-      const std::size_t v = (start + k) % workers_.size();
-      if (v == wi) continue;
-      if (Job* j = workers_[v]->deque.steal()) {
-        // Counted into jobs_stolen_ by execute(), after jobs_executed_,
-        // so the stolen <= executed snapshot invariant holds.
-        j->stolen = true;
-        if (obs::enabled()) bobs().steals.add(1);
-        return j;
-      }
-    }
-  }
   return nullptr;
 }
 
@@ -487,7 +402,6 @@ void Blackboard::execute(Job* job) {
       }
     }
   }
-  if (job->stolen) jobs_stolen_.fetch_add(1);
   if (obs_on) {
     bobs().jobs.add(groups);
     obs::trace_span("bb", "ks.job", t_begin, obs::real_now(), groups,
@@ -504,21 +418,24 @@ void Blackboard::execute(Job* job) {
 }
 
 void Blackboard::worker_loop(int worker_index) {
-  t_worker = WorkerTls{this, worker_index};
   if (obs::enabled())
     obs::name_current_thread("bb-worker-" + std::to_string(worker_index));
   Rng rng(mix64(0x9e3779b97f4a7c15ull ^
                 static_cast<std::uint64_t>(worker_index + 1)));
+  // Sweep start: rotating under fair share (one quantum per tenant FIFO
+  // per round), random otherwise (paper Fig. 13).
+  std::size_t rr = static_cast<std::size_t>(worker_index);
   std::chrono::microseconds backoff{1};
   for (;;) {
-    if (Job* job = next_job(worker_index, rng)) {
+    const std::size_t start =
+        cfg_.fair_share ? rr++ : rng.below(fifos_.size());
+    if (Job* job = next_job(start)) {
       backoff = std::chrono::microseconds{1};
       execute(job);
       continue;
     }
     if (stopping_.load(std::memory_order_acquire)) break;
-    // Exponential back-off keeps idle workers from spinning on the locks
-    // (and off other workers' deque cache lines).
+    // Exponential back-off keeps idle workers from spinning on the locks.
     const bool obs_on = obs::enabled();
     const double t_begin = obs_on ? obs::real_now() : 0.0;
     {
@@ -531,7 +448,6 @@ void Blackboard::worker_loop(int worker_index) {
     }
     backoff = std::min(backoff * 2, cfg_.max_backoff);
   }
-  t_worker = WorkerTls{};
 }
 
 void Blackboard::register_level_state(const std::string& level,
@@ -571,29 +487,18 @@ void Blackboard::drain() {
 }
 
 void Blackboard::drain_leftovers() {
-  // Workers are joined: every deque and FIFO is ours alone now. A CAS
-  // race during shutdown can leave a job behind in a deque even though
-  // its worker saw "empty"; the stop() contract says queued jobs run
-  // before stop returns, so finish them inline (steal() is safe from
-  // this thread, and jobs submitted by these executions land in the
-  // injection FIFOs where this loop picks them up).
-  for (;;) {
-    Job* job = nullptr;
-    for (auto& w : workers_)
-      if ((job = w->deque.steal()) != nullptr) break;
-    if (job == nullptr)
-      for (std::size_t q = 0; q < fifos_.size() && job == nullptr; ++q)
-        job = pop_fifo(q);
-    if (job == nullptr) return;
-    execute(job);
-  }
+  // Workers are joined, but a producer may have queued a job after the
+  // last sweep saw every FIFO empty. The stop() contract says queued jobs
+  // run before stop returns, so finish them inline; jobs submitted by
+  // these executions land in the FIFOs, where this loop picks them up.
+  while (Job* job = next_job(0)) execute(job);
 }
 
 void Blackboard::stop() {
   if (stopping_.exchange(true)) return;
   wake_cv_.notify_all();
   for (auto& w : workers_)
-    if (w->thread.joinable()) w->thread.join();
+    if (w.joinable()) w.join();
   drain_leftovers();
 }
 
@@ -603,7 +508,6 @@ BlackboardStats Blackboard::stats() const {
   // see the BlackboardStats comment. All loads are seq_cst: a relaxed
   // load could be reordered past the matching superset read.
   BlackboardStats s;
-  s.jobs_stolen = jobs_stolen_.load();
   s.jobs_failed = jobs_failed_.load();
   s.ks_quarantined = ks_quarantined_.load();
   s.ks_removed = ks_removed_.load();

@@ -24,18 +24,15 @@
 ///    so the same KS graph can be instantiated once per application level
 ///    (Fig. 5).
 ///
-/// Scheduling. The paper spreads contention over "an array of
-/// lock-protected FIFOs … swept by workers with back-off" (Fig. 13). That
-/// design is preserved as SchedulerMode::LockedFifos (and benchmarked in
-/// bench/ablation_blackboard.cpp), but the default scheduler scales
-/// further:
-///  - each worker owns a Chase-Lev deque: jobs submitted from a worker
-///    (KS chains, the dominant hot path) are pushed and popped lock-free;
-///  - idle workers steal from victims' deques before falling back to the
-///    paper's exponential back-off, which stays the final idle state;
-///  - jobs submitted from non-worker threads enter an array of
-///    lock-protected injection FIFOs (the paper's structure, now only on
-///    the cold path); `fifo_count` — kept as a deprecated alias — sizes it;
+/// Scheduling follows the paper: "an array of lock-protected FIFOs …
+/// swept by workers with back-off" (Fig. 13, bench/ablation_blackboard.cpp):
+///  - every runnable job goes to a random FIFO, and every worker sweep
+///    starts at a random FIFO, so producers and workers spread over
+///    `fifo_count` locks instead of convoying on one;
+///  - an idle worker backs off exponentially up to `max_backoff`;
+///  - under `fair_share` (tenant fabric) a batch with an affinity key
+///    goes to its tenant's FIFO and the sweep start rotates, so each
+///    tenant with queued work gets a one-job quantum per round;
 ///  - the sensitivity hash table is sharded by TypeId so concurrent
 ///    submissions (stream readers, unpackers, KS operations) do not
 ///    serialize on one shared_mutex;
@@ -59,7 +56,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "blackboard/steal_deque.hpp"
 #include "common/buffer.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -127,39 +123,24 @@ struct KsSpec {
   int tenant = -1;
 };
 
-/// Job scheduler selection; LockedFifos is the paper's original design,
-/// kept for ablation benchmarks and as a fallback.
-enum class SchedulerMode {
-  WorkStealing,  ///< Per-worker Chase-Lev deques + injection FIFOs.
-  LockedFifos,   ///< Random-sweep array of lock-protected FIFOs (Fig. 13).
-};
-
 struct BlackboardConfig {
   int workers = 4;
-  /// DEPRECATED alias for `injection_fifos`, kept so existing call sites
-  /// and knob plumbing keep working. Under SchedulerMode::LockedFifos this
-  /// is the paper's job-FIFO array width; under WorkStealing it only sizes
-  /// the injection queues for non-worker producers (workers use their own
-  /// deques). When `injection_fifos` is set explicitly (> 0), it wins and
-  /// a conflicting `fifo_count` is reported once to stderr.
+  /// Width of the job-FIFO array (the paper's Fig. 13).
   int fifo_count = 16;
-  /// Width of the external-submission FIFO array (the non-deprecated
-  /// spelling). 0 means "unset: use fifo_count"; negative throws.
-  int injection_fifos = 0;
   /// Back-off cap for idle workers.
   std::chrono::microseconds max_backoff{2000};
   /// A KS whose operation throws this many times *consecutively* is
   /// quarantined (removed) so one broken analysis module cannot starve
   /// the pool; a single success resets the streak.
   int quarantine_threshold = 3;
-  SchedulerMode scheduler = SchedulerMode::WorkStealing;
   /// Sensitivity-index shard count (rounded up to a power of two).
   int index_shards = 16;
-  /// Fair-share injection service (tenant fabric): each worker rotates
-  /// its FIFO sweep start instead of always draining slot `wi` first, a
-  /// deficit-style one-job quantum per queue. Combined with the
-  /// tenant-affine submit_batch() overload this keeps one flooding
-  /// tenant from monopolizing the injection boundary.
+  /// Fair-share service (tenant fabric): batches with an affinity key
+  /// k >= 0 all go to FIFO k mod fifo_count, and each worker rotates its
+  /// sweep start by one per grab — a deficit-style one-job quantum per
+  /// queue, so one flooding tenant cannot starve the others. Off, the
+  /// affinity key is ignored: a single-app run must not pile every job
+  /// onto one FIFO lock.
   bool fair_share = false;
 };
 
@@ -170,7 +151,6 @@ struct BlackboardConfig {
 /// stats() reads the subset counters first (all with seq_cst ordering), so
 /// every snapshot satisfies
 ///   jobs_failed      <= jobs_executed
-///   jobs_stolen      <= jobs_executed
 ///   ks_quarantined   <= ks_removed <= ks_registered
 ///   batches_submitted <= entries_pushed
 /// (ks_removed <= ks_registered additionally relies on register_ks
@@ -182,7 +162,6 @@ struct BlackboardStats {
   std::uint64_t ks_removed = 0;
   std::uint64_t jobs_failed = 0;     ///< Operations that threw.
   std::uint64_t ks_quarantined = 0;  ///< KSs removed for repeated failure.
-  std::uint64_t jobs_stolen = 0;     ///< Jobs taken from another worker's deque.
   std::uint64_t batches_submitted = 0;  ///< submit_batch calls (incl. push).
 };
 
@@ -219,10 +198,10 @@ class Blackboard {
   /// atomically (all entries or none).
   void submit_batch(std::span<const DataEntry> entries);
 
-  /// Tenant-affine batch submission: external batches sharing an
-  /// affinity key (>= 0) always land in the same injection FIFO, so the
-  /// fair-share sweep services tenants round-robin instead of by hash
-  /// luck. Affinity -1 falls back to the hashed round-robin choice.
+  /// Tenant-affine batch submission: under `fair_share`, batches sharing
+  /// an affinity key (>= 0) always land in the same FIFO, so the rotating
+  /// sweep services tenants round-robin. Without `fair_share`, or with
+  /// affinity -1, this is submit_batch(entries).
   void submit_batch(std::span<const DataEntry> entries, int affinity);
 
   /// Block until no jobs are queued or running. Entries held by partially
@@ -288,10 +267,6 @@ class Blackboard {
     if (use_job_pool_) job_pool_.reserve(n);
   }
   int worker_count() const noexcept { return static_cast<int>(workers_.size()); }
-  /// Effective injection-FIFO array width after alias resolution.
-  int injection_fifo_count() const noexcept {
-    return static_cast<int>(fifos_.size());
-  }
 
  private:
   struct KsState {
@@ -321,10 +296,6 @@ class Blackboard {
     std::shared_ptr<KsState> ks;
     std::vector<DataEntry> entries;  ///< groups * arity entries.
     std::uint32_t arity = 1;         ///< Entries per operation invocation.
-    /// Taken from another worker's deque. Counted into jobs_stolen at
-    /// execution time (not steal time) so jobs_stolen <= jobs_executed
-    /// holds in every stats() snapshot.
-    bool stolen = false;
     /// Intrusive link: the FIFO chain while queued, the free chain while
     /// idle in the job pool. A job is never in both states at once.
     Job* link = nullptr;
@@ -335,26 +306,16 @@ class Blackboard {
       ks.reset();
       entries.clear();
       arity = 1;
-      stolen = false;
       link = nullptr;
     }
   };
 
-  /// A lock-protected FIFO: the whole scheduler under LockedFifos, the
-  /// external-producer injection queue under WorkStealing. Intrusively
-  /// chained through Job::link so queue operations never allocate.
+  /// One lock-protected FIFO of the scheduler array, intrusively chained
+  /// through Job::link so queue operations never allocate.
   struct Fifo {
     std::mutex mu;
     Job* head = nullptr;
     Job* tail = nullptr;
-  };
-
-  struct Worker {
-    StealDeque<Job> deque;
-    std::thread thread;
-    /// Fair-share rotation of the injection-FIFO sweep start (only the
-    /// owning worker thread touches it).
-    std::size_t fifo_rr = 0;
   };
 
   /// One shard of the sensitivity hash table. Cache-line aligned: shards
@@ -369,9 +330,11 @@ class Blackboard {
     return index_shards_[mix64(t) & shard_mask_];
   }
 
-  void enqueue_batch(std::vector<Job*>& jobs, int affinity = -1);
-  Job* next_job(int worker_index, Rng& rng);
+  void enqueue_batch(std::vector<Job*>& jobs, int affinity);
+  void push_fifo(std::size_t qi, Job* job);
   Job* pop_fifo(std::size_t qi);
+  /// Sweep the whole FIFO array once, starting at `start`.
+  Job* next_job(std::size_t start);
   void execute(Job* job);
   void worker_loop(int worker_index);
   void drain_leftovers();
@@ -417,7 +380,7 @@ class Blackboard {
       level_state_;
 
   // Worker pool + idle back-off.
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::thread> workers_;
   std::atomic<bool> stopping_{false};
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
@@ -434,7 +397,6 @@ class Blackboard {
   std::atomic<std::uint64_t> ks_removed_{0};
   std::atomic<std::uint64_t> jobs_failed_{0};
   std::atomic<std::uint64_t> ks_quarantined_{0};
-  std::atomic<std::uint64_t> jobs_stolen_{0};
   std::atomic<std::uint64_t> batches_submitted_{0};
 };
 

@@ -53,11 +53,6 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
       "ESP_SESSION_DEADLINE", cfg_.runtime.watchdog_virtual_deadline);
   cfg_.runtime.watchdog_stall_seconds = env_double(
       "ESP_SESSION_STALL", cfg_.runtime.watchdog_stall_seconds);
-  auto& pg = cfg_.runtime.progress;
-  pg.enabled = env_flag("ESP_PROGRESS", pg.enabled);
-  pg.handoff = env_double("ESP_PROGRESS_HANDOFF", pg.handoff);
-  pg.ring_depth =
-      static_cast<int>(env_int("ESP_PROGRESS_RING", pg.ring_depth));
   auto& tn = cfg_.tenants;
   tn.enabled = env_flag("ESP_TENANT", tn.enabled);
   tn.mean_arrival_gap = env_double("ESP_TENANT_GAP", tn.mean_arrival_gap);
@@ -342,14 +337,6 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
 
 double Session::application_walltime(int app_id) const {
   return runtime_->partition_walltime(app_id);
-}
-
-double Session::application_app_walltime(int app_id) const {
-  return runtime_->partition_app_walltime(app_id);
-}
-
-double Session::application_absorbed(int app_id) const {
-  return runtime_->partition_absorbed(app_id);
 }
 
 inst::InstrumentTotals Session::instrument_totals() const {

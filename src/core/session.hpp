@@ -99,13 +99,6 @@ class Session {
 
   // Post-run queries.
   double application_walltime(int app_id) const;
-  /// Walltime net of virtual seconds the progress engine absorbed off the
-  /// app path. Identical to application_walltime() when ESP_PROGRESS is
-  /// off (the ledger stays zero).
-  double application_app_walltime(int app_id) const;
-  /// Virtual seconds the progress engine absorbed, summed over the
-  /// application's ranks; 0 with the engine off.
-  double application_absorbed(int app_id) const;
   inst::InstrumentTotals instrument_totals() const;
   const mpi::Runtime& runtime() const { return *runtime_; }
 

@@ -71,15 +71,6 @@ class Machine {
   /// A purely local buffer copy on `core`'s node (eager-send staging).
   double local_copy(int core, std::uint64_t bytes, double start);
 
-  /// Contention-free service time of a local_copy of `bytes` — what a
-  /// node's progress core must spend to drain one staged block. Pure:
-  /// queries the memory engine's per-lane rate without reserving it, so
-  /// the engine's cost attribution never perturbs the shared resource
-  /// (the app-side charge stays byte-identical engine on or off).
-  double copy_service(std::uint64_t bytes) const noexcept {
-    return nodes_.empty() ? 0.0 : nodes_[0]->memory.service_time(bytes);
-  }
-
   /// Charge only the sending node's TX NIC (used by SimFs, whose IO nodes
   /// are outside the compute partition).
   double nic_send(int core, std::uint64_t bytes, double start);

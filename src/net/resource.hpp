@@ -132,14 +132,6 @@ class BandwidthResource {
 
   double rate() const noexcept { return bytes_per_sec_; }
   void set_rate(double bytes_per_sec) noexcept { bytes_per_sec_ = bytes_per_sec; }
-  /// Contention-free service time of a `bytes` transfer on one lane —
-  /// the exact duration acquire() reserves, without queueing. Pure (no
-  /// state, no lock): cost-attribution consumers (the progress engine)
-  /// use it to bill work without perturbing the resource.
-  double service_time(std::uint64_t bytes) const noexcept {
-    return static_cast<double>(bytes) /
-           (bytes_per_sec_ / static_cast<double>(lanes_.size()));
-  }
   int lane_count() const noexcept { return static_cast<int>(lanes_.size()); }
   std::uint64_t requests() const {
     std::lock_guard lock(mu_);

@@ -83,8 +83,6 @@ Runtime::Runtime(RuntimeConfig cfg, std::vector<ProgramSpec> programs)
   final_clock_.assign(static_cast<std::size_t>(world_size_), 0.0);
 
   injector_.configure(cfg_.faults, cfg_.seed);
-  progress_lanes_.assign(static_cast<std::size_t>(world_size_),
-                         net::ProgressLane{});
   rank_dead_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(world_size_));
   rank_done_ = std::make_unique<std::atomic<bool>[]>(
@@ -148,24 +146,6 @@ double Runtime::max_walltime() const {
   double w = 0.0;
   for (double c : final_clock_) w = std::max(w, c);
   return w;
-}
-
-double Runtime::partition_app_walltime(int partition_id) const {
-  const auto& d = partitions_[static_cast<std::size_t>(partition_id)];
-  double w = 0.0;
-  for (int r = d.first_world_rank; r < d.first_world_rank + d.size; ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    w = std::max(w, final_clock_[i] - progress_lanes_[i].absorbed);
-  }
-  return w;
-}
-
-double Runtime::partition_absorbed(int partition_id) const {
-  const auto& d = partitions_[static_cast<std::size_t>(partition_id)];
-  double a = 0.0;
-  for (int r = d.first_world_rank; r < d.first_world_rank + d.size; ++r)
-    a += progress_lanes_[static_cast<std::size_t>(r)].absorbed;
-  return a;
 }
 
 std::vector<RankDeath> Runtime::deaths() const {

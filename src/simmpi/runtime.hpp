@@ -25,7 +25,6 @@
 #include "common/rng.hpp"
 #include "net/fault.hpp"
 #include "net/machine.hpp"
-#include "net/progress.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/mailbox.hpp"
 #include "simmpi/tool.hpp"
@@ -141,10 +140,6 @@ struct RuntimeConfig {
   /// progress (clock or call count) before the session is declared wedged.
   /// Only armed together with watchdog_virtual_deadline.
   double watchdog_stall_seconds = 30.0;
-  /// Opt-in per-node progress engine (see net/progress.hpp): absorbs
-  /// stream serialization off the app path via charge attribution. App
-  /// clocks — and therefore reports — are identical on or off.
-  net::ProgressConfig progress;
   /// Planned elastic membership for the analyzer partition (resolved by
   /// the session; empty = fixed membership). Both stream endpoints read
   /// it from here so their epoch transitions agree bit-exactly.
@@ -187,13 +182,6 @@ class Runtime {
   /// Virtual walltime of a partition = max final clock over its ranks.
   double partition_walltime(int partition_id) const;
   double max_walltime() const;
-  /// App-path walltime of a partition with the progress engine's absorbed
-  /// serialization taken off each rank: max over ranks of
-  /// (final clock - absorbed). Equals partition_walltime() when the
-  /// engine is off (every lane's ledger stays zero).
-  double partition_app_walltime(int partition_id) const;
-  /// Total engine-absorbed virtual seconds across a partition's lanes.
-  double partition_absorbed(int partition_id) const;
   /// Ranks that crashed under the fault plan, in death order (post-run,
   /// but safe to call concurrently while ranks are still running).
   std::vector<RankDeath> deaths() const;
@@ -238,14 +226,6 @@ class Runtime {
   /// unchanged — every value it would re-read is provably identical.
   std::uint64_t death_epoch() const noexcept {
     return death_epoch_.load(std::memory_order_acquire);
-  }
-  /// This rank's progress-engine ledger (see net/progress.hpp). Written
-  /// only from the owning rank's thread; read post-run or by the owner.
-  net::ProgressLane& progress_lane(int world_rank) noexcept {
-    return progress_lanes_[static_cast<std::size_t>(world_rank)];
-  }
-  const net::ProgressLane& progress_lane(int world_rank) const noexcept {
-    return progress_lanes_[static_cast<std::size_t>(world_rank)];
   }
   /// Publish one rank's progress (called from check_crash on its thread).
   void note_progress(const RankContext& rc) noexcept;
@@ -300,7 +280,6 @@ class Runtime {
   bool ran_ = false;
 
   net::FaultInjector injector_;
-  std::vector<net::ProgressLane> progress_lanes_;
   std::atomic<std::uint64_t> death_epoch_{0};
   std::unique_ptr<std::atomic<bool>[]> rank_dead_;
   std::unique_ptr<std::atomic<bool>[]> rank_done_;

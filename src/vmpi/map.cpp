@@ -1,6 +1,5 @@
 #include "vmpi/map.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/hash.hpp"
@@ -95,24 +94,6 @@ int Map::elastic_route(MapPolicy policy, std::uint64_t seed,
       return best;
     }
   }
-}
-
-int Map::progress_node_of(int universe_rank, int cores_per_node) {
-  if (cores_per_node < 1) cores_per_node = 1;
-  return universe_rank / cores_per_node;
-}
-
-int Map::progress_share(int universe_rank, int part_first, int part_size,
-                        int cores_per_node) {
-  if (cores_per_node < 1) cores_per_node = 1;
-  const int node = progress_node_of(universe_rank, cores_per_node);
-  // The partition occupies contiguous world ranks (= contiguous cores),
-  // so its footprint on `node` is an interval intersection.
-  const int node_first = node * cores_per_node;
-  const int node_last = node_first + cores_per_node;  // exclusive
-  const int lo = std::max(part_first, node_first);
-  const int hi = std::min(part_first + part_size, node_last);
-  return std::max(1, hi - lo);
 }
 
 void Map::map_partitions(mpi::ProcEnv& env, int remote_partition_id,

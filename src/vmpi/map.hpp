@@ -92,19 +92,6 @@ class Map {
                            int writer_universe_rank, int epoch,
                            const std::vector<int>& active_members);
 
-  /// Progress-engine topology: the machine-model node hosting
-  /// `universe_rank` (block placement, world rank r on global core r).
-  static int progress_node_of(int universe_rank, int cores_per_node);
-
-  /// Progress-engine writer share: how many ranks of the partition
-  /// [part_first, part_first + part_size) reside on `universe_rank`'s
-  /// node and therefore contend for that node's single progress slot. A
-  /// pure function of the static partition layout — every sibling
-  /// computes the same share without communication, which is what keeps
-  /// the engine's capacity model deterministic. Always >= 1.
-  static int progress_share(int universe_rank, int part_first, int part_size,
-                            int cores_per_node);
-
  private:
   std::vector<int> peers_;
 };

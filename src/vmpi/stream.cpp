@@ -40,10 +40,6 @@ struct StreamObs {
   obs::Counter& failover_joins = obs::counter("stream.failover_joins");
   obs::Counter& planned_handoffs = obs::counter("stream.planned_handoffs");
   obs::Counter& drain_joins = obs::counter("stream.drain_joins");
-  obs::Counter& progress_blocks = obs::counter("stream.progress_blocks");
-  obs::Counter& progress_absorbed_ns =
-      obs::counter("stream.progress_absorbed_ns");
-  obs::Counter& progress_refunds = obs::counter("stream.progress_wait_refunds");
   obs::Histogram& out_depth = obs::histogram("stream.out_queue_depth");
 };
 
@@ -270,18 +266,6 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
       prior_holders_.resize(peers_.size());
       replay_base_.assign(peers_.size(), 0);
     }
-    // Opt-in progress engine: attribute staging-copy and backpressure cost
-    // to this node's progress rank. Pure charge attribution — every clock
-    // the app sees is computed exactly as with the engine off (see
-    // net/progress.hpp); only the Runtime-owned per-rank ledger moves.
-    if (rt_->config().progress.enabled && mpi::Runtime::on_rank_thread()) {
-      const auto& mine = rt_->partition_of_world(env.universe_rank);
-      progress_share_ = Map::progress_share(
-          env.universe_rank, mine.first_world_rank, mine.size,
-          rt_->machine().config().cores_per_node);
-      lane_ = &rt_->progress_lane(mpi::Runtime::self().world_rank);
-      progress_on_ = true;
-    }
     return;
   }
 
@@ -421,14 +405,6 @@ int Stream::acquire_out_buf() {
   out_[oldest].req.reset();
   if (mpi::Runtime::self().clock > t0) {
     ++backpressure_waits_;
-    // With a progress engine the ring handoff decouples the app from send
-    // completion: the wait is refunded to the engine except for the part
-    // where the engine itself is still behind (its frontier past t0).
-    if (progress_on_) {
-      const double refund = net::progress_absorb_wait(
-          *lane_, t0, mpi::Runtime::self().clock);
-      if (refund > 0.0 && obs::enabled()) sobs().progress_refunds.add(1);
-    }
     if (obs::enabled()) {
       sobs().backpressure.add(1);
       obs::trace_span("stream", "stream.backpressure", t0,
@@ -477,22 +453,8 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
     h.crc = block_crc(ob.data->data(), bytes);
     std::memcpy(ob.data->data(), &h, sizeof h);
   }
-  const double t_copy0 = rc.clock;
   rc.clock =
       rt_->machine().local_copy(rt_->core_of(rc.world_rank), bytes, rc.clock);
-  if (progress_on_) {
-    // Bill the staging copy to the node's progress rank: what a dedicated
-    // progress core would have absorbed off the app path, bounded by the
-    // ring depth and the engine's own (shared, deterministic) frontier.
-    const double absorbed = net::progress_absorb_copy(
-        *lane_, rt_->config().progress, t_copy0, rc.clock,
-        rt_->machine().copy_service(bytes), progress_share_);
-    if (absorbed > 0.0 && obs::enabled()) {
-      auto& o = sobs();
-      o.progress_blocks.add(1);
-      o.progress_absorbed_ns.add(static_cast<std::uint64_t>(absorbed * 1e9));
-    }
-  }
   ob.req = universe_.pisend(ob.data->data(), bytes + frame_bytes(), peer,
                             data_tag_);
   if ((failover_armed_ || elastic_armed_) && cfg_.resend_window > 0) {
@@ -1165,18 +1127,10 @@ void Stream::close() {
     // *before* end-of-stream so the EOS (and the replayed tail) reach the
     // survivor instead of vanishing into a dead mailbox.
     check_reader_leases();
-    const double t_drain0 = mpi::Runtime::self().clock;
     for (auto& ob : out_) {
       if (!ob.req) continue;
       if (mpi::pwait(ob.req).error != 0) ++writes_failed_;
       ob.req.reset();
-    }
-    // The final in-flight drain is backpressure too: refund what the
-    // engine's frontier had already covered (see acquire_out_buf).
-    if (progress_on_ && mpi::Runtime::self().clock > t_drain0) {
-      const double refund = net::progress_absorb_wait(
-          *lane_, t_drain0, mpi::Runtime::self().clock);
-      if (refund > 0.0 && obs::enabled()) sobs().progress_refunds.add(1);
     }
     if (framed_) {
       // Header-only end-of-stream per endpoint; seq carries the final

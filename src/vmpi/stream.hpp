@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/buffer.hpp"
-#include "net/progress.hpp"
 #include "simmpi/runtime.hpp"
 #include "vmpi/map.hpp"
 
@@ -358,14 +357,6 @@ class Stream {
   /// analyzed by live previous holders.
   std::vector<std::uint64_t> replay_base_;
   std::uint64_t planned_handoffs_ = 0;
-
-  // Opt-in progress engine (net/progress.hpp): charge-attribution ledger
-  // for the node-level progress rank that drains this writer's send ring.
-  // The app-visible schedule is untouched — lane_ points at a
-  // Runtime-owned ledger written only by this rank's thread.
-  bool progress_on_ = false;
-  int progress_share_ = 1;  ///< Partition siblings sharing this node's slot.
-  net::ProgressLane* lane_ = nullptr;
 
   // Reader side.
   std::vector<InPeer> in_peers_;

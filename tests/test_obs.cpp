@@ -197,8 +197,7 @@ TEST(ObsPipeline, SessionWritesArtifacts) {
 
   const std::string metrics = slurp(dir + "/metrics.json");
   for (const char* needle :
-       {"stream.blocks_written", "stream.blocks_read", "bb.steals",
-        "bb.batch_size", "net.transfers", "inst.packs", "an.packs_unpacked"})
+       {"stream.blocks_written", "stream.blocks_read", "bb.batch_size", "net.transfers", "inst.packs", "an.packs_unpacked"})
     EXPECT_NE(metrics.find(needle), std::string::npos) << needle;
 
   const std::string trace = slurp(dir + "/trace.json");

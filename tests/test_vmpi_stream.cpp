@@ -8,7 +8,6 @@
 #include <mutex>
 #include <vector>
 
-#include "blackboard/blackboard.hpp"
 #include "common/hash.hpp"
 #include "vmpi/stream.hpp"
 
@@ -486,13 +485,11 @@ TEST(VmpiStreamReadSome, EagainOnlyWhenNothingAppended) {
   rt.run();
 }
 
-TEST(VmpiStreamReadSome, DrainsBurstsUnderProgressEngine) {
-  // With the per-node progress engine on, writer-side handoffs go through
-  // the progress lane but the wire schedule is untouched: a burst of
-  // blocks written back-to-back must drain through read_some exactly as
-  // with the engine off — every block delivered intact, the terminal 0
-  // never swallowed behind a positive count — while the writer's lane
-  // records one handoff per block.
+TEST(VmpiStreamReadSome, DrainsTightWriterBurstIntact) {
+  // A burst of blocks written back-to-back overruns the writer's three
+  // send buffers; read_some must still drain it with every block
+  // delivered intact and the terminal 0 never swallowed behind a
+  // positive count.
   std::atomic<int> total{0};
   std::atomic<int> bad{0};
   std::atomic<bool> terminal_sticky{false};
@@ -534,18 +531,11 @@ TEST(VmpiStreamReadSome, DrainsBurstsUnderProgressEngine) {
                      }
                      terminal_sticky.store(st.read_some(out, 4) == 0);
                    }});
-  RuntimeConfig cfg;
-  cfg.progress.enabled = true;
-  cfg.progress.ring_depth = 2;  // shallow: the burst overruns the ring
-  Runtime rt(cfg, std::move(progs));
+  Runtime rt(RuntimeConfig{}, std::move(progs));
   rt.run();
   EXPECT_EQ(total.load(), kBlocks);
   EXPECT_EQ(bad.load(), 0);
   EXPECT_TRUE(terminal_sticky.load());
-  // Writer is world rank 0 ("w" is declared first); every block went
-  // through its lane, and the ledger never goes negative.
-  EXPECT_EQ(rt.progress_lane(0).blocks, static_cast<std::uint64_t>(kBlocks));
-  EXPECT_GE(rt.progress_lane(0).absorbed, 0.0);
 }
 
 TEST(VmpiStream, ByteCountersTrackPayload) {
@@ -577,34 +567,6 @@ TEST(VmpiStream, ByteCountersTrackPayload) {
                    }});
   Runtime rt(RuntimeConfig{}, std::move(progs));
   rt.run();
-}
-
-// --- BlackboardConfig fifo_count deprecation (alias plumbing lives next
-// --- to the stream tests because both feed the same analyzer read loop).
-
-TEST(BlackboardFifoAlias, ExplicitInjectionWidthWins) {
-  bb::BlackboardConfig cfg;
-  cfg.workers = 1;
-  cfg.fifo_count = 4;       // deprecated alias, also set
-  cfg.injection_fifos = 9;  // explicit field wins
-  bb::Blackboard board(cfg);
-  EXPECT_EQ(board.injection_fifo_count(), 9);
-  board.stop();
-}
-
-TEST(BlackboardFifoAlias, AliasAloneStillSizesTheArray) {
-  bb::BlackboardConfig cfg;
-  cfg.workers = 1;
-  cfg.fifo_count = 5;  // injection_fifos left unset (0)
-  bb::Blackboard board(cfg);
-  EXPECT_EQ(board.injection_fifo_count(), 5);
-  board.stop();
-}
-
-TEST(BlackboardFifoAlias, NegativeExplicitWidthThrows) {
-  bb::BlackboardConfig cfg;
-  cfg.injection_fifos = -1;
-  EXPECT_THROW(bb::Blackboard{cfg}, std::invalid_argument);
 }
 
 }  // namespace

@@ -10,8 +10,8 @@ per-metric tolerances, prints human-readable verdict lines, optionally
 writes a machine-readable diff, and optionally appends one trend row per
 run to a JSONL history file (the CI trend artifact).
 
-The per-bench *internal* invariant gates (work-stealing speedup floor,
-tenancy isolation promise, the hotpath zero-allocation assertion) stay in
+The per-bench *internal* invariant gates (tenancy isolation promise,
+degradation monotonicity, the hotpath zero-allocation assertion) stay in
 the bench binaries where they can see their own raw data; this script owns
 the one thing they all duplicated — baseline drift detection.
 
@@ -44,7 +44,7 @@ from pathlib import Path
 # benches fail.
 SPECS = {
     "blackboard": {
-        "key": ("mode", "workers", "producers", "batch"),
+        "key": ("workers", "producers", "batch"),
         "metrics": {"jobs_per_sec": (0.20, "drop")},
         "default_mode": "warn",
     },
@@ -107,21 +107,6 @@ SPECS = {
             "blocks_lost": (0.0, "exact"),
             "total_events": (0.0, "exact"),
             "app_walltime": (0.15, "rel"),
-        },
-        "default_mode": "fail",
-    },
-    "progress": {
-        # Event counts are pinned-schedule exact (the engine is charge
-        # attribution); walltimes and the absorption ledger inherit the
-        # fluid model's small host-order jitter.
-        "key": ("workload",),
-        "metrics": {
-            "events": (0.0, "exact"),
-            "ref_walltime": (0.10, "rel"),
-            "inst_walltime": (0.10, "rel"),
-            "inst_walltime_on": (0.10, "rel"),
-            "net_walltime": (0.10, "rel"),
-            "absorbed": (0.25, "rel"),
         },
         "default_mode": "fail",
     },

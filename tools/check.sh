@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Full pre-merge check: build and test the default configuration, then the
-# ASan+UBSan configuration (-DESP_SANITIZE=ON), then run the blackboard
-# contention sweep and its regression gate. Fault-injection tests must
+# ASan+UBSan configuration (-DESP_SANITIZE=ON), then the end-to-end
+# benchmark's harness tests and the ablation benches with their regression
+# gates. Fault-injection tests must
 # pass under both build configs. Run from anywhere; builds live in build/
 # and build-sanitize/ at the repo root.
 #
 # Bench gating (mirrored by .github/workflows/ci.yml): each ablation bench
-# keeps its *internal* invariant gate in the binary (work-stealing speedup
-# floor, degradation monotonicity, tenancy isolation promise, hotpath
-# zero-allocation assertion) while baseline drift detection for all of them
+# keeps its *internal* invariant gate in the binary (degradation
+# monotonicity, tenancy isolation promise, hotpath zero-allocation
+# assertion) while baseline drift detection for all of them
 # is consolidated in tools/bench_gate.py, which compares the fresh
 # ESP_*_BENCH_JSON output against the checked-in bench/*.baseline.json with
 # per-metric tolerances and writes a machine-readable diff.
@@ -57,6 +58,11 @@ else
   echo "warning: python3 not found; skipping trace schema check" >&2
 fi
 
+echo "=== perfbench harness tests ==="
+# Schema and metric names of the end-to-end benchmark at tiny size, plus a
+# link-drop plan that must report failed ops and exit non-zero.
+python3 "$repo/perfbench/test_harness.py"
+
 # Run one ablation bench (internal invariant gate inside the binary) and
 # then diff its fresh JSON against the checked-in baseline with
 # tools/bench_gate.py. Regenerate the bench/*.baseline.json in the same
@@ -82,7 +88,6 @@ run_bench_gate degrade ESP_DEGRADE_BENCH_JSON ablation_degrade
 run_bench_gate tenancy ESP_TENANCY_BENCH_JSON ablation_tenancy
 run_bench_gate hotpath ESP_HOTPATH_BENCH_JSON ablation_hotpath
 run_bench_gate stream ESP_STREAM_BENCH_JSON ablation_stream
-run_bench_gate progress ESP_PROGRESS_BENCH_JSON ablation_progress
 run_bench_gate elastic ESP_ELASTIC_BENCH_JSON ablation_elastic
 
 echo "=== chaos soak (ASan) ==="
