@@ -127,6 +127,21 @@ void trace_instant(const char* cat, const char* name, double t,
   append(ev);
 }
 
+void trace_reset() {
+  auto& reg = registry();
+  std::lock_guard lock(reg.mu);
+  // The registry is the last owner of a buffer whose thread has exited
+  // (the thread_local handle died with it): drop it, track name included.
+  std::erase_if(reg.bufs, [](const std::shared_ptr<ThreadBuf>& b) {
+    return b.use_count() == 1;
+  });
+  for (const auto& b : reg.bufs) {
+    std::lock_guard block(b->mu);
+    b->events.clear();
+  }
+  reg.dropped.store(0, std::memory_order_relaxed);
+}
+
 std::uint64_t trace_dropped() {
   return registry().dropped.load(std::memory_order_relaxed);
 }

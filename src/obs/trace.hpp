@@ -30,7 +30,14 @@ void trace_span(const char* cat, const char* name, double t_begin,
 void trace_instant(const char* cat, const char* name, double t,
                    std::uint64_t a0 = 0, const char* a0_key = nullptr);
 
-/// Events dropped because a thread buffer hit the cap.
+/// Forget the previous run: drop the buffers (and track names) of threads
+/// that have exited and clear the events of live ones. Runtime::run calls
+/// this first, so trace.json holds only its own run's tracks even when
+/// one process runs several Runtimes.
+void trace_reset();
+
+/// Events dropped because a thread buffer hit the cap (since the last
+/// trace_reset()).
 std::uint64_t trace_dropped();
 
 /// Emit every buffered event as {"traceEvents":[...]} Chrome trace JSON

@@ -323,6 +323,7 @@ void Runtime::watchdog_loop() {
 void Runtime::run() {
   if (ran_) throw std::logic_error("Runtime::run() may only be called once");
   ran_ = true;
+  obs::trace_reset();  // trace.json holds this run's tracks only
 
   if (cfg_.watchdog_virtual_deadline > 0.0)
     watchdog_ = std::thread([this] { watchdog_loop(); });

@@ -20,8 +20,9 @@
 ///  - read returns 0 once every remote writer has closed the stream.
 ///
 /// Resilience (beyond the paper): every block carries a 24-byte header
-/// (magic, CRC-32 over the payload, per-link sequence number) so the read
-/// endpoint detects corrupted blocks (CRC mismatch) and lost blocks
+/// (magic, CRC-32, per-link sequence number, payload length; the CRC covers
+/// the sequence number, the payload length and the payload bytes) so the
+/// read endpoint detects corrupted blocks (CRC mismatch) and lost blocks
 /// (sequence gaps) instead of feeding garbage to analysis. A writer that
 /// dies without sending end-of-stream is detected — via the runtime's
 /// crash sweep or, for a silently-vanished writer, a real-time poll — and

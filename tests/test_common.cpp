@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/buffer.hpp"
 #include "common/env.hpp"
@@ -26,6 +27,73 @@ TEST(Hash, StableAndDistinct) {
   // Multi-level ids: same type name, different level -> different id.
   EXPECT_NE(hash_combine(fnv1a("app1"), fnv1a("t")),
             hash_combine(fnv1a("app2"), fnv1a("t")));
+}
+
+/// Oracle for the CRC-32 tests: the IEEE CRC-32 one byte, one bit at a
+/// time, sharing no table or code with `esp::crc32`.
+std::uint32_t crc32_reference(const unsigned char* p, std::size_t n,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::vector<unsigned char> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> v(n);
+  for (auto& b : v) b = static_cast<unsigned char>(rng.next());
+  return v;
+}
+
+TEST(Hash, Crc32StandardCheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+}
+
+TEST(Hash, Crc32OfEmptyRangeIsTheSeed) {
+  const unsigned char byte = 0x5a;
+  for (std::uint32_t s : {0u, 1u, 0xCBF43926u, 0xffffffffu})
+    EXPECT_EQ(crc32(&byte, 0, s), s);
+}
+
+TEST(Hash, Crc32ChainsAtEverySplitPoint) {
+  const auto buf = seeded_bytes(100, 11);
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split)
+    EXPECT_EQ(crc32(buf.data() + split, buf.size() - split,
+                    crc32(buf.data(), split)),
+              whole)
+        << "split " << split;
+}
+
+/// Lengths 0-80 cover zero to five 16-byte slices plus every tail length;
+/// start offsets 0-15 cover every alignment of the 32-bit loads.
+TEST(Hash, Crc32MatchesBytewiseReferenceAtEveryOffsetAndLength) {
+  const auto buf = seeded_bytes(16 + 80, 12);
+  for (std::size_t off = 0; off < 16; ++off)
+    for (std::size_t len = 0; len <= 80; ++len)
+      for (std::uint32_t s : {0u, 0x9e3779b9u})
+        ASSERT_EQ(crc32(buf.data() + off, len, s),
+                  crc32_reference(buf.data() + off, len, s))
+            << "offset " << off << " length " << len << " seed " << s;
+  // One stream-block-sized range, unaligned, with a ragged tail.
+  const auto big = seeded_bytes((64 << 10) + 8, 13);
+  EXPECT_EQ(crc32(big.data() + 1, big.size() - 1),
+            crc32_reference(big.data() + 1, big.size() - 1));
+}
+
+TEST(Hash, Crc32DetectsEverySingleBitFlip) {
+  auto buf = seeded_bytes(4096, 14);
+  const std::uint32_t clean = crc32(buf.data(), buf.size());
+  for (std::size_t bit = 0; bit < buf.size() * 8; ++bit) {
+    buf[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    ASSERT_NE(crc32(buf.data(), buf.size()), clean) << "bit " << bit;
+    buf[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+  }
+  EXPECT_EQ(crc32(buf.data(), buf.size()), clean);
 }
 
 TEST(Rng, DeterministicPerSeed) {

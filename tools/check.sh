@@ -58,6 +58,14 @@ else
   echo "warning: python3 not found; skipping trace schema check" >&2
 fi
 
+echo "=== test_obs in one process ==="
+# ctest runs each test in its own process, which hides state that one test
+# leaks into the next. Run the obs suite as one process as well, from a
+# temp dir so the obs_artifacts checked above stay untouched.
+obs_tmp="$(mktemp -d)"
+(cd "$obs_tmp" && "$repo/build/tests/test_obs")
+rm -rf "$obs_tmp"
+
 echo "=== perfbench harness tests ==="
 # Schema and metric names of the end-to-end benchmark at tiny size, plus a
 # link-drop plan that must report failed ops and exit non-zero.
