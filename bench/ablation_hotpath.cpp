@@ -1,49 +1,45 @@
 /// \file ablation_hotpath.cpp
-/// \brief Steady-state event-path ablation: proves the analyzer hot path
-/// is allocation-free once warm, and measures its event throughput.
+/// \brief Steady-state event-path ablation: counts the analyzer hot path's
+/// heap allocations per pack once warm, and measures its event throughput.
 ///
 /// The measured region is the full analysis chain on a live blackboard —
 /// pooled block acquire, pack submit, dispatcher, zero-copy unpacker,
 /// MPI/topology/density profiling — the same path a stream reader drives
-/// in production. Two phases run in one process: pools on (the default
-/// path) and pools off (ESP_POOL=0 semantics), toggled via
-/// mem::set_pools_enabled with a fresh board per phase.
+/// in production.
 ///
-/// The allocation count comes from the malloc-interposition probe
-/// (src/obs/alloc_probe.cpp) linked into this binary only; the paper's
-/// premise is that online reduction pays off only while the measurement
-/// path itself is near-free, so the pooled phase is *gated*: any
-/// steady-state allocation is a regression and the bench exits non-zero
-/// (ESP_HOTPATH_GATE=warn downgrades it while debugging).
+/// The allocation counts come from the malloc-interposition probe
+/// (src/obs/alloc_probe.cpp) linked into this binary only. Stream blocks
+/// come from the block pool; views and jobs are plain heap objects, which
+/// costs kMaxAllocsPerPack small allocations per pack: one block control
+/// block, one view per event run (two here) and two per blackboard job
+/// (the job and its entry vector; seven jobs per pack). The steady round
+/// is *gated*, and the bench exits non-zero when
+///  - its allocation count differs from the previous round's (the path
+///    did not settle: something grows per pack);
+///  - it allocates more than kMaxAllocsPerPack times per pack (a new
+///    per-pack allocation);
+///  - it allocates anywhere near a stream block's bytes per pack (the
+///    block pool stopped serving blocks).
 ///
-/// A worker that sleeps through warmup would lazily build its thread-local
-/// scratch inside the measured region and show up as a one-off allocation
-/// burst; the bench therefore measures up to ESP_HOTPATH_ROUNDS rounds and
-/// gates on the last one, reporting how many rounds it took to go quiet.
+/// A worker that sleeps through warmup lazily builds its thread-local
+/// scratch inside the first measured round; the bench therefore measures
+/// up to kRounds rounds until two in a row allocate the same count, and
+/// gates the last one.
 ///
-///   ESP_HOTPATH_BENCH_JSON=out.json  write one JSON record per phase
-///       (schema shared with the other ablation benches; events_per_sec
-///       regressions are gated externally by tools/bench_gate.py against
-///       bench/BENCH_hotpath.baseline.json);
-///   ESP_HOTPATH_PACKS     packs per measured round        (default 512)
-///   ESP_HOTPATH_WARMUP    warmup packs before measuring   (default 128)
-///   ESP_HOTPATH_WORKERS   blackboard workers              (default 4)
-///   ESP_HOTPATH_BURST     packs in flight between drains  (default 16)
-///   ESP_HOTPATH_BLOCK     pack/block size in bytes        (default 1 MiB)
-///   ESP_HOTPATH_ROUNDS    max measured rounds per phase   (default 5)
-///   ESP_HOTPATH_GATE      fail (default) | warn
+///   ESP_HOTPATH_BENCH_JSON=out.json  write the JSON record (schema shared
+///       with the other ablation benches; allocs_per_event and
+///       events_per_sec are gated externally by tools/bench_gate.py
+///       against bench/BENCH_hotpath.baseline.json).
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <string>
 #include <vector>
 
 #include "analysis/modules.hpp"
 #include "blackboard/blackboard.hpp"
-#include "common/env.hpp"
 #include "core/pool.hpp"
 #include "instrument/event.hpp"
 #include "obs/alloc_probe.hpp"
@@ -55,26 +51,16 @@ using inst::Event;
 using inst::EventKind;
 using inst::PackHeader;
 
-struct Knobs {
-  int packs = 512;
-  int warmup = 128;
-  int workers = 4;
-  int burst = 16;
-  std::size_t block = 1u << 20;
-  int rounds = 5;
-};
-
-Knobs knobs() {
-  Knobs k;
-  k.packs = static_cast<int>(env_int("ESP_HOTPATH_PACKS", k.packs));
-  k.warmup = static_cast<int>(env_int("ESP_HOTPATH_WARMUP", k.warmup));
-  k.workers = static_cast<int>(env_int("ESP_HOTPATH_WORKERS", k.workers));
-  k.burst = static_cast<int>(env_int("ESP_HOTPATH_BURST", k.burst));
-  k.block = static_cast<std::size_t>(
-      env_int("ESP_HOTPATH_BLOCK", static_cast<std::int64_t>(k.block)));
-  k.rounds = static_cast<int>(env_int("ESP_HOTPATH_ROUNDS", k.rounds));
-  return k;
-}
+constexpr int kPacks = 512;          ///< Packs per measured round.
+constexpr int kWarmup = 128;         ///< Warmup packs before measuring.
+constexpr int kWorkers = 4;          ///< Blackboard workers.
+constexpr int kBurst = 16;           ///< Packs in flight between drains.
+constexpr std::size_t kBlock = 1u << 20;  ///< Pack/block size in bytes.
+constexpr int kRounds = 5;           ///< Max measured rounds.
+/// 1 block control block + 2 view runs + 7 jobs x (job + entry vector).
+constexpr std::uint64_t kMaxAllocsPerPack = 17;
+/// "Far below one block": a pooled block costs no block bytes.
+constexpr std::uint64_t kMaxBytesPerPack = kBlock / 64;
 
 /// One template pack: a long MPI run (ping-pong over 8 ranks with fixed
 /// peers, so the topology map's key set is finite and warms up) followed
@@ -112,44 +98,39 @@ std::vector<std::byte> make_template_pack(std::size_t block_size) {
   return tmpl;
 }
 
-struct PhaseResult {
-  std::string mode;
-  std::uint64_t packs = 0;
+struct Result {
   std::uint64_t events = 0;
   double events_per_sec = 0.0;
   std::uint64_t allocs_steady = 0;  ///< Allocations in the gated round.
+  std::uint64_t allocs_prev = 0;    ///< Allocations in the round before.
+  std::uint64_t bytes_per_pack = 0;  ///< Bytes allocated per gated pack.
   double allocs_per_event = 0.0;
   int rounds = 1;  ///< Measured rounds until the gated round.
   mem::PoolStats block_pool;
-  mem::PoolStats view_pool;
-  mem::PoolStats job_pool;
 };
 
 /// Drive `n_packs` template packs through the board, draining every
-/// `burst` packs so in-flight work stays bounded (and pool working sets
-/// stay under their retain caps).
+/// kBurst packs so in-flight work (and the block pool's working set)
+/// stays bounded.
 void drive(bb::Blackboard& board, const std::vector<std::byte>& tmpl,
-           std::size_t block_size, int n_packs, int burst) {
+           int n_packs) {
   const bb::TypeId t = an::pack_type();
   bb::DataEntry entry;
   for (int p = 0; p < n_packs; ++p) {
-    BufferRef blk = mem::acquire_block(block_size, tmpl.size());
+    BufferRef blk = mem::acquire_block(kBlock, tmpl.size());
     std::memcpy(blk->data(), tmpl.data(), tmpl.size());
     entry.type = t;
     entry.payload = std::move(blk);
     board.submit_batch({&entry, 1}, 0);
     entry.payload.reset();
-    if ((p + 1) % burst == 0) board.drain();
+    if ((p + 1) % kBurst == 0) board.drain();
   }
   board.drain();
 }
 
-PhaseResult run_phase(bool pools_on, const Knobs& k,
-                      const std::vector<std::byte>& tmpl) {
-  mem::set_pools_enabled(pools_on);
-
+Result measure(const std::vector<std::byte>& tmpl) {
   bb::BlackboardConfig bcfg;
-  bcfg.workers = k.workers;
+  bcfg.workers = kWorkers;
   bb::Blackboard board(bcfg);
 
   const an::AppLevel level{0, "hot", 8};
@@ -162,94 +143,64 @@ PhaseResult run_phase(bool pools_on, const Knobs& k,
   topology.register_on(board, level);
   density.register_on(board, level);
 
-  if (pools_on) {
-    // Warmup traffic alone sizes the pools by adoption, but a pool that
-    // only grows on release pays one heap miss every time the in-flight
-    // count sets a new peak — which scheduling jitter can defer into the
-    // gated round. Reserving past the worst-case working set (burst packs
-    // in flight, <= kMaxViewRuns views and a handful of jobs each) makes
-    // the steady state deterministic instead of merely likely.
-    const auto burst = static_cast<std::size_t>(k.burst);
-    mem::pool_for(k.block).reserve(burst * 2 + 8);
-    mem::view_pool().reserve(burst * 18 + 32);
-    board.reserve_jobs(burst * 8 + 64);
+  // At most kBurst blocks are in flight. Minting them up front stops the
+  // pool from growing by one miss at each new in-flight peak, which
+  // scheduling jitter could otherwise defer into a measured round.
+  {
+    std::vector<BufferRef> working_set;
+    for (int i = 0; i < kBurst; ++i)
+      working_set.push_back(mem::acquire_block(kBlock));
   }
+  drive(board, tmpl, kWarmup);
+  const mem::PoolStats blocks0 = mem::pool_for(kBlock).stats();
 
-  const mem::PoolStats blocks0 = mem::pool_for(k.block).stats();
-  const mem::PoolStats views0 = mem::view_pool().stats();
-  const mem::PoolStats jobs0 = board.job_pool_stats();
-
-  drive(board, tmpl, k.block, k.warmup, k.burst);
-
-  const std::uint32_t per_pack = inst::pack_capacity(k.block);
-  PhaseResult r;
-  r.mode = pools_on ? "pool_on" : "pool_off";
-  r.packs = static_cast<std::uint64_t>(k.packs);
-  r.events = r.packs * per_pack;
-
-  // Measure rounds until the path goes allocation-quiet (a worker that
-  // slept through warmup lazily builds its scratch in round one); the
-  // last round is the one reported and gated.
-  for (int round = 1; round <= std::max(1, k.rounds); ++round) {
+  Result r;
+  r.events = static_cast<std::uint64_t>(kPacks) * inst::pack_capacity(kBlock);
+  std::uint64_t prev = 0;
+  for (int round = 1; round <= kRounds; ++round) {
     const obs::AllocCounts a0 = obs::alloc_counts();
     const auto t0 = std::chrono::steady_clock::now();
-    drive(board, tmpl, k.block, k.packs, k.burst);
+    drive(board, tmpl, kPacks);
     const auto t1 = std::chrono::steady_clock::now();
     const obs::AllocCounts a1 = obs::alloc_counts();
     const double secs = std::chrono::duration<double>(t1 - t0).count();
-    r.events_per_sec =
-        secs > 0 ? static_cast<double>(r.events) / secs : 0.0;
+    r.events_per_sec = secs > 0 ? static_cast<double>(r.events) / secs : 0.0;
+    r.allocs_prev = prev;
     r.allocs_steady = a1.allocs - a0.allocs;
+    r.bytes_per_pack = (a1.bytes - a0.bytes) / kPacks;
     r.allocs_per_event =
         static_cast<double>(r.allocs_steady) / static_cast<double>(r.events);
     r.rounds = round;
-    if (!pools_on || r.allocs_steady == 0) break;
+    if (round > 1 && r.allocs_steady == prev) break;
+    prev = r.allocs_steady;
   }
 
-  auto delta = [](const mem::PoolStats& now, const mem::PoolStats& was) {
-    mem::PoolStats d;
-    d.hits = now.hits - was.hits;
-    d.misses = now.misses - was.misses;
-    d.released = now.released - was.released;
-    d.trimmed = now.trimmed - was.trimmed;
-    d.retained = now.retained;
-    return d;
-  };
-  r.block_pool = delta(mem::pool_for(k.block).stats(), blocks0);
-  r.view_pool = delta(mem::view_pool().stats(), views0);
-  r.job_pool = delta(board.job_pool_stats(), jobs0);
+  const mem::PoolStats blocks1 = mem::pool_for(kBlock).stats();
+  r.block_pool.hits = blocks1.hits - blocks0.hits;
+  r.block_pool.misses = blocks1.misses - blocks0.misses;
+  r.block_pool.retained = blocks1.retained;
   board.stop();
   return r;
 }
 
 int run(const char* json_path) {
-  const Knobs k = knobs();
-  const std::vector<std::byte> tmpl = make_template_pack(k.block);
+  const std::vector<std::byte> tmpl = make_template_pack(kBlock);
 
   if (!obs::alloc_probe_active()) {
     std::fprintf(stderr, "alloc probe not linked; counters would read 0\n");
     return 2;
   }
 
-  std::vector<PhaseResult> results;
-  results.push_back(run_phase(true, k, tmpl));
-  results.push_back(run_phase(false, k, tmpl));
-  mem::set_pools_enabled(true);
-
-  for (const auto& r : results)
-    std::printf(
-        "%-9s packs=%-6llu events=%-9llu events/s=%.4g "
-        "allocs=%llu (%.6f/event, round %d) "
-        "pool h/m=%llu/%llu views h/m=%llu/%llu jobs h/m=%llu/%llu\n",
-        r.mode.c_str(), static_cast<unsigned long long>(r.packs),
-        static_cast<unsigned long long>(r.events), r.events_per_sec,
-        static_cast<unsigned long long>(r.allocs_steady), r.allocs_per_event,
-        r.rounds, static_cast<unsigned long long>(r.block_pool.hits),
-        static_cast<unsigned long long>(r.block_pool.misses),
-        static_cast<unsigned long long>(r.view_pool.hits),
-        static_cast<unsigned long long>(r.view_pool.misses),
-        static_cast<unsigned long long>(r.job_pool.hits),
-        static_cast<unsigned long long>(r.job_pool.misses));
+  const Result r = measure(tmpl);
+  std::printf(
+      "steady packs=%d events=%llu events/s=%.4g allocs=%llu "
+      "(%.6f/event, %.2f/pack, %llu B/pack, round %d) pool h/m=%llu/%llu\n",
+      kPacks, static_cast<unsigned long long>(r.events), r.events_per_sec,
+      static_cast<unsigned long long>(r.allocs_steady), r.allocs_per_event,
+      static_cast<double>(r.allocs_steady) / kPacks,
+      static_cast<unsigned long long>(r.bytes_per_pack), r.rounds,
+      static_cast<unsigned long long>(r.block_pool.hits),
+      static_cast<unsigned long long>(r.block_pool.misses));
 
   if (json_path != nullptr && *json_path != '\0') {
     std::ofstream out(json_path);
@@ -257,54 +208,52 @@ int run(const char* json_path) {
       std::fprintf(stderr, "cannot write %s\n", json_path);
       return 2;
     }
-    out << "{\n  \"schema\": 1,\n  \"results\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& r = results[i];
-      char buf[512];
-      std::snprintf(
-          buf, sizeof buf,
-          "    {\"mode\":\"%s\",\"workers\":%d,\"block_bytes\":%llu,"
-          "\"packs\":%llu,\"events\":%llu,\"events_per_sec\":%.9g,"
-          "\"allocs_steady\":%llu,\"allocs_per_event\":%.9g,\"rounds\":%d,"
-          "\"pool_hits\":%llu,\"pool_misses\":%llu,"
-          "\"view_hits\":%llu,\"view_misses\":%llu,"
-          "\"job_hits\":%llu,\"job_misses\":%llu}%s\n",
-          r.mode.c_str(), k.workers,
-          static_cast<unsigned long long>(k.block),
-          static_cast<unsigned long long>(r.packs),
-          static_cast<unsigned long long>(r.events), r.events_per_sec,
-          static_cast<unsigned long long>(r.allocs_steady),
-          r.allocs_per_event, r.rounds,
-          static_cast<unsigned long long>(r.block_pool.hits),
-          static_cast<unsigned long long>(r.block_pool.misses),
-          static_cast<unsigned long long>(r.view_pool.hits),
-          static_cast<unsigned long long>(r.view_pool.misses),
-          static_cast<unsigned long long>(r.job_pool.hits),
-          static_cast<unsigned long long>(r.job_pool.misses),
-          i + 1 < results.size() ? "," : "");
-      out << buf;
-    }
-    out << "  ]\n}\n";
+    char buf[512];
+    std::snprintf(
+        buf, sizeof buf,
+        "{\n  \"schema\": 1,\n  \"results\": [\n"
+        "    {\"mode\":\"steady\",\"workers\":%d,\"block_bytes\":%llu,"
+        "\"packs\":%d,\"events\":%llu,\"events_per_sec\":%.9g,"
+        "\"allocs_steady\":%llu,\"allocs_per_event\":%.9g,"
+        "\"bytes_per_pack\":%llu,\"rounds\":%d,"
+        "\"pool_hits\":%llu,\"pool_misses\":%llu}\n  ]\n}\n",
+        kWorkers, static_cast<unsigned long long>(kBlock), kPacks,
+        static_cast<unsigned long long>(r.events), r.events_per_sec,
+        static_cast<unsigned long long>(r.allocs_steady), r.allocs_per_event,
+        static_cast<unsigned long long>(r.bytes_per_pack), r.rounds,
+        static_cast<unsigned long long>(r.block_pool.hits),
+        static_cast<unsigned long long>(r.block_pool.misses));
+    out << buf;
     std::printf("-> %s\n", json_path);
   }
 
-  // The invariant this bench exists for: the pooled hot path performs no
-  // heap allocation at steady state. events_per_sec drift is gated
-  // separately (tools/bench_gate.py vs the checked-in baseline).
-  const char* gate = std::getenv("ESP_HOTPATH_GATE");
-  const bool hard = gate == nullptr || std::strcmp(gate, "warn") != 0;
+  // The invariant this bench exists for: once warm, the hot path's
+  // allocations are a fixed, small count per pack and never a stream
+  // block. events_per_sec drift is gated separately (tools/bench_gate.py
+  // vs the checked-in baseline).
   int rc = 0;
-  for (const auto& r : results) {
-    if (r.mode == "pool_on" && r.allocs_steady != 0) {
-      std::fprintf(stderr,
-                   "%s: pooled hot path allocated %llu times in the "
-                   "steady-state round (%.6f/event): zero-allocation "
-                   "invariant broken\n",
-                   hard ? "FAIL" : "WARN",
-                   static_cast<unsigned long long>(r.allocs_steady),
-                   r.allocs_per_event);
-      if (hard) rc = 1;
-    }
+  if (r.allocs_steady != r.allocs_prev) {
+    std::fprintf(stderr,
+                 "FAIL: allocations did not settle in %d rounds "
+                 "(%llu then %llu)\n",
+                 kRounds, static_cast<unsigned long long>(r.allocs_prev),
+                 static_cast<unsigned long long>(r.allocs_steady));
+    rc = 1;
+  }
+  if (r.allocs_steady > kMaxAllocsPerPack * kPacks) {
+    std::fprintf(stderr,
+                 "FAIL: %llu allocations in the steady round, over %llu per "
+                 "pack: a new per-pack allocation\n",
+                 static_cast<unsigned long long>(r.allocs_steady),
+                 static_cast<unsigned long long>(kMaxAllocsPerPack));
+    rc = 1;
+  }
+  if (r.bytes_per_pack > kMaxBytesPerPack) {
+    std::fprintf(stderr,
+                 "FAIL: %llu bytes allocated per pack in the steady round: "
+                 "stream blocks are not coming from the pool\n",
+                 static_cast<unsigned long long>(r.bytes_per_pack));
+    rc = 1;
   }
   return rc;
 }

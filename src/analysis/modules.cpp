@@ -27,8 +27,8 @@ struct AnObs {
 /// A pack whose mpi/posix events interleave in more runs than this is
 /// shipped as two per-class copies instead of per-run views: pathological
 /// interleaves would otherwise fan out into hundreds of tiny jobs. The
-/// split decision is a pure function of the pack bytes, so pool-on and
-/// pool-off runs make the same choice and stay bit-identical.
+/// split decision is a pure function of the pack bytes, so same-seed runs
+/// make the same choice and stay bit-identical.
 constexpr std::size_t kMaxViewRuns = 16;
 
 AnObs& aobs() {
@@ -118,7 +118,6 @@ void register_unpacker(bb::Blackboard& board, const AppLevel& level) {
          static thread_local std::vector<bb::DataEntry> out;
          out.clear();
          if (runs <= kMaxViewRuns) {
-           const bool pooled = mem::pools_enabled();
            for (std::size_t i = 0; i < events.size();) {
              const bool is_mpi = inst::is_mpi(events[i].kind);
              std::size_t j = i + 1;
@@ -129,8 +128,7 @@ void register_unpacker(bb::Blackboard& board, const AppLevel& level) {
                  sizeof(inst::PackHeader) + i * sizeof(Event);
              const std::size_t len = (j - i) * sizeof(Event);
              out.emplace_back(is_mpi ? out_mpi : out_posix,
-                              pooled ? mem::view_pool().view(e.payload, off, len)
-                                     : Buffer::view_of(e.payload, off, len));
+                              Buffer::view_of(e.payload, off, len));
              i = j;
            }
          } else {

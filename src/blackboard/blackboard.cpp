@@ -93,16 +93,6 @@ Blackboard::Blackboard(BlackboardConfig cfg) : cfg_(cfg) {
   if (cfg_.index_shards <= 0)
     throw std::invalid_argument("BlackboardConfig::index_shards must be > 0");
 
-  // Latched here (not per call) so acquire/release pairing stays
-  // consistent even if a test flips the global switch mid-run.
-  use_job_pool_ = mem::pools_enabled();
-  // Worker-scaled warmup: a pool that only grows by adoption would pay
-  // one heap miss every time the in-flight job count sets a new peak —
-  // arbitrarily late into a run. Preallocating the typical working set
-  // front-loads those misses into construction.
-  if (use_job_pool_)
-    job_pool_.reserve(static_cast<std::size_t>(cfg_.workers) * 16 + 64);
-
   const std::size_t shards =
       round_up_pow2(static_cast<std::size_t>(cfg_.index_shards));
   index_shards_ = std::vector<IndexShard>(shards);
@@ -228,7 +218,8 @@ void Blackboard::submit_batch(std::span<const DataEntry> entries,
   // type's shard lock, shared mode), then group the batch per KS so each
   // KS mutex is taken once for the whole batch. Entry order is preserved.
   // All grouping state lives in per-thread scratch whose capacity is
-  // retained across calls: a warm submitter performs zero allocations here.
+  // retained across calls: once warm, the grouping allocates nothing (the
+  // jobs it fills are heap objects).
   BatchScratch& sc = scratch();
   for (const DataEntry& e : entries) {
     BatchScratch::TypeSnap* snap = nullptr;
@@ -275,7 +266,7 @@ void Blackboard::submit_batch(std::span<const DataEntry> entries,
       // arrival, so nothing ever lingers in `pending` — append straight
       // to the chunk and skip the deque churn. Behaviour is identical to
       // the general path because pending[t] is provably empty here.
-      chunk = acquire_job();
+      chunk = new Job;
       chunk->ks = kb.ks;
       chunk->arity = 1;
       chunk->entries.reserve(kb.entries.size());
@@ -296,7 +287,7 @@ void Blackboard::submit_batch(std::span<const DataEntry> entries,
       }
       if (!satisfied) continue;
       if (chunk == nullptr) {
-        chunk = acquire_job();
+        chunk = new Job;
         chunk->ks = kb.ks;
         chunk->arity =
             static_cast<std::uint32_t>(kb.ks->sensitivities.size());
@@ -407,10 +398,9 @@ void Blackboard::execute(Job* job) {
     obs::trace_span("bb", "ks.job", t_begin, obs::real_now(), groups,
                     "groups");
   }
-  // Return the chunk to the job pool: pool_reset() drops the entry
-  // payloads immediately (releasing any stream block the last view was
-  // pinning) while the entries vector keeps its capacity for reuse.
-  release_job(job);
+  // Deleting the chunk drops its entry payloads now, releasing any
+  // stream block the last view was pinning.
+  delete job;
   if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     std::lock_guard lock(drain_mu_);
     drain_cv_.notify_all();

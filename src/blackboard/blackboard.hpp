@@ -59,7 +59,6 @@
 #include "common/buffer.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
-#include "core/pool.hpp"
 
 namespace esp::bb {
 
@@ -257,15 +256,6 @@ class Blackboard {
   void stop();
 
   BlackboardStats stats() const;
-  /// Job-chunk pool counters (zero-valued when ESP_POOL=0).
-  mem::PoolStats job_pool_stats() const { return job_pool_.stats(); }
-  /// Warmup preallocation: make `n` job chunks available (and resident —
-  /// the floor rises past the retain cap) without further heap traffic.
-  /// The constructor reserves a worker-scaled default; latency-critical
-  /// drivers (the hotpath bench) raise it to their peak in-flight count.
-  void reserve_jobs(std::size_t n) {
-    if (use_job_pool_) job_pool_.reserve(n);
-  }
   int worker_count() const noexcept { return static_cast<int>(workers_.size()); }
 
  private:
@@ -296,18 +286,8 @@ class Blackboard {
     std::shared_ptr<KsState> ks;
     std::vector<DataEntry> entries;  ///< groups * arity entries.
     std::uint32_t arity = 1;         ///< Entries per operation invocation.
-    /// Intrusive link: the FIFO chain while queued, the free chain while
-    /// idle in the job pool. A job is never in both states at once.
+    /// Intrusive link of the FIFO chain while queued.
     Job* link = nullptr;
-
-    /// Pool hook: drop the entry payloads *now* (they may pin a stream
-    /// block) but keep the vector's capacity for the next batch.
-    void pool_reset() noexcept {
-      ks.reset();
-      entries.clear();
-      arity = 1;
-      link = nullptr;
-    }
   };
 
   /// One lock-protected FIFO of the scheduler array, intrusively chained
@@ -343,20 +323,7 @@ class Blackboard {
   struct BatchScratch;
   static BatchScratch& scratch();
 
-  Job* acquire_job() { return use_job_pool_ ? job_pool_.acquire() : new Job; }
-  void release_job(Job* job) noexcept {
-    if (use_job_pool_)
-      job_pool_.release(job);
-    else
-      delete job;
-  }
-
   BlackboardConfig cfg_;
-  /// Latched at construction so every job allocated by this board is
-  /// freed the same way, even if the global pool switch is toggled
-  /// mid-flight (tests do exactly that between sessions).
-  bool use_job_pool_ = true;
-  mem::ObjectPool<Job, &Job::link> job_pool_;
 
   // Sharded sensitivity hash table: type id -> interested KSs.
   std::vector<IndexShard> index_shards_;

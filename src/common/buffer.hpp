@@ -49,12 +49,15 @@ class Buffer {
   }
   /// A read-only window over `[offset, offset + size)` of `parent`,
   /// holding the parent alive. Throws std::out_of_range on a window that
-  /// does not fit. (Pooled views come from mem::ViewPool instead; this is
-  /// the heap fallback with identical semantics.)
+  /// does not fit.
   static std::shared_ptr<Buffer> view_of(BufferRef parent, std::size_t offset,
                                          std::size_t size) {
+    if (!parent || offset + size > parent->size() || offset + size < offset)
+      throw std::out_of_range("Buffer::view_of: window outside parent");
     auto b = std::make_shared<Buffer>();
-    b->bind_view(std::move(parent), offset, size);
+    b->view_data_ = parent->data() + offset;
+    b->view_size_ = size;
+    b->parent_ = std::move(parent);
     return b;
   }
 
@@ -69,30 +72,11 @@ class Buffer {
   bool is_view() const noexcept { return parent_ != nullptr; }
 
   /// Owning buffers only (a view's size belongs to its parent). Within the
-  /// established capacity this never reallocates, which is what lets
-  /// pooled buffers be resized to a partial block for free.
+  /// established capacity this never reallocates, so a recycled pool block
+  /// (core/pool.hpp) shrinks to a partial block and grows back for free.
   void resize(std::size_t n) {
     if (parent_) throw std::logic_error("Buffer::resize on a view");
     bytes_.resize(n);
-  }
-
-  /// Re-point this buffer at a window of `parent` (pool plumbing; most
-  /// callers want view_of / mem::ViewPool). Replaces any previous state;
-  /// owned storage is kept allocated for later reuse.
-  void bind_view(BufferRef parent, std::size_t offset, std::size_t size) {
-    if (!parent || offset + size > parent->size() || offset + size < offset)
-      throw std::out_of_range("Buffer::bind_view: window outside parent");
-    view_data_ = parent->data() + offset;
-    view_size_ = size;
-    parent_ = std::move(parent);
-  }
-  /// Drop the parent reference and revert to the owned storage (empty for
-  /// pool view nodes). Called by the view pool before recycling a node so
-  /// an idle node never pins a stream block.
-  void unbind_view() noexcept {
-    parent_.reset();
-    view_data_ = nullptr;
-    view_size_ = 0;
   }
 
   std::span<std::byte> span() noexcept { return {data(), size()}; }

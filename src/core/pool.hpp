@@ -1,530 +1,161 @@
 #pragma once
 /// \file pool.hpp
-/// \brief Fixed-size buffer/object pools for the allocation-free event path.
+/// \brief Fixed-size byte-buffer pool for stream blocks.
 ///
-/// The steady-state event path — stream blocks on the reader, resend-ring
-/// copies on the writer, pack staging in the instrument, job chunks and
-/// derived entries on the blackboard — must not touch the heap once warm
-/// (ROADMAP "Zero-allocation, NUMA-aware hot path"; the paper's premise is
-/// that online reduction only pays off while the measurement path itself is
-/// near-free). These pools deliver that with three properties:
+/// Stream slots, resend-ring copies, read_some blocks and the instrument's
+/// pack staging are all `block_size`-byte buffers. Minting one zeroes a
+/// fresh megabyte, and a stream open or a tenant attach mints a slot ring
+/// of them at once. One pool per buffer size keeps those blocks resident
+/// across stream reopen and tenant attach/detach cycles (DESIGN.md "Hot
+/// path memory model" has the measured setup cost without it).
 ///
-///  - **O(1) acquire/release, any thread.** Release is a lock-free Treiber
-///    push onto a remote-return stack (push-only CAS; no ABA window because
-///    nothing pops single nodes concurrently). Acquire pops from a local
-///    list under an uncontended mutex and refills it with one `exchange`
-///    (pop-all) when empty. Both operations run at *pack* frequency
-///    (~1/4096 events), never per event.
-///  - **Zero hidden allocations.** A pooled BufferRef is a shared_ptr whose
-///    control block is itself drawn from a pooled slab free list
-///    (`shared_ptr(ptr, deleter, allocator)`), so a warm
-///    acquire → release cycle performs no malloc at all — the property
-///    `bench/ablation_hotpath.cpp` asserts under the alloc probe.
-///  - **Lifetime safety.** Deleters capture a `shared_ptr` to the pool
-///    core: a buffer released after its pool handle died (KS quarantine
-///    unwinding, late stream teardown) still returns safely; the core is
-///    freed only when the last outstanding buffer comes home.
+/// A pooled BufferRef is an ordinary `shared_ptr(ptr, deleter)`; the
+/// deleter returns the buffer to its pool from any thread. Blocks move at
+/// pack frequency (~1 per 4,095 events), so the free list is a plain
+/// mutex-guarded stack. Deleters hold the pool core alive: a block
+/// released after its pool handle died (KS quarantine unwinding, late
+/// stream teardown) still returns safely.
 ///
-/// Heap exhaustion fallback: an acquire with an empty free list allocates
-/// from the heap and counts a miss — never fatal, and the node is adopted
-/// into the pool on release, so the pool auto-sizes to the working set
-/// (bounded by the retain cap, ESP_POOL_CAP).
-///
-/// `ESP_POOL=0` disables pooling globally: every call site falls back to
-/// plain heap buffers. Pooling changes no modeled time, no entry order and
-/// no payload bytes, so same-seed reports are bit-identical with pools on
-/// or off (tests/test_pool.cpp locks this in).
+/// An acquire with an empty free list allocates from the heap and counts a
+/// miss; the buffer joins the free list on release, so the pool grows to
+/// the working set, bounded by the retain cap. Pooling changes no modeled
+/// time, no entry order and no payload bytes.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <new>
-#include <utility>
+#include <vector>
 
 #include "common/buffer.hpp"
-#include "common/env.hpp"
 
 namespace esp::mem {
 
-namespace detail {
-
-/// Process-wide pool switch, resolved from ESP_POOL once on first use.
-/// set_pools_enabled() (tests, the hotpath bench) overrides it at runtime;
-/// call sites re-check per acquisition, so a toggle between two Session
-/// runs takes effect for the second run.
-inline std::atomic<int>& pools_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-
-/// Lock-free any-thread push, pop-all via exchange. `Next` is the node's
-/// intrusive link member. Pop-all never traverses concurrently with a
-/// pusher, so the classic Treiber ABA hazard cannot arise.
-template <typename T, T* T::*Next>
-class FreeStack {
- public:
-  void push(T* n) noexcept {
-    T* h = head_.load(std::memory_order_relaxed);
-    do {
-      n->*Next = h;
-    } while (!head_.compare_exchange_weak(h, n, std::memory_order_release,
-                                          std::memory_order_relaxed));
-  }
-  T* pop_all() noexcept { return head_.exchange(nullptr, std::memory_order_acquire); }
-
- private:
-  std::atomic<T*> head_{nullptr};
-};
-
-}  // namespace detail
-
-inline bool pools_enabled() {
-  int v = detail::pools_flag().load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = env_flag("ESP_POOL", true) ? 1 : 0;
-    detail::pools_flag().store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-/// Runtime override (tests and the hotpath bench toggle pooling between
-/// phases); affects subsequent acquisitions only — outstanding pooled
-/// buffers still return to their pools.
-inline void set_pools_enabled(bool on) {
-  detail::pools_flag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-/// Per-pool retained-node ceiling (buffers idle in the free list); returns
-/// beyond it are heap-freed. ESP_POOL_CAP overrides; explicit reserve()
-/// raises the floor past the cap.
-inline std::size_t default_retain_cap() {
-  static const std::size_t cap = [] {
-    const std::int64_t v = env_int("ESP_POOL_CAP", 64);
-    return v > 0 ? static_cast<std::size_t>(v) : std::size_t{64};
-  }();
-  return cap;
-}
+/// Buffers a pool keeps idle in its free list; returns beyond it are
+/// heap-freed so one burst cannot pin memory forever.
+inline constexpr std::size_t kRetainCap = 64;
 
 struct PoolStats {
   std::uint64_t hits = 0;      ///< Acquires served from the free list.
   std::uint64_t misses = 0;    ///< Acquires that fell back to the heap.
   std::uint64_t released = 0;  ///< Returns accepted into the free list.
   std::uint64_t trimmed = 0;   ///< Returns heap-freed over the retain cap.
-  std::uint64_t retained = 0;  ///< Nodes idle in the free list right now.
+  std::uint64_t retained = 0;  ///< Buffers idle in the free list right now.
 };
 
 namespace detail {
 
-/// Shared state of one buffer pool. Held via shared_ptr by the pool
-/// handle, every outstanding deleter and every pooled control block, so it
-/// outlives all of them regardless of teardown order.
+/// Shared state of one buffer pool. Held via shared_ptr by the pool handle
+/// and every outstanding deleter, so it outlives all of them regardless of
+/// teardown order.
 class PoolCore {
  public:
-  /// Storage for a pooled shared_ptr control block. 128 bytes covers
-  /// libstdc++/libc++'s _Sp_counted_deleter with our 24-byte deleter and
-  /// 16-byte allocator with slack to spare; anything larger (a different
-  /// ABI) falls back to the heap by size, symmetrically on both
-  /// allocate and deallocate.
-  static constexpr std::size_t kCtrlBytes = 128;
-
-  struct Node {
-    Node* next = nullptr;
-    Buffer buf;
-    Node() = default;
-    explicit Node(std::size_t n) : buf(n) {}
-  };
-  struct CtrlSlab {
-    CtrlSlab* next = nullptr;
-    alignas(std::max_align_t) std::byte bytes[kCtrlBytes];
-  };
-
   PoolCore(std::size_t buffer_size, std::size_t retain_cap)
-      : buffer_size_(buffer_size), retain_cap_(retain_cap) {}
+      : buffer_size_(buffer_size), retain_cap_(retain_cap) {
+    free_.reserve(retain_cap);  // push() then never allocates
+  }
 
   PoolCore(const PoolCore&) = delete;
   PoolCore& operator=(const PoolCore&) = delete;
 
   ~PoolCore() {
-    drain_into(local_, remote_.pop_all());
-    for (Node* n = local_; n != nullptr;) {
-      Node* next = n->next;
-      delete n;
-      n = next;
-    }
-    drain_into(ctrl_local_, ctrl_remote_.pop_all());
-    for (CtrlSlab* s = ctrl_local_; s != nullptr;) {
-      CtrlSlab* next = s->next;
-      delete s;
-      s = next;
-    }
+    for (Buffer* b : free_) delete b;
   }
 
   std::size_t buffer_size() const noexcept { return buffer_size_; }
 
-  /// Acquire side: local list first, one pop-all refill when empty.
-  Node* pop_node() {
-    std::lock_guard lock(mu_);
-    if (local_ == nullptr) local_ = remote_.pop_all();
-    if (local_ == nullptr) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
+  /// A retained buffer, or a fresh one (counted as a miss).
+  Buffer* pop() {
+    {
+      std::lock_guard lock(mu_);
+      if (!free_.empty()) {
+        Buffer* b = free_.back();
+        free_.pop_back();
+        ++stats_.hits;
+        return b;
+      }
+      ++stats_.misses;
     }
-    Node* n = local_;
-    local_ = n->next;
-    retained_.fetch_sub(1, std::memory_order_relaxed);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return n;
+    return new Buffer(buffer_size_);
   }
 
-  /// Release side: lock-free push from any thread; over-cap returns are
-  /// heap-freed so one burst cannot pin memory forever.
-  void push_node(Node* n) noexcept {
-    if (retained_.load(std::memory_order_relaxed) >=
-        static_cast<std::int64_t>(effective_cap())) {
-      trimmed_.fetch_add(1, std::memory_order_relaxed);
-      delete n;
-      return;
+  void push(Buffer* b) noexcept {
+    {
+      std::lock_guard lock(mu_);
+      if (free_.size() < retain_cap_) {
+        ++stats_.released;
+        free_.push_back(b);
+        return;
+      }
+      ++stats_.trimmed;
     }
-    released_.fetch_add(1, std::memory_order_relaxed);
-    retained_.fetch_add(1, std::memory_order_relaxed);
-    remote_.push(n);
+    delete b;
   }
-
-  CtrlSlab* pop_ctrl() {
-    std::lock_guard lock(mu_);
-    if (ctrl_local_ == nullptr) ctrl_local_ = ctrl_remote_.pop_all();
-    if (ctrl_local_ == nullptr) return nullptr;
-    CtrlSlab* s = ctrl_local_;
-    ctrl_local_ = s->next;
-    ctrl_retained_.fetch_sub(1, std::memory_order_relaxed);
-    return s;
-  }
-
-  void push_ctrl(CtrlSlab* s) noexcept {
-    // Control slabs are tiny; cap them at 2x the buffer cap (a buffer in
-    // flight plus a view of it each hold one).
-    if (ctrl_retained_.load(std::memory_order_relaxed) >=
-        2 * static_cast<std::int64_t>(effective_cap())) {
-      delete s;
-      return;
-    }
-    ctrl_retained_.fetch_add(1, std::memory_order_relaxed);
-    ctrl_remote_.push(s);
-  }
-
-  /// Warmup preallocation: make at least `n` buffers (and matching
-  /// control slabs) available without touching the heap again, and raise
-  /// the trim floor so they stay resident.
-  void reserve(std::size_t n) {
-    std::lock_guard lock(mu_);
-    if (n > reserve_floor_) reserve_floor_ = n;
-    std::int64_t have = retained_.load(std::memory_order_relaxed);
-    for (; have < static_cast<std::int64_t>(n); ++have) {
-      Node* node = new Node(buffer_size_);
-      node->next = local_;
-      local_ = node;
-      retained_.fetch_add(1, std::memory_order_relaxed);
-    }
-    std::int64_t ctrl = ctrl_retained_.load(std::memory_order_relaxed);
-    for (; ctrl < static_cast<std::int64_t>(n); ++ctrl) {
-      auto* slab = new CtrlSlab;
-      slab->next = ctrl_local_;
-      ctrl_local_ = slab;
-      ctrl_retained_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  void count_miss() noexcept { misses_.fetch_add(1, std::memory_order_relaxed); }
 
   PoolStats stats() const {
-    PoolStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.released = released_.load(std::memory_order_relaxed);
-    s.trimmed = trimmed_.load(std::memory_order_relaxed);
-    const std::int64_t r = retained_.load(std::memory_order_relaxed);
-    s.retained = r > 0 ? static_cast<std::uint64_t>(r) : 0;
+    std::lock_guard lock(mu_);
+    PoolStats s = stats_;
+    s.retained = free_.size();
     return s;
   }
 
  private:
-  std::size_t effective_cap() const noexcept {
-    return reserve_floor_ > retain_cap_ ? reserve_floor_ : retain_cap_;
-  }
-
-  template <typename T>
-  static void drain_into(T*& local, T* chain) noexcept {
-    while (chain != nullptr) {
-      T* next = chain->next;
-      chain->next = local;
-      local = chain;
-      chain = next;
-    }
-  }
-
   const std::size_t buffer_size_;
   const std::size_t retain_cap_;
-  std::size_t reserve_floor_ = 0;  ///< Guarded by mu_.
-
-  std::mutex mu_;  ///< Acquire-side lists (pop is multi-consumer safe).
-  Node* local_ = nullptr;
-  CtrlSlab* ctrl_local_ = nullptr;
-  FreeStack<Node, &Node::next> remote_;
-  FreeStack<CtrlSlab, &CtrlSlab::next> ctrl_remote_;
-
-  std::atomic<std::int64_t> retained_{0};
-  std::atomic<std::int64_t> ctrl_retained_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> released_{0};
-  std::atomic<std::uint64_t> trimmed_{0};
+  mutable std::mutex mu_;
+  std::vector<Buffer*> free_;  ///< Guarded by mu_; size <= retain_cap_.
+  PoolStats stats_;            ///< Guarded by mu_; `retained` is free_.size().
 };
 
-/// Allocator that serves shared_ptr control blocks from the pool's slab
-/// free list. Copied into the control block itself, so it keeps the core
-/// alive until the block is deallocated — which is exactly when the slab
-/// goes back on the list.
-template <typename T>
-struct CtrlAlloc {
-  using value_type = T;
+struct PoolDeleter {
   std::shared_ptr<PoolCore> core;
-
-  explicit CtrlAlloc(std::shared_ptr<PoolCore> c) noexcept : core(std::move(c)) {}
-  template <typename U>
-  CtrlAlloc(const CtrlAlloc<U>& o) noexcept : core(o.core) {}
-
-  T* allocate(std::size_t n) {
-    if (n * sizeof(T) <= PoolCore::kCtrlBytes &&
-        alignof(T) <= alignof(std::max_align_t)) {
-      if (PoolCore::CtrlSlab* s = core->pop_ctrl())
-        return reinterpret_cast<T*>(s->bytes);
-      // Cold path: mint a new slab so deallocate() can always recover a
-      // slab pointer by size; adopted into the pool on release.
-      auto* s = new PoolCore::CtrlSlab;
-      return reinterpret_cast<T*>(s->bytes);
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (n * sizeof(T) <= PoolCore::kCtrlBytes &&
-        alignof(T) <= alignof(std::max_align_t)) {
-      auto* bytes = reinterpret_cast<std::byte*>(p);
-      auto* s = reinterpret_cast<PoolCore::CtrlSlab*>(
-          bytes - offsetof(PoolCore::CtrlSlab, bytes));
-      core->push_ctrl(s);
-      return;
-    }
-    ::operator delete(p);
-  }
-  template <typename U>
-  bool operator==(const CtrlAlloc<U>& o) const noexcept {
-    return core == o.core;
-  }
-};
-
-struct NodeDeleter {
-  std::shared_ptr<PoolCore> core;
-  PoolCore::Node* node = nullptr;
-  void operator()(Buffer*) const noexcept { core->push_node(node); }
-};
-
-struct ViewDeleter {
-  std::shared_ptr<PoolCore> core;
-  PoolCore::Node* node = nullptr;
-  void operator()(Buffer* b) const noexcept {
-    // Drop the parent reference *before* the node idles in the free list,
-    // or a pooled view would pin its stream block indefinitely.
-    b->unbind_view();
-    core->push_node(node);
-  }
+  void operator()(Buffer* b) const noexcept { core->push(b); }
 };
 
 }  // namespace detail
 
-/// Pool of fixed-capacity byte buffers (stream blocks, pack staging,
-/// resend-ring copies). acquire() returns an ordinary BufferRef; the last
-/// reference returns the buffer to the pool, from any thread.
+/// Pool of fixed-capacity byte buffers. acquire() returns an ordinary
+/// BufferRef; the last reference returns the buffer to the pool, from any
+/// thread.
 class BufferPool {
  public:
   explicit BufferPool(std::size_t buffer_size,
-                      std::size_t retain_cap = default_retain_cap())
+                      std::size_t retain_cap = kRetainCap)
       : core_(std::make_shared<detail::PoolCore>(buffer_size, retain_cap)) {}
 
-  /// Preallocate `n` buffers + control slabs (deterministic warmup).
-  void reserve(std::size_t n) { core_->reserve(n); }
-
   /// A buffer of `size` bytes (default: the pool's buffer size). Sizes up
-  /// to the pool's buffer size are served from retained capacity without
-  /// reallocating; larger sizes are legal but grow the node.
+  /// to the pool's buffer size reuse retained capacity without
+  /// reallocating; larger sizes are legal but grow the buffer.
   BufferRef acquire(std::size_t size = 0) {
-    const std::size_t want = size != 0 ? size : core_->buffer_size();
-    detail::PoolCore::Node* n = core_->pop_node();
-    if (n == nullptr) n = new detail::PoolCore::Node(core_->buffer_size());
-    n->buf.resize(want);
-    return BufferRef(&n->buf, detail::NodeDeleter{core_, n},
-                     detail::CtrlAlloc<Buffer>{core_});
+    BufferRef b(core_->pop(), detail::PoolDeleter{core_});
+    b->resize(size != 0 ? size : core_->buffer_size());
+    return b;
   }
 
   PoolStats stats() const { return core_->stats(); }
 
  private:
   std::shared_ptr<detail::PoolCore> core_;
-};
-
-/// Pool of view nodes: zero-copy windows into a parent buffer (an event
-/// pack's runs aliasing the stream block). The view holds the parent
-/// alive; releasing the last view reference unbinds the parent *then*
-/// recycles the node, so the stream block's refcount falls exactly when
-/// the last knowledge source is done with it.
-class ViewPool {
- public:
-  explicit ViewPool(std::size_t retain_cap = 4 * default_retain_cap())
-      : core_(std::make_shared<detail::PoolCore>(0, retain_cap)) {}
-
-  void reserve(std::size_t n) { core_->reserve(n); }
-
-  BufferRef view(BufferRef parent, std::size_t offset, std::size_t size) {
-    detail::PoolCore::Node* n = core_->pop_node();
-    if (n == nullptr) n = new detail::PoolCore::Node();
-    n->buf.bind_view(std::move(parent), offset, size);
-    return BufferRef(&n->buf, detail::ViewDeleter{core_, n},
-                     detail::CtrlAlloc<Buffer>{core_});
-  }
-
-  PoolStats stats() const { return core_->stats(); }
-
- private:
-  std::shared_ptr<detail::PoolCore> core_;
-};
-
-/// Intrusive object pool (blackboard job chunks). T provides a `T* Next`
-/// link member — used for the free chain only while the object is idle —
-/// and `pool_reset()`, invoked on release to drop payload references
-/// before the object idles. Acquire/release are any-thread; release is
-/// lock-free.
-template <typename T, T* T::*Next>
-class ObjectPool {
- public:
-  explicit ObjectPool(std::size_t retain_cap = 4 * default_retain_cap())
-      : retain_cap_(retain_cap) {}
-
-  ObjectPool(const ObjectPool&) = delete;
-  ObjectPool& operator=(const ObjectPool&) = delete;
-
-  ~ObjectPool() {
-    adopt(remote_.pop_all());
-    for (T* t = local_; t != nullptr;) {
-      T* next = t->*Next;
-      delete t;
-      t = next;
-    }
-  }
-
-  void reserve(std::size_t n) {
-    std::lock_guard lock(mu_);
-    if (n > reserve_floor_) reserve_floor_ = n;
-    std::int64_t have = retained_.load(std::memory_order_relaxed);
-    for (; have < static_cast<std::int64_t>(n); ++have) {
-      T* t = new T();
-      t->*Next = local_;
-      local_ = t;
-      retained_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  T* acquire() {
-    {
-      std::lock_guard lock(mu_);
-      if (local_ == nullptr) adopt(remote_.pop_all());
-      if (local_ != nullptr) {
-        T* t = local_;
-        local_ = t->*Next;
-        t->*Next = nullptr;
-        retained_.fetch_sub(1, std::memory_order_relaxed);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return t;
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return new T();
-  }
-
-  void release(T* t) noexcept {
-    t->pool_reset();
-    const std::size_t cap =
-        reserve_floor_ > retain_cap_ ? reserve_floor_ : retain_cap_;
-    if (retained_.load(std::memory_order_relaxed) >=
-        static_cast<std::int64_t>(cap)) {
-      trimmed_.fetch_add(1, std::memory_order_relaxed);
-      delete t;
-      return;
-    }
-    released_.fetch_add(1, std::memory_order_relaxed);
-    retained_.fetch_add(1, std::memory_order_relaxed);
-    remote_.push(t);
-  }
-
-  PoolStats stats() const {
-    PoolStats s;
-    s.hits = hits_.load(std::memory_order_relaxed);
-    s.misses = misses_.load(std::memory_order_relaxed);
-    s.released = released_.load(std::memory_order_relaxed);
-    s.trimmed = trimmed_.load(std::memory_order_relaxed);
-    const std::int64_t r = retained_.load(std::memory_order_relaxed);
-    s.retained = r > 0 ? static_cast<std::uint64_t>(r) : 0;
-    return s;
-  }
-
- private:
-  void adopt(T* chain) noexcept {
-    while (chain != nullptr) {
-      T* next = chain->*Next;
-      chain->*Next = local_;
-      local_ = chain;
-      chain = next;
-    }
-  }
-
-  const std::size_t retain_cap_;
-  std::size_t reserve_floor_ = 0;  ///< Guarded by mu_.
-  std::mutex mu_;
-  T* local_ = nullptr;
-  detail::FreeStack<T, Next> remote_;
-  std::atomic<std::int64_t> retained_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> released_{0};
-  std::atomic<std::uint64_t> trimmed_{0};
 };
 
 /// Process-global buffer pool for `buffer_size`-byte buffers: streams,
 /// instrument staging and the hotpath bench all share one pool per size,
 /// so buffers survive stream reopen and tenant attach/detach cycles.
-/// Never destroyed before outstanding buffers (cores are refcounted).
+/// Never destroyed, so late releases always find their core.
 inline BufferPool& pool_for(std::size_t buffer_size) {
   static std::mutex mu;
-  static std::map<std::size_t, std::unique_ptr<BufferPool>>* pools =
-      new std::map<std::size_t, std::unique_ptr<BufferPool>>();
+  static auto* pools = new std::map<std::size_t, std::unique_ptr<BufferPool>>();
   std::lock_guard lock(mu);
   auto& slot = (*pools)[buffer_size];
   if (!slot) slot = std::make_unique<BufferPool>(buffer_size);
   return *slot;
 }
 
-/// Process-global view-node pool (unpacker runs across all levels).
-inline ViewPool& view_pool() {
-  static ViewPool* pool = new ViewPool();
-  return *pool;
-}
-
-/// Pool-aware block allocation: the one-liner call sites use. Falls back
-/// to a plain heap buffer when pooling is disabled.
+/// A `size`-byte buffer (default `buffer_size`) from the shared pool for
+/// `buffer_size`-byte buffers.
 inline BufferRef acquire_block(std::size_t buffer_size, std::size_t size = 0) {
-  if (pools_enabled()) return pool_for(buffer_size).acquire(size);
-  return Buffer::make(size != 0 ? size : buffer_size);
+  return pool_for(buffer_size).acquire(size);
 }
 
 }  // namespace esp::mem

@@ -1,12 +1,12 @@
 #pragma once
 /// \file alloc_probe.hpp
-/// \brief Malloc-interposition allocation counter (hotpath zero-alloc gate).
+/// \brief Malloc-interposition allocation counter (hotpath allocation gate).
 ///
 /// Linking `esp_alloc_probe` into a binary replaces the global operator
 /// new/delete family with counting forwarders to malloc/free. The counters
 /// are process-wide relaxed atomics: cheap enough to leave in a benchmark's
-/// measured region, precise enough to assert "zero allocations per event
-/// after warmup" (bench/ablation_hotpath.cpp, tests/test_pool.cpp).
+/// measured region, precise enough to assert an exact allocation count per
+/// pack after warmup (bench/ablation_hotpath.cpp, tests/test_pool.cpp).
 ///
 /// The probe deliberately lives in its own static library so ordinary
 /// binaries never pay for it — only targets that explicitly link

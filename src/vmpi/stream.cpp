@@ -1104,8 +1104,8 @@ int Stream::read_some(std::vector<BufferRef>& out, int max_blocks,
   while (got < max_blocks) {
     // Pool-backed: the block travels dispatcher → unpacker as-is, event
     // runs alias it zero-copy, and when the last knowledge source's view
-    // is released the block returns here for the next read. Steady-state
-    // analyzer reads therefore perform no heap allocation.
+    // is released the block returns here for the next read. A steady-state
+    // read allocates only the BufferRef's control block, never block bytes.
     auto block = mem::acquire_block(cfg_.block_size);
     const int r = read(block->data(), 1, got == 0 ? flags : kNonblock);
     if (r != 1) {

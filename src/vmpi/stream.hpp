@@ -179,8 +179,8 @@ class Stream {
   /// or kEpipe (no data can ever arrive and >= 1 writer died uncleanly).
   int read(void* buf, int nblocks, int flags = 0);
 
-  /// Batched read: up to `max_blocks` blocks, each into its own freshly
-  /// allocated ref-counted buffer appended to `out` (ready to move onto
+  /// Batched read: up to `max_blocks` blocks, each into its own pooled
+  /// ref-counted buffer appended to `out` (ready to move onto
   /// the blackboard without a copy). The first block honours the blocking
   /// mode in `flags`; further blocks are taken opportunistically
   /// (non-blocking), so a burst of queued blocks drains in one call but

@@ -8,8 +8,8 @@
 #
 # Bench gating (mirrored by .github/workflows/ci.yml): each ablation bench
 # keeps its *internal* invariant gate in the binary (degradation
-# monotonicity, tenancy isolation promise, hotpath zero-allocation
-# assertion) while baseline drift detection for all of them
+# monotonicity, tenancy isolation promise, hotpath steady-state
+# allocation assertion) while baseline drift detection for all of them
 # is consolidated in tools/bench_gate.py, which compares the fresh
 # ESP_*_BENCH_JSON output against the checked-in bench/*.baseline.json with
 # per-metric tolerances and writes a machine-readable diff.
@@ -58,12 +58,13 @@ else
   echo "warning: python3 not found; skipping trace schema check" >&2
 fi
 
-echo "=== test_obs in one process ==="
+echo "=== test_obs in one process, twice ==="
 # ctest runs each test in its own process, which hides state that one test
-# leaks into the next. Run the obs suite as one process as well, from a
+# leaks into the next. Run the obs suite as one process as well, repeated
+# so a test that reads process-global counters must measure deltas, from a
 # temp dir so the obs_artifacts checked above stay untouched.
 obs_tmp="$(mktemp -d)"
-(cd "$obs_tmp" && "$repo/build/tests/test_obs")
+(cd "$obs_tmp" && "$repo/build/tests/test_obs" --gtest_repeat=2)
 rm -rf "$obs_tmp"
 
 echo "=== perfbench harness tests ==="
