@@ -8,8 +8,7 @@
 ///
 ///   ESP_BB_BENCH_JSON=out.json ./ablation_blackboard
 ///       runs only the contention sweep and writes one JSON record per
-///       (workers, producers, batch) cell, then exits;
-///   ESP_BB_JOBS (default 120000)    jobs per sweep cell.
+///       (workers, producers, batch) cell of 120000 jobs, then exits.
 
 #include <benchmark/benchmark.h>
 
@@ -195,9 +194,7 @@ BENCHMARK(BM_Contention)
 // ---------------------------------------------------------------------------
 
 int run_quick_sweep(const std::string& json_path) {
-  const char* jobs_env = std::getenv("ESP_BB_JOBS");
-  const std::int64_t jobs =
-      jobs_env != nullptr && *jobs_env != '\0' ? std::atoll(jobs_env) : 120000;
+  constexpr std::int64_t jobs = 120000;  // per sweep cell
   std::ofstream out(json_path);
   if (!out) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());

@@ -6,37 +6,24 @@
 /// walltime.
 ///
 /// Every metric here is *virtual*. The counters (bytes, packs, events,
-/// weighted totals, degraded windows) are bit-reproducible run to run, so
-/// the regression gate compares them exactly where the blackboard sweep
-/// must warn — the committed baseline either matches or the measurement
-/// model changed and the baseline needs regenerating (deliberately, in
-/// the same commit). Virtual walltime is exact too *except* under
-/// sustained resource saturation (the adaptive rung starves the analyzer
-/// on purpose), where the fluid resource model serializes contending
-/// requests in host arrival order — walltime therefore gets its own
-/// small tolerance instead of the exact gate.
+/// weighted totals, degraded windows) are bit-reproducible run to run;
+/// tools/bench_gate.py compares them exactly against
+/// bench/BENCH_degrade.baseline.json, and virtual walltime within 15 %
+/// (the saturated adaptive rung serializes contending requests in host
+/// arrival order, which makes its walltime host-load sensitive).
 ///
 ///   ESP_DEGRADE_BENCH_JSON=out.json ./ablation_degrade
-///       run the rung sweep, write one JSON record per rung, gate, exit;
-///   ESP_DEGRADE_BASELINE=baseline.json  compare against the checked-in
-///       numbers; counter deviation > ESP_DEGRADE_TOL (default 0: exact)
-///       or walltime deviation > ESP_DEGRADE_TIME_TOL (default 0.15,
-///       sized for the saturated adaptive rung, whose arrival-order
-///       serialization makes its walltime host-load sensitive)
-///       fails, unless ESP_DEGRADE_GATE=warn;
-///   ESP_DEGRADE_MIN_SAMPLED_X (default 2.0) / ESP_DEGRADE_MIN_AGG_X
-///       (default 4.0)  hardware-neutral floors on the bytes-on-the-wire
-///       reduction of the sampled / aggregated rung vs full fidelity.
+///       run the rung sweep, write one JSON record per rung, check the
+///       hardware-neutral floors on the bytes-on-the-wire reduction of the
+///       sampled (2x) and aggregated (4x) rungs vs full fidelity, exit.
 ///
 /// Without ESP_DEGRADE_BENCH_JSON, standard google-benchmark micro-
 /// benchmarks over the same sessions (wall-clock, for profiling only).
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -61,6 +48,10 @@ mpi::ProgramMain ring(int iters) {
     }
   };
 }
+
+/// Floors on the bytes-on-the-wire reduction vs full fidelity.
+constexpr double kMinSampledX = 2.0;     ///< sampled4
+constexpr double kMinAggregatedX = 4.0;  ///< aggregated
 
 struct RungResult {
   std::string name;
@@ -106,39 +97,6 @@ RungResult run_rung(const std::string& name, int force_mode,
     r.weighted_events = ar->total_events;
   r.app_walltime = session.application_walltime(app);
   return r;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
-}
-
-struct BaselineRow {
-  std::string name;
-  double streamed_bytes = 0, packs = 0, events_shipped = 0;
-  double weighted_events = 0, windows_degraded = 0, app_walltime = 0;
-};
-
-bool load_baseline(const std::string& path, std::vector<BaselineRow>& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    BaselineRow row;
-    char name[32] = {0};
-    if (std::sscanf(line.c_str(),
-                    " {\"rung\":\"%31[^\"]\",\"streamed_bytes\":%lf,"
-                    "\"packs\":%lf,\"events_shipped\":%lf,"
-                    "\"weighted_events\":%lf,\"windows_degraded\":%lf,"
-                    "\"app_walltime\":%lf",
-                    name, &row.streamed_bytes, &row.packs,
-                    &row.events_shipped, &row.weighted_events,
-                    &row.windows_degraded, &row.app_walltime) == 7) {
-      row.name = name;
-      out.push_back(row);
-    }
-  }
-  return true;
 }
 
 int run_sweep(const std::string& json_path) {
@@ -196,27 +154,25 @@ int run_sweep(const std::string& json_path) {
   const RungResult* sampled = find("sampled4");
   const RungResult* agg = find("aggregated");
 
-  // Gate 1 (hardware-neutral): each rung must actually shrink the
+  // Hardware-neutral gate: each rung must actually shrink the
   // measurement volume — the paper's reduction claim, applied to the
   // ladder. Virtual metrics, so these hold on any host or they are a
   // real regression.
-  const double min_sampled = env_double("ESP_DEGRADE_MIN_SAMPLED_X", 2.0);
-  const double min_agg = env_double("ESP_DEGRADE_MIN_AGG_X", 4.0);
   if (full != nullptr && sampled != nullptr && sampled->streamed_bytes > 0) {
     const double x = static_cast<double>(full->streamed_bytes) /
                      static_cast<double>(sampled->streamed_bytes);
-    if (x < min_sampled) {
+    if (x < kMinSampledX) {
       std::fprintf(stderr, "FAIL: sampled4 reduces bytes only %.2fx "
-                           "(< %.2fx)\n", x, min_sampled);
+                           "(< %.2fx)\n", x, kMinSampledX);
       rc = 1;
     }
   }
   if (full != nullptr && agg != nullptr && agg->streamed_bytes > 0) {
     const double x = static_cast<double>(full->streamed_bytes) /
                      static_cast<double>(agg->streamed_bytes);
-    if (x < min_agg) {
+    if (x < kMinAggregatedX) {
       std::fprintf(stderr, "FAIL: aggregated reduces bytes only %.2fx "
-                           "(< %.2fx)\n", x, min_agg);
+                           "(< %.2fx)\n", x, kMinAggregatedX);
       rc = 1;
     }
   }
@@ -234,59 +190,6 @@ int run_sweep(const std::string& json_path) {
                    static_cast<unsigned long long>(full->events_shipped +
                                                    32));
       rc = 1;
-    }
-  }
-
-  // Gate 2 (baseline): virtual metrics are deterministic, so the default
-  // tolerance is zero and the default verdict is fail — a drift means
-  // the simulated measurement model changed. Regenerate the baseline in
-  // the same commit when the change is intentional.
-  const char* baseline_path = std::getenv("ESP_DEGRADE_BASELINE");
-  if (baseline_path != nullptr && *baseline_path != '\0') {
-    const char* gate = std::getenv("ESP_DEGRADE_GATE");
-    const bool hard = gate == nullptr || std::strcmp(gate, "warn") != 0;
-    const double tol = env_double("ESP_DEGRADE_TOL", 0.0);
-    const double time_tol = env_double("ESP_DEGRADE_TIME_TOL", 0.15);
-    std::vector<BaselineRow> baseline;
-    if (!load_baseline(baseline_path, baseline)) {
-      std::fprintf(stderr, "cannot read baseline %s\n", baseline_path);
-      return hard ? 2 : rc;
-    }
-    auto deviates = [](double got, double want, double bound) {
-      const double denom = want != 0.0 ? want : 1.0;
-      return std::abs(got - want) / std::abs(denom) > bound;
-    };
-    for (const auto& b : baseline) {
-      const RungResult* r = find(b.name.c_str());
-      if (r == nullptr) {
-        std::fprintf(stderr, "%s: rung %s missing from sweep\n",
-                     hard ? "FAIL" : "WARN", b.name.c_str());
-        if (hard) rc = 1;
-        continue;
-      }
-      const struct {
-        const char* field;
-        double got, want, bound;
-      } checks[] = {
-          {"streamed_bytes", static_cast<double>(r->streamed_bytes),
-           b.streamed_bytes, tol},
-          {"packs", static_cast<double>(r->packs), b.packs, tol},
-          {"events_shipped", static_cast<double>(r->events_shipped),
-           b.events_shipped, tol},
-          {"weighted_events", static_cast<double>(r->weighted_events),
-           b.weighted_events, tol},
-          {"windows_degraded", static_cast<double>(r->windows_degraded),
-           b.windows_degraded, tol},
-          {"app_walltime", r->app_walltime, b.app_walltime, time_tol},
-      };
-      for (const auto& c : checks) {
-        if (deviates(c.got, c.want, c.bound)) {
-          std::fprintf(stderr, "%s: %s.%s %g -> %g (baseline drift)\n",
-                       hard ? "FAIL" : "WARN", b.name.c_str(), c.field,
-                       c.want, c.got);
-          if (hard) rc = 1;
-        }
-      }
     }
   }
   return rc;

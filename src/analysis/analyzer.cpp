@@ -16,6 +16,10 @@ namespace esp::an {
 namespace {
 
 constexpr int kReduceTag = 0x6f300001;
+/// Mapping of application partitions onto analyzer ranks, and the read
+/// side's polling order over its incoming links.
+constexpr vmpi::MapPolicy kMapPolicy = vmpi::MapPolicy::RoundRobin;
+constexpr vmpi::BalancePolicy kStreamPolicy = vmpi::BalancePolicy::RoundRobin;
 
 /// Minimal append-only byte writer / reader for the rank-0 reduction.
 struct Writer {
@@ -127,16 +131,7 @@ void merge_dead_ranks(std::vector<int>& into, int rank) {
 /// event counts), never from this reader's clock, so a pack's fate is a
 /// pure function of its producer's deterministic history.
 bool shed_pack(const TenantSpec& spec, const inst::PackHeader& h,
-               std::map<std::uint64_t, std::uint64_t>& link_accepted,
-               std::map<int, std::uint64_t>& app_submitted) {
-  // KS job budget, proxied by submitted packs on this analyzer rank: each
-  // pack fans out into its level's registered knowledge sources, so
-  // capping packs caps the jobs the tenant can charge to the engine.
-  if (spec.quota.job_budget != 0) {
-    const auto it = app_submitted.find(spec.app_id);
-    if (it != app_submitted.end() && it->second >= spec.quota.job_budget)
-      return true;
-  }
+               std::map<std::uint64_t, std::uint64_t>& link_accepted) {
   if (spec.quota.entry_rate <= 0.0) return false;
   const double share =
       spec.quota.entry_rate / static_cast<double>(std::max(spec.nprocs, 1));
@@ -245,9 +240,9 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
   // read stream covering every mapped writer.
   vmpi::Map map;
   for (const auto& lvl : levels)
-    map.map_partitions(env, lvl.app_id, cfg.map_policy);
+    map.map_partitions(env, lvl.app_id, kMapPolicy);
 
-  vmpi::Stream stream({cfg.block_size, cfg.n_async, cfg.stream_policy});
+  vmpi::Stream stream({cfg.block_size, cfg.n_async, kStreamPolicy});
   stream.open_map(env, map, "r");
 
   bb::Blackboard board(cfg.board);
@@ -354,7 +349,6 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
   // shed counters, and the event-to-flush latency histograms.
   std::map<int, TenantStats> local_tenant;
   std::map<std::uint64_t, std::uint64_t> link_accepted;
-  std::map<int, std::uint64_t> app_submitted_packs;
   std::vector<int> torn_down;
   std::uint32_t sweep_tick = 0;
 
@@ -405,8 +399,8 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
         app = static_cast<int>(view.header->app_id);
         if (fabric) {
           const TenantSpec* spec = cfg.fabric.find(app);
-          if (spec != nullptr && shed_pack(*spec, *view.header, link_accepted,
-                                           app_submitted_packs)) {
+          if (spec != nullptr &&
+              shed_pack(*spec, *view.header, link_accepted)) {
             // Dropped over quota: charged to this tenant's ledger only.
             // No analysis time is spent on it, so a flooding tenant
             // cannot slow the reader down for its neighbours either.
@@ -415,7 +409,6 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
             ts.events_shed += view.header->event_count;
             continue;
           }
-          ++app_submitted_packs[app];
           auto& ts = local_tenant[app];
           for (const auto& ev : view.span())
             ts.latency.add(view.header->t_flush - ev.t_begin,

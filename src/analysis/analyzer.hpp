@@ -41,8 +41,6 @@ struct AnalyzerConfig {
   int read_batch = 16;
   /// Analysis CPU cost per event (divided by worker count).
   double per_event_cost = 100e-9;
-  vmpi::MapPolicy map_policy = vmpi::MapPolicy::RoundRobin;
-  vmpi::BalancePolicy stream_policy = vmpi::BalancePolicy::RoundRobin;
   /// Extended analyses (temporal maps, wait-state/late-sender detection).
   bool enable_temporal = true;
   bool enable_wait_states = true;

@@ -1,88 +1,6 @@
 #include "analysis/membership.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <stdexcept>
-
 namespace esp::an {
-
-namespace {
-
-/// One "verb:member@time" entry; `text` is pre-trimmed.
-net::ElasticPlan::Event parse_entry(const std::string& text) {
-  const auto colon = text.find(':');
-  const auto at = text.find('@');
-  if (colon == std::string::npos || at == std::string::npos || at < colon)
-    throw std::invalid_argument("elastic plan entry \"" + text +
-                                "\": expected verb:member@time");
-  const std::string verb = text.substr(0, colon);
-  net::ElasticPlan::Event ev;
-  if (verb == "join") {
-    ev.join = true;
-  } else if (verb == "leave") {
-    ev.join = false;
-  } else {
-    throw std::invalid_argument("elastic plan entry \"" + text +
-                                "\": unknown verb \"" + verb + "\"");
-  }
-  const std::string member = text.substr(colon + 1, at - colon - 1);
-  const std::string when = text.substr(at + 1);
-  char* end = nullptr;
-  ev.member = static_cast<int>(std::strtol(member.c_str(), &end, 10));
-  if (end == member.c_str() || *end != '\0')
-    throw std::invalid_argument("elastic plan entry \"" + text +
-                                "\": malformed member index");
-  ev.at_time = std::strtod(when.c_str(), &end);
-  if (end == when.c_str() || *end != '\0')
-    throw std::invalid_argument("elastic plan entry \"" + text +
-                                "\": malformed time");
-  return ev;
-}
-
-}  // namespace
-
-std::vector<net::ElasticPlan::Event> parse_elastic_plan(
-    const std::string& text) {
-  std::vector<net::ElasticPlan::Event> events;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    std::size_t lo = pos, hi = comma;
-    while (lo < hi && std::isspace(static_cast<unsigned char>(text[lo])))
-      ++lo;
-    while (hi > lo && std::isspace(static_cast<unsigned char>(text[hi - 1])))
-      --hi;
-    if (hi > lo) events.push_back(parse_entry(text.substr(lo, hi - lo)));
-    pos = comma + 1;
-  }
-  return events;
-}
-
-std::vector<net::ElasticPlan::Event> derive_occupancy_plan(
-    std::vector<double> arrivals, int per_member, int base_members,
-    int spares) {
-  std::vector<net::ElasticPlan::Event> events;
-  if (per_member <= 0 || base_members <= 0 || spares <= 0) return events;
-  std::sort(arrivals.begin(), arrivals.end());
-  int active = base_members;
-  int next_spare = 0;
-  int seen = 0;
-  for (const double t : arrivals) {
-    ++seen;
-    if (next_spare >= spares) break;
-    if (seen > per_member * active && t > 0.0) {
-      net::ElasticPlan::Event ev;
-      ev.join = true;
-      ev.member = base_members + next_spare++;
-      ev.at_time = t;
-      events.push_back(ev);
-      ++active;
-    }
-  }
-  return events;
-}
 
 int choose_root(const net::ElasticSchedule& schedule,
                 const std::function<bool(int)>& has_crash) {

@@ -8,16 +8,13 @@
 /// is "failover you scheduled on purpose": writers re-route their
 /// endpoints at epoch boundaries via the existing FailoverCtl handshake
 /// (drain-flagged, so a clean handoff charges nothing to the loss
-/// ledger). This header owns what sits above it: the `ESP_ELASTIC_PLAN`
-/// grammar, the occupancy-driven auto-grow plan, the root-eligibility
+/// ledger). This header owns what sits above it: the root-eligibility
 /// rule the reduction and the session share, and the warm-join announce
 /// wire format.
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <type_traits>
-#include <vector>
 
 #include "net/fault.hpp"
 
@@ -37,23 +34,6 @@ struct MembershipAnnounce {
   std::int32_t epoch = 0;    ///< Epoch the join opened.
 };
 static_assert(std::is_trivially_copyable_v<MembershipAnnounce>);
-
-/// Parse an explicit elastic plan: a comma-separated list of
-/// `join:M@T` / `leave:M@T` entries with partition-relative member
-/// indexes and virtual-second times, e.g. "join:2@1e-3,leave:0@3e-3".
-/// Throws std::invalid_argument on grammar errors; semantic validation
-/// (ranges, ordering, root eligibility) happens in net::ElasticSchedule.
-std::vector<net::ElasticPlan::Event> parse_elastic_plan(
-    const std::string& text);
-
-/// Occupancy-driven grow-only plan: walk the tenants' *planned* arrival
-/// times (a pure schedule fact, known before the run) and schedule one
-/// spare join whenever cumulative arrivals exceed `per_member` tenants
-/// per active member. Deterministic by construction — the plan depends
-/// only on the arrival schedule, never on runtime occupancy races.
-std::vector<net::ElasticPlan::Event> derive_occupancy_plan(
-    std::vector<double> arrivals, int per_member, int base_members,
-    int spares);
 
 /// Root-eligibility rule shared by the analyzer reduction and the
 /// session's fabric wiring: the root is the lowest member that is active

@@ -43,10 +43,6 @@ AdmissionController::AdmissionController(mpi::ProcEnv& env, FabricConfig cfg)
   if (ep.resolved() && ep.active()) elastic_ = net::ElasticSchedule(ep);
 }
 
-std::uint64_t AdmissionController::quota_bytes(const TenantSpec& t) const {
-  return t.quota.stream_bytes;  // Session pre-derives 0 -> n*async*block.
-}
-
 /// Release fact for an admitted tenant: detach time, or the crash oracle.
 bool AdmissionController::release_known(int app_id, double* when) const {
   const auto it = records_.find(app_id);
@@ -146,8 +142,7 @@ void AdmissionController::decide(mpi::RankContext& rc) {
     auto& rec = records_.at(app);
     const bool elastic_cap =
         cfg_.max_active_per_member > 0 && elastic_.enabled();
-    const bool unconstrained = cfg_.max_active <= 0 &&
-                               cfg_.stream_bytes_cap == 0 && !elastic_cap;
+    const bool unconstrained = cfg_.max_active <= 0 && !elastic_cap;
 
     // Occupancy of the already-admitted set at candidate time t:
     //   certain-active:  release known and > t, or rank 0's published
@@ -155,10 +150,8 @@ void AdmissionController::decide(mpi::RankContext& rc) {
     //                    release time can only be later);
     //   certain-gone:    release known and <= t;
     //   unknown:         neither — the decision must wait for the fact.
-    auto occupancy_at = [&](double t, int* n_active,
-                            std::uint64_t* bytes_active) -> bool {
+    auto occupancy_at = [&](double t, int* n_active) -> bool {
       *n_active = 0;
-      *bytes_active = 0;
       for (const auto& tn : cfg_.tenants) {
         if (tn.app_id == app) continue;
         const auto& r = records_.at(tn.app_id);
@@ -172,14 +165,11 @@ void AdmissionController::decide(mpi::RankContext& rc) {
         } else {
           return false;  // fact not yet known
         }
-        if (is_active) {
-          ++(*n_active);
-          *bytes_active += quota_bytes(tn);
-        }
+        if (is_active) ++(*n_active);
       }
       return true;
     };
-    auto fits = [&](double t, int n_active, std::uint64_t bytes_active) {
+    auto fits = [&](double t, int n_active) {
       if (cfg_.max_active > 0 && n_active >= cfg_.max_active) return false;
       if (elastic_cap) {
         // The ceiling scales with the member set active at t: a planned
@@ -189,10 +179,6 @@ void AdmissionController::decide(mpi::RankContext& rc) {
             elastic_.active_at(elastic_.epoch_at(t)).size());
         if (n_active >= cfg_.max_active_per_member * members) return false;
       }
-      if (cfg_.stream_bytes_cap > 0 &&
-          bytes_active + (spec ? quota_bytes(*spec) : 0) >
-              cfg_.stream_bytes_cap)
-        return false;
       return true;
     };
 
@@ -204,12 +190,11 @@ void AdmissionController::decide(mpi::RankContext& rc) {
       // after it, until the capacity check passes with certainty.
       for (;;) {
         int n_active;
-        std::uint64_t bytes_active;
-        if (!occupancy_at(t_admit, &n_active, &bytes_active)) {
+        if (!occupancy_at(t_admit, &n_active)) {
           decidable = false;
           break;
         }
-        if (fits(t_admit, n_active, bytes_active)) break;
+        if (fits(t_admit, n_active)) break;
         // Saturated at t_admit: advance to the next known release, or —
         // under an elastic ceiling — the next membership epoch boundary
         // (a warm-join there may raise the cap).

@@ -57,12 +57,6 @@ struct TenantQuota {
   /// events: short bursts above entry_rate are absorbed, sustained
   /// flooding is shed and charged to the tenant's ledger.
   double burst_events = 65536.0;
-  /// Pinned stream-buffer budget (writer-side async blocks) charged
-  /// against the fabric's stream_bytes_cap while the tenant is active.
-  /// 0 derives nprocs * n_async * block_size.
-  std::uint64_t stream_bytes = 0;
-  /// KS job budget per analyzer rank; jobs beyond it are shed.
-  std::uint64_t job_budget = 0;
 };
 
 /// One tenant as the fabric sees it: identity, shape, schedule, budget.
@@ -80,8 +74,6 @@ struct FabricConfig {
   bool enabled = false;
   /// Concurrent-tenant ceiling; 0 = unlimited.
   int max_active = 0;
-  /// Fleet-wide pinned stream-byte ceiling; 0 = unlimited.
-  std::uint64_t stream_bytes_cap = 0;
   /// Reject a queued attach once its admission would be delayed past
   /// arrival + max_admission_delay (virtual seconds); 0 = never reject.
   double max_admission_delay = 0.0;
@@ -214,7 +206,6 @@ class AdmissionController {
   void drain_control(mpi::RankContext& rc);
   void decide(mpi::RankContext& rc);
   bool release_known(int app_id, double* when) const;
-  std::uint64_t quota_bytes(const TenantSpec& t) const;
 
   mpi::ProcEnv& env_;
   FabricConfig cfg_;

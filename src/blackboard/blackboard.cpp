@@ -24,11 +24,8 @@ BoardObs& bobs() {
   return o;
 }
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
+/// Back-off cap for idle workers.
+constexpr std::chrono::microseconds kMaxBackoff{2000};
 
 }  // namespace
 
@@ -90,13 +87,6 @@ Blackboard::Blackboard(BlackboardConfig cfg) : cfg_(cfg) {
   if (cfg_.quarantine_threshold <= 0)
     throw std::invalid_argument(
         "BlackboardConfig::quarantine_threshold must be > 0");
-  if (cfg_.index_shards <= 0)
-    throw std::invalid_argument("BlackboardConfig::index_shards must be > 0");
-
-  const std::size_t shards =
-      round_up_pow2(static_cast<std::size_t>(cfg_.index_shards));
-  index_shards_ = std::vector<IndexShard>(shards);
-  shard_mask_ = shards - 1;
 
   fifos_.reserve(static_cast<std::size_t>(cfg_.fifo_count));
   for (int i = 0; i < cfg_.fifo_count; ++i)
@@ -436,7 +426,7 @@ void Blackboard::worker_loop(int worker_index) {
       bobs().backoff_waits.add(1);
       obs::trace_span("bb", "bb.backoff", t_begin, obs::real_now());
     }
-    backoff = std::min(backoff * 2, cfg_.max_backoff);
+    backoff = std::min(backoff * 2, kMaxBackoff);
   }
 }
 

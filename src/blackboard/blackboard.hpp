@@ -29,16 +29,17 @@
 ///  - every runnable job goes to a random FIFO, and every worker sweep
 ///    starts at a random FIFO, so producers and workers spread over
 ///    `fifo_count` locks instead of convoying on one;
-///  - an idle worker backs off exponentially up to `max_backoff`;
+///  - an idle worker backs off exponentially up to 2 ms;
 ///  - under `fair_share` (tenant fabric) a batch with an affinity key
 ///    goes to its tenant's FIFO and the sweep start rotates, so each
 ///    tenant with queued work gets a one-job quantum per round;
-///  - the sensitivity hash table is sharded by TypeId so concurrent
+///  - the sensitivity hash table is sharded 16 ways by TypeId so concurrent
 ///    submissions (stream readers, unpackers, KS operations) do not
 ///    serialize on one shared_mutex;
 ///  - submit_batch() amortizes one index lookup and one KS lock over a
 ///    whole event pack instead of paying them per event.
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -126,14 +127,10 @@ struct BlackboardConfig {
   int workers = 4;
   /// Width of the job-FIFO array (the paper's Fig. 13).
   int fifo_count = 16;
-  /// Back-off cap for idle workers.
-  std::chrono::microseconds max_backoff{2000};
   /// A KS whose operation throws this many times *consecutively* is
   /// quarantined (removed) so one broken analysis module cannot starve
   /// the pool; a single success resets the streak.
   int quarantine_threshold = 3;
-  /// Sensitivity-index shard count (rounded up to a power of two).
-  int index_shards = 16;
   /// Fair-share service (tenant fabric): batches with an affinity key
   /// k >= 0 all go to FIFO k mod fifo_count, and each worker rotates its
   /// sweep start by one per grab — a deficit-style one-job quantum per
@@ -168,7 +165,7 @@ struct BlackboardStats {
 /// (or via stop()).
 class Blackboard {
  public:
-  /// Throws std::invalid_argument on a non-positive worker, FIFO, shard or
+  /// Throws std::invalid_argument on a non-positive worker, FIFO or
   /// quarantine-threshold count (a zero-width pool would hang, a zero-width
   /// FIFO array was UB).
   explicit Blackboard(BlackboardConfig cfg = {});
@@ -306,8 +303,11 @@ class Blackboard {
     std::unordered_map<TypeId, std::vector<std::shared_ptr<KsState>>> map;
   };
 
+  /// Sensitivity-index shard count (a power of two).
+  static constexpr std::size_t kIndexShards = 16;
+
   IndexShard& shard_of(TypeId t) noexcept {
-    return index_shards_[mix64(t) & shard_mask_];
+    return index_shards_[mix64(t) & (kIndexShards - 1)];
   }
 
   void enqueue_batch(std::vector<Job*>& jobs, int affinity);
@@ -326,8 +326,7 @@ class Blackboard {
   BlackboardConfig cfg_;
 
   // Sharded sensitivity hash table: type id -> interested KSs.
-  std::vector<IndexShard> index_shards_;
-  std::size_t shard_mask_ = 0;
+  std::array<IndexShard, kIndexShards> index_shards_;
   // KS registry (registration bookkeeping only; not on the submit path).
   mutable std::mutex registry_mu_;
   std::unordered_map<KsId, std::shared_ptr<KsState>> ks_by_id_;

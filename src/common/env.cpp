@@ -26,33 +26,9 @@ void warn_bad_env(const char* name, const char* value, const char* what,
                name, value, fallback_shown);
 }
 
-std::mutex& consulted_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-/// Leaked (like `warned` above) so late readers during static teardown
-/// never touch a destroyed set.
-std::set<std::string>& consulted_set() {
-  static std::set<std::string>* names = new std::set<std::string>;
-  return *names;
-}
-
-void note_consulted(const char* name) {
-  std::lock_guard lock(consulted_mutex());
-  consulted_set().insert(name);
-}
-
 }  // namespace
 
-std::vector<std::string> consulted_env_names() {
-  std::lock_guard lock(consulted_mutex());
-  const auto& names = consulted_set();
-  return {names.begin(), names.end()};
-}
-
 std::int64_t env_int(const char* name, std::int64_t fallback) {
-  note_consulted(name);
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   errno = 0;
@@ -77,7 +53,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
 }
 
 double env_double(const char* name, double fallback) {
-  note_consulted(name);
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   errno = 0;
@@ -99,7 +74,6 @@ double env_double(const char* name, double fallback) {
 }
 
 bool env_flag(const char* name, bool fallback) {
-  note_consulted(name);
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   std::string s(v);
@@ -112,7 +86,6 @@ bool env_flag(const char* name, bool fallback) {
 }
 
 std::string env_str(const char* name, const std::string& fallback) {
-  note_consulted(name);
   const char* v = std::getenv(name);
   return v != nullptr ? std::string(v) : fallback;
 }

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace esp {
 
@@ -31,12 +30,6 @@ double env_double(const char* name, double fallback);
 
 /// Read a string env var.
 std::string env_str(const char* name, const std::string& fallback);
-
-/// Every variable name ever queried through the accessors above in this
-/// process, sorted. Lets a harness emit a *complete* repro line (all the
-/// knobs the run consulted, not just the ones someone remembered to
-/// list) without hard-coding the knob inventory anywhere.
-std::vector<std::string> consulted_env_names();
 
 /// True when ESP_FULL_SCALE=1: benches run paper-scale configurations.
 bool full_scale();

@@ -30,56 +30,15 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
   if (apps_.empty()) throw std::logic_error("no applications added");
   ran_ = true;
 
-  // Ops-facing environment overrides for the failure-handling machinery
-  // (documented in README.md). Code-level config supplies the defaults;
-  // a set variable wins.
-  auto& icfg = cfg_.instrument;
-  icfg.failover = env_flag("ESP_HB", icfg.failover);
-  icfg.hb_lease = env_double("ESP_HB_LEASE", icfg.hb_lease);
-  icfg.hb_interval = env_double("ESP_HB_INTERVAL", icfg.hb_interval);
-  icfg.resend_window =
-      static_cast<int>(env_int("ESP_HB_RESEND", icfg.resend_window));
-  icfg.degrade = env_flag("ESP_DEGRADE", icfg.degrade);
-  icfg.degrade_stride = static_cast<std::uint32_t>(
-      env_int("ESP_DEGRADE_STRIDE", icfg.degrade_stride));
-  icfg.degrade_down_threshold = static_cast<std::uint64_t>(env_int(
-      "ESP_DEGRADE_DOWN",
-      static_cast<std::int64_t>(icfg.degrade_down_threshold)));
-  icfg.degrade_up_windows =
-      static_cast<int>(env_int("ESP_DEGRADE_UP", icfg.degrade_up_windows));
-  icfg.degrade_force_mode = static_cast<int>(
-      env_int("ESP_DEGRADE_FORCE", icfg.degrade_force_mode));
+  // Session watchdog: the one ops-facing environment override. It only
+  // aborts a wedged run, never changes what a completed run reports.
   cfg_.runtime.watchdog_virtual_deadline = env_double(
       "ESP_SESSION_DEADLINE", cfg_.runtime.watchdog_virtual_deadline);
   cfg_.runtime.watchdog_stall_seconds = env_double(
       "ESP_SESSION_STALL", cfg_.runtime.watchdog_stall_seconds);
-  auto& tn = cfg_.tenants;
-  tn.enabled = env_flag("ESP_TENANT", tn.enabled);
-  tn.mean_arrival_gap = env_double("ESP_TENANT_GAP", tn.mean_arrival_gap);
-  tn.max_active =
-      static_cast<int>(env_int("ESP_TENANT_MAXACTIVE", tn.max_active));
-  tn.stream_bytes_cap = static_cast<std::uint64_t>(env_int(
-      "ESP_TENANT_STREAMBYTES",
-      static_cast<std::int64_t>(tn.stream_bytes_cap)));
-  tn.max_admission_delay =
-      env_double("ESP_TENANT_MAXDELAY", tn.max_admission_delay);
-  tn.fair_share = env_flag("ESP_TENANT_FAIR", tn.fair_share);
-  tn.default_quota.entry_rate =
-      env_double("ESP_TENANT_RATE", tn.default_quota.entry_rate);
-  tn.default_quota.burst_events =
-      env_double("ESP_TENANT_BURST", tn.default_quota.burst_events);
-  tn.default_quota.job_budget = static_cast<std::uint64_t>(env_int(
-      "ESP_TENANT_JOBS",
-      static_cast<std::int64_t>(tn.default_quota.job_budget)));
-  auto& el = cfg_.elastic;
-  el.enabled = env_flag("ESP_ELASTIC", el.enabled);
-  el.spares = static_cast<int>(env_int("ESP_ELASTIC_SPARES", el.spares));
-  el.auto_per_member =
-      static_cast<int>(env_int("ESP_ELASTIC_AUTO", el.auto_per_member));
-  el.max_active_per_member = static_cast<int>(
-      env_int("ESP_ELASTIC_PERMEMBER", el.max_active_per_member));
-  if (const std::string pt = env_str("ESP_ELASTIC_PLAN", ""); !pt.empty())
-    el.plan = an::parse_elastic_plan(pt);
+  auto& icfg = cfg_.instrument;
+  const auto& tn = cfg_.tenants;
+  const auto& el = cfg_.elastic;
 
   int total_app_procs = 0;
   for (const auto& a : apps_) total_app_procs += a.nprocs;
@@ -106,25 +65,6 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
   acfg.results = results;
   acfg.output_dir = cfg_.output_dir;
 
-  // Tenant arrival times: used by the fabric assembly below and by the
-  // occupancy-derived elastic grow plan. Explicit overrides win over the
-  // seeded Poisson schedule.
-  std::vector<double> arrivals(apps_.size(), 0.0);
-  if (tn.enabled) {
-    std::vector<double> schedule;
-    if (tn.mean_arrival_gap > 0.0)
-      schedule = an::poisson_schedule(cfg_.runtime.seed,
-                                      static_cast<int>(apps_.size()),
-                                      tn.mean_arrival_gap);
-    for (std::size_t i = 0; i < apps_.size(); ++i) {
-      if (const auto it = tn.arrival.find(static_cast<int>(i));
-          it != tn.arrival.end())
-        arrivals[i] = it->second;
-      else if (!schedule.empty())
-        arrivals[i] = schedule[i];
-    }
-  }
-
   // ---- Elastic membership plan resolution ------------------------------
   // Resolved before the fabric: the admission root must be a member that
   // is initially active and never leaves (the analyzer picks its reduce
@@ -135,9 +75,6 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
   if (el.enabled) {
     eplan.events = el.plan;
     eplan.spares = n_spares;
-    if (eplan.events.empty() && el.auto_per_member > 0)
-      eplan.events = an::derive_occupancy_plan(arrivals, el.auto_per_member,
-                                               n_analyzer_base, n_spares);
     eplan.first_world = total_app_procs;
     eplan.n_members = n_analyzer;
     if (eplan.active())
@@ -161,7 +98,6 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
     an::FabricConfig fab;
     fab.enabled = true;
     fab.max_active = tn.max_active;
-    fab.stream_bytes_cap = tn.stream_bytes_cap;
     fab.max_admission_delay = tn.max_admission_delay;
     fab.max_active_per_member = el.max_active_per_member;
     // Admission root = the analyzer's reduce root: under an elastic plan
@@ -186,6 +122,12 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
     }
     fab.root_world = total_app_procs + root_a;
 
+    // Arrivals: explicit overrides win over the seeded Poisson schedule.
+    std::vector<double> schedule;
+    if (tn.mean_arrival_gap > 0.0)
+      schedule = an::poisson_schedule(cfg_.runtime.seed,
+                                      static_cast<int>(apps_.size()),
+                                      tn.mean_arrival_gap);
     int first_world = 0;
     for (std::size_t i = 0; i < apps_.size(); ++i) {
       an::TenantSpec ts;
@@ -193,20 +135,18 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
       ts.nprocs = apps_[i].nprocs;
       ts.rank0_world = first_world;
       first_world += apps_[i].nprocs;
-      ts.arrival = arrivals[i];
+      if (const auto it = tn.arrival.find(ts.app_id); it != tn.arrival.end())
+        ts.arrival = it->second;
+      else if (!schedule.empty())
+        ts.arrival = schedule[i];
       if (const auto it = tn.quota.find(ts.app_id); it != tn.quota.end())
         ts.quota = it->second;
       else
         ts.quota = tn.default_quota;
-      // Pinned stream bytes: what this tenant's writers hold while active.
-      if (ts.quota.stream_bytes == 0)
-        ts.quota.stream_bytes = static_cast<std::uint64_t>(ts.nprocs) *
-                                static_cast<std::uint64_t>(icfg.n_async) *
-                                icfg.block_size;
       fab.tenants.push_back(ts);
     }
     acfg.fabric = fab;
-    acfg.board.fair_share = tn.fair_share;
+    acfg.board.fair_share = true;
     // Writer-side rate budgets drive the per-tenant degradation ladder
     // (replacing the shared backpressure trigger for budgeted tenants),
     // so the ladder must be armed in fabric mode.

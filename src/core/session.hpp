@@ -44,8 +44,8 @@ struct SessionConfig {
   /// Tenant-fabric options: when enabled, applications become dynamically
   /// admitted tenants — each arrives on a schedule, attaches to the
   /// fabric's admission root, and runs only if admitted under the
-  /// per-tenant quotas. ESP_TENANT_* environment variables override the
-  /// fields at run() (documented in README.md).
+  /// per-tenant quotas. Tenants' knowledge sources share the blackboard
+  /// under deficit-style fair-share scheduling.
   struct TenantOptions {
     bool enabled = false;
     /// > 0: derive arrivals from a seeded Poisson schedule with this mean
@@ -56,28 +56,20 @@ struct SessionConfig {
     std::map<int, an::TenantQuota> quota;   ///< Per-app quota overrides.
     an::TenantQuota default_quota;          ///< Applied where no override.
     int max_active = 0;                     ///< Concurrent-tenant ceiling.
-    std::uint64_t stream_bytes_cap = 0;     ///< Pinned stream-byte ceiling.
     double max_admission_delay = 0.0;       ///< Queue-then-reject horizon.
-    bool fair_share = true;  ///< Deficit-style per-tenant board scheduling.
   } tenants;
 
   /// Elastic-membership options: when enabled, the analyzer partition
   /// grows and shrinks at planned virtual times. Spares are launched with
   /// the partition but stay inactive until a `join` event; a `leave`
   /// event drains the member's streams to successors (clean by
-  /// construction) before it departs. ESP_ELASTIC* environment variables
-  /// override the fields at run() (documented in README.md).
+  /// construction) before it departs.
   struct ElasticOptions {
     bool enabled = false;
     /// Extra analyzer ranks launched inactive, available to join events.
     int spares = 0;
-    /// Explicit membership events; members are analyzer-partition ranks.
-    /// ESP_ELASTIC_PLAN grammar: "join:M@T,leave:M@T,...".
+    /// Membership events; members are analyzer-partition ranks.
     std::vector<net::ElasticPlan::Event> plan;
-    /// > 0 and no explicit plan: derive a grow plan from the tenant
-    /// arrival schedule — a spare joins when the number of tenants seen
-    /// exceeds this many per active member.
-    int auto_per_member = 0;
     /// > 0: the admission ceiling scales with membership — at any
     /// candidate admit time, at most this many concurrent tenants per
     /// *active* analyzer member.

@@ -14,6 +14,13 @@
 namespace esp::inst {
 
 namespace {
+/// Mapping policy from instrumented partition to the analyzer.
+constexpr vmpi::MapPolicy kMapPolicy = vmpi::MapPolicy::RoundRobin;
+/// Backpressure waits within one flush window that trigger a step down.
+constexpr std::uint64_t kDegradeDownThreshold = 1;
+/// Consecutive clear windows before stepping one rung back up.
+constexpr int kDegradeUpWindows = 2;
+
 /// The rank thread's active instrumentation state, for record_posix.
 thread_local void* g_rank_state = nullptr;
 thread_local OnlineInstrument* g_rank_tool = nullptr;
@@ -111,7 +118,6 @@ void OnlineInstrument::on_init(mpi::RankContext& rc) {
                              cfg_.analyzer_partition);
 
   vmpi::StreamConfig scfg{cfg_.block_size, cfg_.n_async, cfg_.policy};
-  scfg.failover = cfg_.failover;
   scfg.hb_lease = cfg_.hb_lease;
   scfg.hb_interval = cfg_.hb_interval;
   scfg.resend_window = cfg_.resend_window;
@@ -136,7 +142,7 @@ void OnlineInstrument::on_init(mpi::RankContext& rc) {
   env.world_rank = rc.partition_rank;
 
   vmpi::Map map;
-  map.map_partitions(env, an->id, cfg_.map_policy);
+  map.map_partitions(env, an->id, kMapPolicy);
   st->stream.open_map(env, map, "w");
   st->open = true;
 
@@ -286,7 +292,7 @@ void OnlineInstrument::ladder_update(mpi::RankContext& rc, RankState& st,
                 (dt <= 0.0 ||
                  static_cast<double>(window_calls) > st.rate_quota * dt);
   } else {
-    pressured = delta >= cfg_.degrade_down_threshold;
+    pressured = delta >= kDegradeDownThreshold;
   }
   if (pressured) {
     st.clear_windows = 0;
@@ -301,7 +307,7 @@ void OnlineInstrument::ladder_update(mpi::RankContext& rc, RankState& st,
     return;
   }
   if (st.mode == PackMode::Full) return;
-  if (++st.clear_windows >= cfg_.degrade_up_windows) {
+  if (++st.clear_windows >= kDegradeUpWindows) {
     st.clear_windows = 0;
     st.mode = st.mode == PackMode::Aggregated ? PackMode::Sampled
                                               : PackMode::Full;

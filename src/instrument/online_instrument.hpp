@@ -30,11 +30,8 @@ struct InstrumentConfig {
   int n_async = 3;
   vmpi::BalancePolicy policy = vmpi::BalancePolicy::RoundRobin;
   double per_event_cost = 1.0e-6;
-  /// Mapping policy from instrumented partition to the analyzer.
-  vmpi::MapPolicy map_policy = vmpi::MapPolicy::RoundRobin;
 
   // ---- reader-liveness / failover passthrough (see StreamConfig) ----
-  bool failover = true;
   double hb_lease = 2e-3;
   double hb_interval = 5e-4;
   int resend_window = 4;
@@ -51,10 +48,6 @@ struct InstrumentConfig {
   /// ablations.
   bool degrade = false;
   std::uint32_t degrade_stride = 8;  ///< 1-in-N stride at the Sampled rung.
-  /// Backpressure waits within one flush window that trigger a step down.
-  std::uint64_t degrade_down_threshold = 1;
-  /// Consecutive clear windows before stepping one rung back up.
-  int degrade_up_windows = 2;
   /// Pin the ladder to a rung (PackMode value 0/1/2); -1 = adaptive.
   int degrade_force_mode = -1;
 

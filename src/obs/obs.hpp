@@ -4,12 +4,9 @@
 ///
 /// The esperf stack instruments *itself* (streams, blackboard, network
 /// model, instrumentation tool) behind hooks that must cost nothing in
-/// production paths:
-///  - runtime off (default): every hook is `if (obs::enabled())` over a
-///    relaxed atomic load of a bool that never changes after start-up —
-///    one predicted branch;
-///  - compile-time off (-DESP_OBS_HOOKS=OFF -> ESP_OBS_NO_HOOKS):
-///    enabled() is a constant false and the hook bodies dead-strip.
+/// production paths: off (the default), every hook is
+/// `if (obs::enabled())` over a relaxed atomic load of a bool that never
+/// changes after start-up — one predicted branch.
 ///
 /// Knobs (read once, at first use / static initialization):
 ///   ESP_OBS=1           enable the metrics registry + hooks
@@ -40,20 +37,12 @@ extern constinit std::atomic<bool> g_trace_on;
 
 /// Master switch: metrics hooks + artifact writing.
 inline bool enabled() noexcept {
-#ifdef ESP_OBS_NO_HOOKS
-  return false;
-#else
   return detail::g_on.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Tracer switch; implies enabled().
 inline bool trace_enabled() noexcept {
-#ifdef ESP_OBS_NO_HOOKS
-  return false;
-#else
   return detail::g_trace_on.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Override the env-derived switches (tests, embedding applications).

@@ -14,6 +14,9 @@ namespace esp::mpi {
 
 namespace {
 
+/// CPU cost charged on the caller's clock at every public call entry.
+constexpr double kCallOverhead = 0.2e-6;
+
 /// Collectives run in a separate message namespace (high bit of the
 /// context id), the moral equivalent of MPI's hidden collective context:
 /// user wildcard receives can never swallow internal collective traffic.
@@ -66,7 +69,7 @@ Request isend_impl(Runtime& rt, RankContext& rc,
                    std::uint64_t ctx, const void* buf, std::uint64_t bytes,
                    int dst_world, int tag) {
   rc.check_crash();
-  rc.advance(rt.config().call_overhead);
+  rc.advance(kCallOverhead);
   auto item = std::make_shared<detail::SendItem>();
   item->src_world = rc.world_rank;
   item->dst_world = dst_world;
@@ -159,7 +162,7 @@ Request irecv_impl(Runtime& rt, RankContext& rc,
                    std::uint64_t ctx, void* buf, std::uint64_t bytes,
                    int src_world, int tag, BufferRef keepalive = {}) {
   rc.check_crash();
-  rc.advance(rt.config().call_overhead);
+  rc.advance(kCallOverhead);
   auto item = std::make_shared<detail::RecvItem>();
   item->dst_buf = static_cast<std::byte*>(buf);
   item->keepalive = std::move(keepalive);
@@ -259,7 +262,7 @@ Request Comm::pirecv(const BufferRef& buf, std::uint64_t bytes, int src,
 bool Comm::piprobe(int src, int tag, Status* st) const {
   auto& rc = Runtime::self();
   auto& rt = *data_->rt;
-  rc.advance(rt.config().call_overhead);
+  rc.advance(kCallOverhead);
   const int src_world = src == kAnySource ? kAnySource : world_rank(src);
   std::uint64_t bytes = 0;
   int src_out = -1, tag_out = -1;

@@ -200,6 +200,8 @@ void Runtime::dispatch_tools(RankContext& rc, const CallInfo& ci) {
 }
 
 namespace {
+constexpr std::size_t kRankStackBytes = 1 << 20;
+
 struct LaunchArg {
   Runtime* rt;
   int world_rank;
@@ -330,7 +332,7 @@ void Runtime::run() {
 
   pthread_attr_t attr;
   pthread_attr_init(&attr);
-  pthread_attr_setstacksize(&attr, cfg_.stack_bytes);
+  pthread_attr_setstacksize(&attr, kRankStackBytes);
 
   std::vector<pthread_t> threads(static_cast<std::size_t>(world_size_));
   std::vector<LaunchArg> args(static_cast<std::size_t>(world_size_));

@@ -116,12 +116,8 @@ struct ProgramSpec {
 
 struct RuntimeConfig {
   net::MachineConfig machine = net::MachineConfig::tera100();
-  /// CPU cost charged on the caller's clock at every public call entry.
-  double call_overhead = 0.2e-6;
   /// Messages up to this size are staged eagerly (sender does not block).
   std::uint64_t eager_threshold = 16 * 1024;
-  /// Rank thread stack size.
-  std::size_t stack_bytes = 1 << 20;
   /// Host-side optimization for large skeleton payloads: at most this many
   /// bytes are physically copied per message, while *virtual* costs are
   /// always charged for the full size. Keep at the default (unlimited)

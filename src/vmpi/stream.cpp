@@ -47,6 +47,18 @@ StreamObs& sobs() {
   static StreamObs o;
   return o;
 }
+/// Corrupt blocks tolerated back-to-back from one peer before the link
+/// is declared hopeless and the peer quarantined (counted as dead).
+constexpr int kMaxCorruptRetries = 8;
+/// Real-time poll period while blocked in read(): how often the reader
+/// re-checks whether a silent writer has died.
+constexpr auto kDeadPoll = std::chrono::microseconds(200);
+/// Virtual seconds charged to the reader's clock when it gives up on a
+/// silently-dead writer (the simulated detection timeout).
+constexpr double kReadDeadline = 1e-3;
+/// Policy for choosing the surviving replacement endpoint.
+constexpr MapPolicy kRemapPolicy = MapPolicy::RoundRobin;
+
 constexpr int kStreamCtlTag = 0x6f100000;
 /// Failover handshake tag. Deliberately *outside* the injected data-tag
 /// range: under the default StreamsOnly fault scope the handshake can
@@ -216,7 +228,7 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
           active.push_back(elastic_.world_of_member(m));
         for (int& peer : peers_)
           if (elastic_.contains_world(peer))
-            peer = Map::elastic_route(cfg_.remap_policy, rt_->config().seed,
+            peer = Map::elastic_route(kRemapPolicy, rt_->config().seed,
                                       env.universe_rank, 0, active);
       }
     }
@@ -242,7 +254,7 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
     // a crash scheduled for at least one endpoint. A chained failover
     // stays covered — the endpoint only moves after its original peer
     // (which had a scheduled crash) died.
-    if (cfg_.failover && framed_ && rt_->injector().enabled()) {
+    if (framed_ && rt_->injector().enabled()) {
       for (int peer : peers_) {
         if (rt_->injector().has_crash(peer)) {
           failover_armed_ = true;
@@ -302,7 +314,7 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
           if (part.id == mine.id) continue;
           for (int w = part.first_world_rank;
                w < part.first_world_rank + part.size; ++w) {
-            if (Map::elastic_route(cfg_.remap_policy, rt_->config().seed, w,
+            if (Map::elastic_route(kRemapPolicy, rt_->config().seed, w,
                                    0, active) == env.universe_rank)
               sources.push_back(w);
           }
@@ -348,7 +360,7 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   // sibling's endpoints here, and the adopted links arrive *after* this
   // reader's original writers closed. Armed by the same predicate the
   // writers use, so a fault-free run never enters the grace loop.
-  if (cfg_.failover && framed_ && rt_->injector().enabled()) {
+  if (framed_ && rt_->injector().enabled()) {
     const auto& mine = rt_->partition_of_world(env.universe_rank);
     for (int r = mine.first_world_rank; r < mine.first_world_rank + mine.size;
          ++r) {
@@ -610,7 +622,7 @@ void Stream::fail_over_endpoint(std::size_t ti, double t_dead) {
       cands.push_back(r);
     }
     const int target = Map::failover_target(
-        cfg_.remap_policy, rt_->config().seed, rc.world_rank, dead, cands,
+        kRemapPolicy, rt_->config().seed, rc.world_rank, dead, cands,
         elastic_armed_ ? elastic_.epoch_at(rc.clock) : 0);
     if (target < 0) {
       // Total partition loss: the endpoint becomes a dead end; further
@@ -667,7 +679,7 @@ void Stream::check_elastic_epoch() {
   for (std::size_t ti = 0; ti < peers_.size(); ++ti) {
     const int old = peers_[ti];
     if (old < 0 || !elastic_.contains_world(old)) continue;
-    const int want = Map::elastic_route(cfg_.remap_policy, rt_->config().seed,
+    const int want = Map::elastic_route(kRemapPolicy, rt_->config().seed,
                                         rc.world_rank, now, active);
     if (want < 0 || want == old) continue;
     // A holder the oracle already declares dead cannot acknowledge a
@@ -854,7 +866,7 @@ void Stream::mark_peer_dead(InPeer& ip) {
   ip.dead = true;
   // The simulated reader spent its detection timeout before giving up.
   if (mpi::Runtime::on_rank_thread())
-    mpi::Runtime::self().advance(cfg_.read_deadline);
+    mpi::Runtime::self().advance(kReadDeadline);
 }
 
 bool Stream::scan_silent_dead() {
@@ -943,7 +955,7 @@ int Stream::try_read_block(void* buf) {
         ++ip.corrupted;
         ++ip.expected_seq;
         if (obs::enabled()) sobs().corrupted.add(1);
-        if (++ip.consecutive_corrupt > cfg_.max_corrupt_retries) {
+        if (++ip.consecutive_corrupt > kMaxCorruptRetries) {
           mark_peer_dead(ip);
           break;
         }
@@ -1021,7 +1033,6 @@ int Stream::read(void* buf, int nblocks, int flags) {
 
 int Stream::read_impl(void* buf, int nblocks, int flags) {
   auto* dst = static_cast<std::byte*>(buf);
-  const auto poll = std::chrono::microseconds(cfg_.dead_poll_us);
   auto& rc = mpi::Runtime::self();
   int got = 0;
   while (got < nblocks) {
@@ -1048,7 +1059,7 @@ int Stream::read_impl(void* buf, int nblocks, int flags) {
         if (accept_failover_joins()) continue;  // adopted a link: rescan
         if (!failover_grace_over()) {
           if (flags & kNonblock) return kEagain;
-          std::this_thread::sleep_for(poll);
+          std::this_thread::sleep_for(kDeadPoll);
           continue;
         }
       }
@@ -1074,7 +1085,7 @@ int Stream::read_impl(void* buf, int nblocks, int flags) {
     if (heads.empty()) {
       // Nothing armed on any live peer: only the silent-dead scan can
       // make progress now.
-      if (!scan_silent_dead()) std::this_thread::sleep_for(poll);
+      if (!scan_silent_dead()) std::this_thread::sleep_for(kDeadPoll);
       continue;
     }
     // Wait (real time) until any head request completes, without
@@ -1082,13 +1093,14 @@ int Stream::read_impl(void* buf, int nblocks, int flags) {
     // per-peer FIFO order and clock accounting stay in one place. The
     // stream-owned WaitSet is detached from any still-posted receive at
     // close/destruction (disarm_receives), so late completions can never
-    // notify a dead stream. The wait is bounded: every dead_poll_us we
+    // notify a dead stream. The wait is bounded: every kDeadPoll we
     // re-check for writers that died without a goodbye.
     const std::uint64_t ticket = waitset_.snapshot();
     bool ready = false;
     for (auto& h : heads)
       if (h->arm_waitset(&waitset_)) ready = true;
-    if (!ready && !waitset_.wait_change_for(ticket, poll)) scan_silent_dead();
+    if (!ready && !waitset_.wait_change_for(ticket, kDeadPoll))
+      scan_silent_dead();
   }
   return got;
 }

@@ -27,7 +27,7 @@
 /// dies without sending end-of-stream is detected — via the runtime's
 /// crash sweep or, for a silently-vanished writer, a real-time poll — and
 /// surfaces as kEpipe rather than a hang; declaring a peer dead charges
-/// `read_deadline` virtual seconds, modelling the reader's timeout.
+/// 1 ms of virtual time, modelling the reader's timeout.
 /// Framing is automatically disabled when `payload_copy_cap` cannot carry
 /// a full block plus header (skeleton-payload benchmarks): both endpoints
 /// compute the same predicate from the shared runtime config, so the wire
@@ -66,15 +66,6 @@ struct StreamConfig {
   std::uint64_t block_size = 1u << 20;  ///< Paper: block size tends to ~1 MB.
   int n_async = 3;                      ///< N_A of Fig. 9.
   BalancePolicy policy = BalancePolicy::RoundRobin;
-  /// Corrupt blocks tolerated back-to-back from one peer before the link
-  /// is declared hopeless and the peer quarantined (counted as dead).
-  int max_corrupt_retries = 8;
-  /// Real-time poll period while blocked in read(): how often the reader
-  /// re-checks whether a silent writer has died (microseconds).
-  int dead_poll_us = 200;
-  /// Virtual seconds charged to the reader's clock when it gives up on a
-  /// silently-dead writer (the simulated detection timeout).
-  double read_deadline = 1e-3;
 
   // ---- reader-liveness lease + failover (see "Failure model v2") ------
   /// Writers watch their *readers*: every delivered block doubles as a
@@ -84,11 +75,10 @@ struct StreamConfig {
   /// since virtual time T has, by definition, missed every beacon after
   /// T, so the writer declares it dead at its first write/close once its
   /// own clock passes T + hb_lease, re-routes the endpoint to a surviving
-  /// rank of the same partition (Map::failover_target) and replays the
-  /// unacknowledged tail from the resend window. Armed only when the run
-  /// has a fault plan, framing is on, and an endpoint's partition has a
-  /// scheduled crash — a fault-free run pays nothing.
-  bool failover = true;
+  /// rank of the same partition (Map::failover_target, round-robin) and
+  /// replays the unacknowledged tail from the resend window. Armed only
+  /// when the run has a fault plan, framing is on, and an endpoint's
+  /// partition has a scheduled crash — a fault-free run pays nothing.
   double hb_lease = 2e-3;    ///< Virtual seconds of silence before declaring death.
   double hb_interval = 5e-4; ///< Modeled beacon period (heartbeats_missed unit).
   /// Framed copies of the most recent blocks kept per endpoint for replay
@@ -103,8 +93,6 @@ struct StreamConfig {
   /// link's loss ledger: lost == written - replayed at the window
   /// boundary) inherits that exact count.
   int resend_window = 4;
-  /// Policy for choosing the surviving replacement endpoint.
-  MapPolicy remap_policy = MapPolicy::RoundRobin;
 };
 
 /// Per-incoming-link health, for the data-loss ledger.

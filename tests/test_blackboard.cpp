@@ -303,7 +303,6 @@ TEST(BlackboardConfigValidation, NonPositiveGeometryThrows) {
   EXPECT_THROW(Blackboard({.fifo_count = -1}), std::invalid_argument);
   EXPECT_THROW(Blackboard({.quarantine_threshold = 0}),
                std::invalid_argument);
-  EXPECT_THROW(Blackboard({.index_shards = 0}), std::invalid_argument);
 }
 
 /// drain() returns only once every worker finished everything, under

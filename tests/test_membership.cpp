@@ -242,20 +242,6 @@ TEST(Membership, ShrinkBelowQuotaRequeuesAdmissionDeterministically) {
   EXPECT_DOUBLE_EQ(t2->tenant.t_release, t2b->tenant.t_release);
 }
 
-TEST(Membership, PlanGrammarParsesAndRejects) {
-  const auto plan = an::parse_elastic_plan("join:2@1e-3,leave:0@3e-3");
-  ASSERT_EQ(plan.size(), 2u);
-  EXPECT_EQ(plan[0].member, 2);
-  EXPECT_TRUE(plan[0].join);
-  EXPECT_DOUBLE_EQ(plan[0].at_time, 1e-3);
-  EXPECT_EQ(plan[1].member, 0);
-  EXPECT_FALSE(plan[1].join);
-  EXPECT_DOUBLE_EQ(plan[1].at_time, 3e-3);
-  EXPECT_THROW(an::parse_elastic_plan("grow:2@1e-3"), std::invalid_argument);
-  EXPECT_THROW(an::parse_elastic_plan("join:2"), std::invalid_argument);
-  EXPECT_THROW(an::parse_elastic_plan("join:x@1e-3"), std::invalid_argument);
-}
-
 TEST(Membership, ScheduleRejectsInconsistentPlans) {
   auto make = [](std::vector<net::ElasticPlan::Event> ev, int spares,
                  int n_members) {

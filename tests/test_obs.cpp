@@ -95,9 +95,6 @@ TEST(ObsMetrics, SnapshotIsSortedByName) {
 /// and could drift (the obs mirror once double-counted). Both now move at
 /// one authoritative site, so their deltas must agree exactly.
 TEST(ObsMetrics, StreamEagainCounterAgreesWithStreamStats) {
-#ifdef ESP_OBS_NO_HOOKS
-  GTEST_SKIP() << "obs hooks compiled out (ESP_OBS_HOOKS=OFF)";
-#else
   const std::uint64_t before = obs::counter("stream.eagain_returns").value();
   obs::set_enabled(true, false);
   std::atomic<std::uint64_t> stream_eagains{0};
@@ -140,19 +137,12 @@ TEST(ObsMetrics, StreamEagainCounterAgreesWithStreamStats) {
   EXPECT_EQ(obs::counter("stream.eagain_returns").value() - before,
             stream_eagains.load())
       << "obs mirror and stream stats must count the same returns";
-#endif
 }
 
 TEST(ObsTrace, DisabledHooksAreNoOps) {
-#ifdef ESP_OBS_NO_HOOKS
-  EXPECT_FALSE(obs::enabled());
-  obs::set_enabled(true, true);
-  EXPECT_FALSE(obs::enabled());  // compiled out: cannot be turned on
-#else
   obs::set_enabled(false, false);
   EXPECT_FALSE(obs::enabled());
   EXPECT_FALSE(obs::trace_enabled());
-#endif
 }
 
 /// End-to-end: an ESP_OBS-enabled session writes a Perfetto-loadable
@@ -160,9 +150,6 @@ TEST(ObsTrace, DisabledHooksAreNoOps) {
 /// directory is deliberately left behind under the test working dir so CI
 /// can upload it.
 TEST(ObsPipeline, SessionWritesArtifacts) {
-#ifdef ESP_OBS_NO_HOOKS
-  GTEST_SKIP() << "obs hooks compiled out (ESP_OBS_HOOKS=OFF)";
-#else
   namespace fs = std::filesystem;
   const std::string dir = "obs_artifacts";
   fs::remove_all(dir);
@@ -218,15 +205,11 @@ TEST(ObsPipeline, SessionWritesArtifacts) {
   const std::string report = slurp(dir + "/report.md");
   EXPECT_NE(report.find("Engine telemetry"), std::string::npos);
   EXPECT_NE(report.find("Transport telemetry"), std::string::npos);
-#endif
 }
 
 /// trace.json is valid Chrome trace_event JSON with per-track monotone
 /// timestamps (the same property tools/check_trace.py verifies in CI).
 TEST(ObsTrace, WrittenEventsAreTrackSortedAndCapped) {
-#ifdef ESP_OBS_NO_HOOKS
-  GTEST_SKIP() << "obs hooks compiled out (ESP_OBS_HOOKS=OFF)";
-#else
   obs::set_enabled(true, true);
   for (int i = 0; i < 64; ++i)
     obs::trace_span("test", "test.span", i * 1e-6, i * 1e-6 + 5e-7);
@@ -252,7 +235,6 @@ TEST(ObsTrace, WrittenEventsAreTrackSortedAndCapped) {
   }
   EXPECT_EQ(seen, 64u);
   std::filesystem::remove(path);
-#endif
 }
 
 }  // namespace

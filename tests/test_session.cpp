@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "analysis/report.hpp"
 #include "core/session.hpp"
@@ -116,6 +119,46 @@ TEST(Session, ReportOnDisk) {
   EXPECT_TRUE(std::filesystem::exists(dir + "/report.md"));
   EXPECT_TRUE(std::filesystem::exists(dir + "/pp/comm_bytes.csv"));
   std::filesystem::remove_all(dir);
+}
+
+/// Runs a fixed-seed ping-pong Session into `dir` and returns report.md.
+std::string seeded_report(const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  SessionConfig cfg;
+  cfg.output_dir = dir;
+  cfg.instrument.block_size = 4096;
+  cfg.runtime.seed = 7;
+  Session session(cfg);
+  session.add_application("pp", 2, pingpong(40));
+  session.run();
+  std::ifstream in(dir + "/report.md", std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::filesystem::remove_all(dir);
+  return text.str();
+}
+
+/// Variable names that once overrode SessionConfig fields at run().
+constexpr const char* kOptionLookalikes[][2] = {{"ESP_DEGRADE", "1"},
+                                                {"ESP_DEGRADE_FORCE", "1"},
+                                                {"ESP_TENANT", "1"},
+                                                {"ESP_HB", "0"}};
+
+/// Configuration lives in code: the process environment must not change
+/// what a seeded run reports.
+TEST(Session, ReportIgnoresProcessEnvironment) {
+  const std::string clean = seeded_report("session_env_clean");
+  ASSERT_FALSE(clean.empty());
+
+  struct UnsetOnExit {
+    ~UnsetOnExit() {
+      for (const auto& v : kOptionLookalikes) unsetenv(v[0]);
+    }
+  } unset_on_exit;
+  for (const auto& v : kOptionLookalikes) setenv(v[0], v[1], 1);
+  const std::string dirty = seeded_report("session_env_dirty");
+
+  EXPECT_EQ(clean, dirty);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 # ESP_*_BENCH_JSON output against the checked-in bench/*.baseline.json with
 # per-metric tolerances and writes a machine-readable diff.
 #
-#   ESP_BB_JOBS            jobs per sweep cell (default 120000)
 #   ESP_BENCH_GATE_MODE    override bench_gate.py strictness for every
 #                          bench: "warn" or "fail" (default: per-bench
 #                          policy — deterministic virtual-metric benches
@@ -36,6 +35,9 @@ run_config() {
   echo "=== ctest $dir ==="
   ctest --test-dir "$repo/$dir" --output-on-failure -j "$jobs"
 }
+
+echo "=== environment knob allowlist ==="
+"$repo/tools/check_env_knobs.sh"
 
 run_config build
 run_config build-sanitize -DESP_SANITIZE=ON

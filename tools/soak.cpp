@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "core/session.hpp"
 #include "net/fault.hpp"
@@ -51,26 +50,15 @@ int g_failures = 0;
 std::string g_repro_flags;
 
 /// One copy-pasteable command that reruns exactly the failing scenario:
-/// the union of every knob the run actually consulted (the env.cpp
-/// registry — generic, so a knob added anywhere in the codebase shows up
-/// here without touching this file) and every ESP_* variable set in the
-/// environment, plus the seed pinned to a single run. Sorted, so the
-/// line itself is deterministic.
+/// every ESP_* variable set in the environment, plus the seed pinned to a
+/// single run. Sorted, so the line itself is deterministic.
 std::string repro_line(std::uint64_t seed) {
-  std::set<std::string> names;
-  for (const std::string& n : esp::consulted_env_names())
-    if (std::getenv(n.c_str()) != nullptr) names.insert(n);
-  for (char** e = environ; e && *e; ++e) {
-    if (std::strncmp(*e, "ESP_", 4) != 0) continue;
-    if (const char* eq = std::strchr(*e, '='))
-      names.insert(std::string(*e, static_cast<std::size_t>(eq - *e)));
-  }
+  std::set<std::string> vars;
+  for (char** e = environ; e && *e; ++e)
+    if (std::strncmp(*e, "ESP_", 4) == 0 && std::strchr(*e, '=') != nullptr)
+      vars.insert(*e);
   std::string line;
-  for (const std::string& n : names) {
-    const char* v = std::getenv(n.c_str());
-    if (v == nullptr) continue;
-    line += n;
-    line += '=';
+  for (const std::string& v : vars) {
     line += v;
     line += ' ';
   }
