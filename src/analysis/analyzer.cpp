@@ -508,20 +508,11 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
       if (v.size() < static_cast<std::size_t>(lvl.size))
         v.resize(static_cast<std::size_t>(lvl.size), 0.0);
 
-    // Give the level's partials an engine-level identity: the reduction
-    // goes through the blackboard's level-state registry (snapshot on the
-    // sending side, merge on the root) instead of reaching into module
-    // internals — any surviving rank can absorb any level's snapshot.
-    // The registry outlives stop(), which is exactly when this runs.
-    auto state = std::make_shared<AppResults>(std::move(local));
-    board.register_level_state(
-        lvl.name, [state] { return serialize(*state); },
-        [state](const std::vector<std::byte>& b) {
-          merge_serialized(*state, b);
-        });
-
+    // The reduction ships serialized partials: every non-root rank sends
+    // its level's AppResults, the root folds each surviving peer's blob
+    // into its own.
     if (arank != root) {
-      const auto blob = board.snapshot_level(lvl.name);
+      const auto blob = serialize(local);
       const std::uint64_t n = blob.size();
       world.psend(&n, sizeof n, root, kReduceTag);
       if (n > 0) world.psend(blob.data(), n, root, kReduceTag);
@@ -536,9 +527,9 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
       std::vector<std::byte> blob(n);
       if (n > 0 && world.precv(blob.data(), n, src, kReduceTag).error != 0)
         continue;
-      board.merge_level(lvl.name, blob);
+      merge_serialized(local, blob);
     }
-    merged_apps[lvl.app_id] = std::move(*state);
+    merged_apps[lvl.app_id] = std::move(local);
   }
 
   // Fabric root: stamp each chapter with its admission record (arrival,

@@ -430,35 +430,6 @@ void Blackboard::worker_loop(int worker_index) {
   }
 }
 
-void Blackboard::register_level_state(const std::string& level,
-                                      LevelSnapshotFn snapshot,
-                                      LevelMergeFn merge) {
-  std::lock_guard lock(level_mu_);
-  level_state_[level] = {std::move(snapshot), std::move(merge)};
-}
-
-std::vector<std::byte> Blackboard::snapshot_level(
-    const std::string& level) const {
-  LevelSnapshotFn snap;
-  {
-    std::lock_guard lock(level_mu_);
-    snap = level_state_.at(level).first;
-  }
-  // Invoked outside level_mu_: the snapshot may be arbitrarily expensive
-  // and must not serialize against concurrent merges of *other* levels.
-  return snap();
-}
-
-void Blackboard::merge_level(const std::string& level,
-                             const std::vector<std::byte>& blob) {
-  LevelMergeFn merge;
-  {
-    std::lock_guard lock(level_mu_);
-    merge = level_state_.at(level).second;
-  }
-  merge(blob);
-}
-
 void Blackboard::drain() {
   std::unique_lock lock(drain_mu_);
   drain_cv_.wait(lock, [&] {

@@ -225,30 +225,6 @@ class Blackboard {
   /// tenant's tail entries.
   int remove_tenant(int tenant);
 
-  // ---- per-level reduction state (analyzer failover support) ----
-  //
-  // A blackboard level's accumulated analysis state lives inside the
-  // modules' closures; these hooks give it an engine-level identity so a
-  // *surviving* rank can snapshot its partials for the reduction and
-  // absorb a peer's snapshot — including one originally destined for a
-  // rank that died. The registry is independent of the worker pool: it
-  // stays valid after stop(), which is exactly when reductions run.
-
-  /// Serialize this rank's accumulated state for one level.
-  using LevelSnapshotFn = std::function<std::vector<std::byte>()>;
-  /// Fold a peer's serialized snapshot into this rank's state.
-  using LevelMergeFn = std::function<void(const std::vector<std::byte>&)>;
-
-  /// Register (or replace) the snapshot/merge pair for a level.
-  void register_level_state(const std::string& level, LevelSnapshotFn snapshot,
-                            LevelMergeFn merge);
-  /// Snapshot a level's state; throws std::out_of_range on unknown level.
-  std::vector<std::byte> snapshot_level(const std::string& level) const;
-  /// Merge a serialized snapshot into a level's state; throws
-  /// std::out_of_range on unknown level.
-  void merge_level(const std::string& level,
-                   const std::vector<std::byte>& blob);
-
   /// Stop the worker pool; queued jobs are executed before stop returns.
   void stop();
 
@@ -339,11 +315,6 @@ class Blackboard {
 
   std::vector<std::unique_ptr<Fifo>> fifos_;
   std::atomic<std::uint64_t> rr_seed_{0x1234};
-
-  // Level-state registry (cross-rank reduction; survives stop()).
-  mutable std::mutex level_mu_;
-  std::unordered_map<std::string, std::pair<LevelSnapshotFn, LevelMergeFn>>
-      level_state_;
 
   // Worker pool + idle back-off.
   std::vector<std::thread> workers_;

@@ -24,21 +24,28 @@ constexpr std::uint64_t coll_ctx(std::uint64_t ctx) noexcept {
   return ctx | (1ull << 63);
 }
 
+/// Bytes of an `n`-byte message physically copied on the host. Skeleton
+/// payloads stop at RuntimeConfig::payload_copy_cap; stream data always
+/// travels whole, because its reader checks the frame header and CRC.
+std::uint64_t physical_bytes(const Runtime& rt, int tag, std::uint64_t n) {
+  if (net::is_stream_data_tag(tag)) return n;
+  return std::min(n, rt.config().payload_copy_cap);
+}
+
 /// Close a matched (send, recv) pair: copy the payload, compute the
 /// virtual transfer timing, and wake both sides. Runs outside mailbox
 /// locks on whichever thread completed the match.
 void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
   const std::uint64_t n = std::min(s.bytes, r.max_bytes);
-  const std::uint64_t physical =
-      std::min(n, rt.config().payload_copy_cap);
+  const std::uint64_t physical = physical_bytes(rt, s.tag, n);
   if (physical != 0) {
     const std::byte* src = s.eager_mode ? s.eager->data() : s.src_buf;
     std::memcpy(r.dst_buf, src, physical);
     if (s.corrupt_bit >= 0) {
       // Injected in-flight corruption: flip one bit of the delivered copy
       // (never the sender's buffer). Only bits inside the physically
-      // copied region can flip — consistent with CRC verification, which
-      // is likewise gated on the copy cap covering the whole block.
+      // copied region can flip; stream data is copied whole, so every
+      // flip on a stream block lands where its CRC covers it.
       const auto byte_i = static_cast<std::uint64_t>(s.corrupt_bit) / 8;
       if (byte_i < physical)
         r.dst_buf[byte_i] ^=
@@ -93,8 +100,7 @@ Request isend_impl(Runtime& rt, RankContext& rc,
   const bool eager = bytes <= rt.config().eager_threshold;
   item->eager_mode = eager;
   if (eager) {
-    item->eager = Buffer::copy_of(
-        buf, std::min(bytes, rt.config().payload_copy_cap));
+    item->eager = Buffer::copy_of(buf, physical_bytes(rt, tag, bytes));
     const double staged =
         rt.machine().local_copy(rt.core_of(rc.world_rank), bytes, rc.clock);
     rc.clock = staged;

@@ -172,10 +172,6 @@ void Runtime::on_rank_crashed(const RankContext& rc, std::uint64_t calls) {
       rc.clock, std::memory_order_release);
   rank_dead_[static_cast<std::size_t>(rc.world_rank)].store(
       true, std::memory_order_release);
-  // Epoch last: an observer that sees the new epoch (acquire) is
-  // guaranteed to re-read the death_time/rank_dead values above, so
-  // epoch-gated lease caches (vmpi::Stream) never act on stale books.
-  death_epoch_.fetch_add(1, std::memory_order_release);
   // Release everyone the dead rank could still block: receivers waiting on
   // it (specific-source recvs in *their* mailboxes) and senders queued or
   // about to queue into *its* mailbox.

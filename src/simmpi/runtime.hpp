@@ -121,8 +121,9 @@ struct RuntimeConfig {
   /// Host-side optimization for large skeleton payloads: at most this many
   /// bytes are physically copied per message, while *virtual* costs are
   /// always charged for the full size. Keep at the default (unlimited)
-  /// whenever receivers read payload content beyond the cap — event-pack
-  /// streams stay intact as long as the cap >= the stream block size.
+  /// whenever receivers read payload content beyond the cap. VMPI stream
+  /// data is exempt and always copied whole, so event packs arrive intact
+  /// under any cap.
   std::uint64_t payload_copy_cap = ~0ull;
   std::uint64_t seed = 42;
   /// Deterministic fault schedule (empty = fault-free run). Decisions are
@@ -216,13 +217,6 @@ class Runtime {
     return death_time_[static_cast<std::size_t>(world_rank)].load(
         std::memory_order_acquire);
   }
-  /// Monotone death-record epoch: bumped (release) after each crash sweep
-  /// published its death_time/rank_dead stores. A reader that cached
-  /// per-peer death knowledge may skip re-scanning while the epoch is
-  /// unchanged — every value it would re-read is provably identical.
-  std::uint64_t death_epoch() const noexcept {
-    return death_epoch_.load(std::memory_order_acquire);
-  }
   /// Publish one rank's progress (called from check_crash on its thread).
   void note_progress(const RankContext& rc) noexcept;
   /// The maximum progress clock published by any rank so far — the global
@@ -276,7 +270,6 @@ class Runtime {
   bool ran_ = false;
 
   net::FaultInjector injector_;
-  std::atomic<std::uint64_t> death_epoch_{0};
   std::unique_ptr<std::atomic<bool>[]> rank_dead_;
   std::unique_ptr<std::atomic<bool>[]> rank_done_;
   std::unique_ptr<std::atomic<double>[]> death_time_;

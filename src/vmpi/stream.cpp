@@ -114,10 +114,20 @@ struct BlockHeader {
 static_assert(sizeof(BlockHeader) == 24, "BlockHeader must pack to 24 bytes");
 
 constexpr std::uint32_t kBlockMagic = 0x45535042;  // "ESPB"
+constexpr std::uint64_t kFrameBytes = sizeof(BlockHeader);
 constexpr std::size_t kCrcOffset = offsetof(BlockHeader, seq);
 
 std::uint32_t block_crc(const std::byte* msg, std::uint64_t payload) {
   return crc32(msg + kCrcOffset, sizeof(BlockHeader) - kCrcOffset + payload);
+}
+
+/// Header-only end-of-stream marker closing a link after `seq` blocks.
+BlockHeader eos_header(std::uint64_t seq) {
+  BlockHeader h;
+  h.magic = kBlockMagic;
+  h.seq = seq;
+  h.crc = block_crc(reinterpret_cast<const std::byte*>(&h), 0);
+  return h;
 }
 
 /// Streams opened by this rank thread, for tag allocation. Rank threads
@@ -178,10 +188,6 @@ std::uint64_t Stream::reclaim_closed_slots() {
   return freed;
 }
 
-std::uint64_t Stream::frame_bytes() const noexcept {
-  return framed_ ? sizeof(BlockHeader) : 0;
-}
-
 void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   if (open_) throw std::logic_error("stream already open");
   universe_ = env.universe;
@@ -199,19 +205,13 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   if (writer_) {
     peers_ = map.peers();
     if (peers_.empty()) throw std::invalid_argument("writer has no endpoint");
-    // Framing needs the whole block + header physically delivered; under
-    // a skeleton payload cap both sides fall back to the raw wire format
-    // (same predicate, same config — the endpoints always agree).
-    framed_ = rt_->config().payload_copy_cap >=
-              cfg_.block_size + sizeof(BlockHeader);
     // Elastic membership: an endpoint inside the elastic partition follows
     // Map::elastic_route per epoch instead of the static map (route and
     // map may disagree even at epoch 0 — the reader enumerates its
-    // writers by the route, so both sides agree by construction). Framing
-    // is required: handoffs ride the failover handshake and its sequence
-    // accounting.
+    // writers by the route, so both sides agree by construction). Handoffs
+    // ride the failover handshake and its sequence accounting.
     const net::ElasticPlan& eplan = rt_->config().elastic;
-    if (eplan.resolved() && eplan.active() && framed_) {
+    if (eplan.resolved() && eplan.active()) {
       net::ElasticSchedule sched(eplan);
       int elastic_endpoints = 0;
       for (int peer : peers_)
@@ -247,14 +247,13 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
     // and the pool keyed by (block + frame) size hands the same blocks
     // back instead of reallocating a megabyte per slot per open.
     for (auto& b : out_)
-      b.data = mem::acquire_block(cfg_.block_size + frame_bytes());
+      b.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
     out_seq_.assign(peers_.size(), 0);
     // Failover engages only when this run can actually lose a reader:
-    // fault injection on, framing on (replay needs the real frames), and
-    // a crash scheduled for at least one endpoint. A chained failover
-    // stays covered — the endpoint only moves after its original peer
-    // (which had a scheduled crash) died.
-    if (framed_ && rt_->injector().enabled()) {
+    // fault injection on and a crash scheduled for at least one endpoint.
+    // A chained failover stays covered — the endpoint only moves after its
+    // original peer (which had a scheduled crash) died.
+    if (rt_->injector().enabled()) {
       for (int peer : peers_) {
         if (rt_->injector().has_crash(peer)) {
           failover_armed_ = true;
@@ -287,24 +286,16 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   // An elastic member ignores the static map and enumerates its writers
   // by the epoch-0 route — the same pure function the writers applied to
   // their endpoints — so both sides agree on the initial topology without
-  // communication. Framing is judged from this reader's own configured
-  // block size (elastic mode requires both sides to share the stream
-  // geometry, which the fabric guarantees); a spare member simply starts
-  // with zero links and lives off drain handoffs.
+  // communication. A spare member simply starts with zero links and lives
+  // off drain handoffs.
   std::vector<int> sources = map.peers();
   {
     const net::ElasticPlan& eplan = rt_->config().elastic;
-    const bool would_frame = rt_->config().payload_copy_cap >=
-                             cfg_.block_size + sizeof(BlockHeader);
-    if (eplan.resolved() && eplan.active() && would_frame) {
+    if (eplan.resolved() && eplan.active()) {
       net::ElasticSchedule sched(eplan);
       if (sched.enabled() && sched.contains_world(env.universe_rank)) {
         elastic_ = std::move(sched);
         elastic_reader_ = true;
-        // Framing is known from this reader's own geometry — a spare with
-        // zero initial links (no StreamCtl to learn it from) must still
-        // arm the hold-open below and parse adopted links' headers.
-        framed_ = true;
         std::vector<int> active;
         for (const int m : elastic_.active_at(0))
           active.push_back(elastic_.world_of_member(m));
@@ -340,15 +331,13 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
     cfg_.block_size = ctl.block_size;
     adopted = true;
     geom_adopted_ = true;
-    framed_ = rt_->config().payload_copy_cap >=
-              cfg_.block_size + sizeof(BlockHeader);
     InPeer ip;
     ip.universe_rank = peer;
     ip.tag = ctl.tag;
     ip.slots.resize(static_cast<std::size_t>(cfg_.n_async));
     for (auto& s : ip.slots) {
-      s.data = mem::acquire_block(cfg_.block_size + frame_bytes());
-      s.req = universe_.pirecv(s.data, cfg_.block_size + frame_bytes(), peer,
+      s.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
+      s.req = universe_.pirecv(s.data, cfg_.block_size + kFrameBytes, peer,
                                ip.tag);
     }
     in_peers_.push_back(std::move(ip));
@@ -360,7 +349,7 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   // sibling's endpoints here, and the adopted links arrive *after* this
   // reader's original writers closed. Armed by the same predicate the
   // writers use, so a fault-free run never enters the grace loop.
-  if (framed_ && rt_->injector().enabled()) {
+  if (rt_->injector().enabled()) {
     const auto& mine = rt_->partition_of_world(env.universe_rank);
     for (int r = mine.first_world_rank; r < mine.first_world_rank + mine.size;
          ++r) {
@@ -373,7 +362,7 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   // An elastic member holds the stream open for drain handoffs even in a
   // fault-free run: epoch boundaries re-route links here at any time
   // until every writer finished.
-  if (elastic_reader_ && framed_) failover_possible_ = true;
+  if (elastic_reader_) failover_possible_ = true;
   if (failover_possible_ && grace_ranks_.empty()) {
     const auto& mine = rt_->partition_of_world(env.universe_rank);
     for (int r = 0; r < rt_->world_size(); ++r)
@@ -455,19 +444,17 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
   }
   const int slot = acquire_out_buf();
   auto& ob = out_[static_cast<std::size_t>(slot)];
-  std::memcpy(ob.data->data() + frame_bytes(), buf, bytes);
-  if (framed_) {
-    BlockHeader h;
-    h.magic = kBlockMagic;
-    h.seq = out_seq_[ti]++;
-    h.payload = bytes;
-    std::memcpy(ob.data->data(), &h, sizeof h);
-    h.crc = block_crc(ob.data->data(), bytes);
-    std::memcpy(ob.data->data(), &h, sizeof h);
-  }
+  std::memcpy(ob.data->data() + kFrameBytes, buf, bytes);
+  BlockHeader h;
+  h.magic = kBlockMagic;
+  h.seq = out_seq_[ti]++;
+  h.payload = bytes;
+  std::memcpy(ob.data->data(), &h, sizeof h);
+  h.crc = block_crc(ob.data->data(), bytes);
+  std::memcpy(ob.data->data(), &h, sizeof h);
   rc.clock =
       rt_->machine().local_copy(rt_->core_of(rc.world_rank), bytes, rc.clock);
-  ob.req = universe_.pisend(ob.data->data(), bytes + frame_bytes(), peer,
+  ob.req = universe_.pisend(ob.data->data(), bytes + kFrameBytes, peer,
                             data_tag_);
   if ((failover_armed_ || elastic_armed_) && cfg_.resend_window > 0) {
     // Keep a framed copy for replay after a failover; blocks evicted from
@@ -477,8 +464,8 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
     // replayed ones at teardown) go straight back to the block pool, so a
     // failover-armed writer stops costing one malloc per block written.
     BufferRef copy =
-        mem::acquire_block(cfg_.block_size + frame_bytes(), bytes + frame_bytes());
-    std::memcpy(copy->data(), ob.data->data(), bytes + frame_bytes());
+        mem::acquire_block(cfg_.block_size + kFrameBytes, bytes + kFrameBytes);
+    std::memcpy(copy->data(), ob.data->data(), bytes + kFrameBytes);
     ring.push_back(std::move(copy));
     if (ring.size() > static_cast<std::size_t>(cfg_.resend_window))
       ring.pop_front();
@@ -517,45 +504,24 @@ double Stream::peer_death_time(int peer) const {
 void Stream::check_reader_leases() {
   if (!failover_armed_) return;
   auto& rc = mpi::Runtime::self();
-  // Epoch-gated watermark fast path. With the runtime's death epoch
-  // unchanged since the last full scan, every peer_death_time() is
-  // unchanged too: the oracle (crash_time) is static for the whole run,
-  // and a recorded after_calls death is published strictly *before* the
-  // epoch increment (release/acquire pair in Runtime). So if the clock is
-  // also below the cached earliest deadline, a scan would declare nothing
-  // — skipping it is exactly equivalent, and the per-write cost drops
-  // from O(endpoints) oracle lookups to two loads.
-  const std::uint64_t epoch = rt_->death_epoch();
-  if (epoch == lease_epoch_seen_ && rc.clock < lease_watermark_) return;
-  double wm = std::numeric_limits<double>::infinity();
   for (std::size_t ti = 0; ti < peers_.size(); ++ti) {
     for (;;) {
       const int peer = peers_[ti];
       if (peer < 0) break;
       const double t_dead = peer_death_time(peer);
-      const double deadline = t_dead + cfg_.hb_lease;
       // Lease boundary is inclusive: at exactly t_dead + hb_lease the
       // reader is declared dead. The candidate filter in
       // fail_over_endpoint() uses the same `>=` on the same expression,
       // so a rank rejected as a replacement here would also have been
       // declared dead here — the two sites can never disagree about the
       // boundary instant.
-      if (rc.clock >= deadline) {
-        fail_over_endpoint(ti, t_dead);
-        // The handshake + replay advanced the clock; re-judge the slot's
-        // new peer (pre-filtered to be inside its lease at declaration
-        // time, but possibly expired by the replay cost) before it can
-        // anchor the watermark.
-        continue;
-      }
-      wm = std::min(wm, deadline);
-      break;
+      if (rc.clock < t_dead + cfg_.hb_lease) break;
+      fail_over_endpoint(ti, t_dead);
+      // The handshake + replay advanced the clock; re-judge the slot's
+      // new peer (pre-filtered to be inside its lease at declaration
+      // time, but possibly expired by the replay cost).
     }
   }
-  // Cache against the *pre-scan* epoch: a death published mid-scan bumps
-  // the epoch past `epoch`, so the next call mismatches and rescans.
-  lease_epoch_seen_ = epoch;
-  lease_watermark_ = wm;
 }
 
 void Stream::fail_over_endpoint(std::size_t ti, double t_dead) {
@@ -701,12 +667,7 @@ void Stream::drain_handoff(std::size_t ti, int want) {
   // before this header-only drain end-of-stream, whose seq equals the
   // link's final block count — the old holder sees a clean close with a
   // zero sequence gap.
-  BlockHeader h;
-  h.magic = kBlockMagic;
-  h.seq = out_seq_[ti];
-  h.payload = 0;
-  h.crc = crc32(reinterpret_cast<const std::byte*>(&h) + kCrcOffset,
-                sizeof h - kCrcOffset);
+  const BlockHeader h = eos_header(out_seq_[ti]);
   universe_.psend(&h, sizeof h, old, data_tag_);
   // The old holder is live and analyzes everything delivered so far;
   // replaying any of it to the successor would double-count. Advance the
@@ -760,8 +721,6 @@ bool Stream::accept_failover_joins() {
       // partition share one block size (enforced below from then on).
       cfg_.block_size = fc.ctl.block_size;
       geom_adopted_ = true;
-      framed_ = rt_->config().payload_copy_cap >=
-                cfg_.block_size + sizeof(BlockHeader);
     }
     if (fc.ctl.block_size != cfg_.block_size)
       throw std::runtime_error("failover writer disagrees on block size");
@@ -814,8 +773,8 @@ bool Stream::adopt_join(const FailoverHello& hello) {
     ip.head = 0;
     ip.slots.resize(static_cast<std::size_t>(std::max(1, hello.n_async)));
     for (auto& s : ip.slots) {
-      s.data = mem::acquire_block(cfg_.block_size + frame_bytes());
-      s.req = universe_.pirecv(s.data, cfg_.block_size + frame_bytes(),
+      s.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
+      s.req = universe_.pirecv(s.data, cfg_.block_size + kFrameBytes,
                                hello.src, ip.tag);
     }
   } else {
@@ -826,9 +785,8 @@ bool Stream::adopt_join(const FailoverHello& hello) {
     // behind n_async-1 older receives).
     auto& s = ip.slots[ip.head];
     if (!s.req) {
-      if (!s.data)
-        s.data = mem::acquire_block(cfg_.block_size + frame_bytes());
-      s.req = universe_.pirecv(s.data, cfg_.block_size + frame_bytes(),
+      if (!s.data) s.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
+      s.req = universe_.pirecv(s.data, cfg_.block_size + kFrameBytes,
                                hello.src, ip.tag);
       ip.head = (ip.head + 1) % ip.slots.size();
     }
@@ -922,25 +880,7 @@ int Stream::try_read_block(void* buf) {
         mark_peer_dead(ip);
         break;
       }
-      if (!framed_) {
-        if (st.bytes == 0) {
-          ip.closed = true;  // end-of-stream marker from this writer
-          break;
-        }
-        std::memcpy(buf, slot.data->data(), st.bytes);
-        rc.clock = rt_->machine().local_copy(rt_->core_of(rc.world_rank),
-                                             st.bytes, rc.clock);
-        slot.req = universe_.pirecv(slot.data, cfg_.block_size,
-                                    ip.universe_rank, ip.tag);
-        ip.head = (ip.head + 1) % ip.slots.size();
-        ++ip.blocks;
-        ip.bytes += st.bytes;
-        ++blocks_read_;
-        bytes_read_ += st.bytes;
-        return 1;
-      }
-
-      // Framed path: validate before trusting a single byte.
+      // Validate before trusting a single byte.
       BlockHeader h;
       const bool sized = st.bytes >= sizeof h;
       if (sized) std::memcpy(&h, slot.data->data(), sizeof h);
@@ -961,8 +901,7 @@ int Stream::try_read_block(void* buf) {
         }
         ++ip.retried;
         if (obs::enabled()) sobs().retried.add(1);
-        slot.req = universe_.pirecv(slot.data,
-                                    cfg_.block_size + frame_bytes(),
+        slot.req = universe_.pirecv(slot.data, cfg_.block_size + kFrameBytes,
                                     ip.universe_rank, ip.tag);
         ip.head = (ip.head + 1) % ip.slots.size();
         continue;
@@ -984,8 +923,7 @@ int Stream::try_read_block(void* buf) {
       rc.clock = rt_->machine().local_copy(rt_->core_of(rc.world_rank),
                                            h.payload, rc.clock);
       // Re-post the buffer immediately: a receive slot is always armed.
-      slot.req = universe_.pirecv(slot.data,
-                                  cfg_.block_size + frame_bytes(),
+      slot.req = universe_.pirecv(slot.data, cfg_.block_size + kFrameBytes,
                                   ip.universe_rank, ip.tag);
       ip.head = (ip.head + 1) % ip.slots.size();
       ++ip.blocks;
@@ -1144,22 +1082,12 @@ void Stream::close() {
       if (mpi::pwait(ob.req).error != 0) ++writes_failed_;
       ob.req.reset();
     }
-    if (framed_) {
-      // Header-only end-of-stream per endpoint; seq carries the final
-      // per-link block count so trailing drops are still accounted.
-      for (std::size_t i = 0; i < peers_.size(); ++i) {
-        if (peers_[i] < 0) continue;  // dead end: nobody left to notify
-        BlockHeader h;
-        h.magic = kBlockMagic;
-        h.seq = out_seq_[i];
-        h.payload = 0;
-        h.crc = crc32(reinterpret_cast<const std::byte*>(&h) + kCrcOffset,
-                      sizeof h - kCrcOffset);
-        universe_.psend(&h, sizeof h, peers_[i], data_tag_);
-      }
-    } else {
-      // Zero-byte block = end-of-stream, one per endpoint.
-      for (int peer : peers_) universe_.psend(nullptr, 0, peer, data_tag_);
+    // Header-only end-of-stream per endpoint; seq carries the final
+    // per-link block count so trailing drops are still accounted.
+    for (std::size_t i = 0; i < peers_.size(); ++i) {
+      if (peers_[i] < 0) continue;  // dead end: nobody left to notify
+      const BlockHeader h = eos_header(out_seq_[i]);
+      universe_.psend(&h, sizeof h, peers_[i], data_tag_);
     }
   } else {
     // Drain and cancel nothing: posted receives for already-closed peers

@@ -28,10 +28,9 @@
 /// crash sweep or, for a silently-vanished writer, a real-time poll — and
 /// surfaces as kEpipe rather than a hang; declaring a peer dead charges
 /// 1 ms of virtual time, modelling the reader's timeout.
-/// Framing is automatically disabled when `payload_copy_cap` cannot carry
-/// a full block plus header (skeleton-payload benchmarks): both endpoints
-/// compute the same predicate from the shared runtime config, so the wire
-/// format always agrees.
+/// There is one wire format: every block and every end-of-stream marker
+/// is framed. The transport copies stream data in full whatever the
+/// runtime's skeleton-payload cap says, so the header always arrives.
 ///
 /// Streams run on the universe communicator's PMPI layer in a reserved tag
 /// space, so instrumentation (which rides the tool chain) never sees its
@@ -77,8 +76,8 @@ struct StreamConfig {
   /// own clock passes T + hb_lease, re-routes the endpoint to a surviving
   /// rank of the same partition (Map::failover_target, round-robin) and
   /// replays the unacknowledged tail from the resend window. Armed only
-  /// when the run has a fault plan, framing is on, and an endpoint's
-  /// partition has a scheduled crash — a fault-free run pays nothing.
+  /// when the run has a fault plan and an endpoint's partition has a
+  /// scheduled crash — a fault-free run pays nothing.
   double hb_lease = 2e-3;    ///< Virtual seconds of silence before declaring death.
   double hb_interval = 5e-4; ///< Modeled beacon period (heartbeats_missed unit).
   /// Framed copies of the most recent blocks kept per endpoint for replay
@@ -295,13 +294,11 @@ class Stream {
   /// Detach waitset_ from every still-posted receive so a late writer
   /// completion cannot notify it after the stream is destroyed.
   void disarm_receives();
-  std::uint64_t frame_bytes() const noexcept;
 
   StreamConfig cfg_;
   bool open_ = false;
   bool writer_ = false;
   bool closed_ = false;
-  bool framed_ = true;  ///< Header+CRC on the wire (see file comment).
   mpi::Comm universe_;
   mpi::Runtime* rt_ = nullptr;
 
@@ -313,8 +310,8 @@ class Stream {
   std::size_t rr_next_ = 0;
   std::uint64_t writes_failed_ = 0;
   /// Failover machinery engages only when the run can actually lose a
-  /// reader: fault injection on, framing on, and a scheduled crash for at
-  /// least one endpoint (writer) / partition sibling (reader).
+  /// reader: fault injection on and a scheduled crash for at least one
+  /// endpoint (writer) / partition sibling (reader).
   bool failover_armed_ = false;
   /// Per-endpoint ring of framed block copies available for replay.
   std::vector<std::deque<BufferRef>> resend_;
@@ -322,18 +319,11 @@ class Stream {
   std::uint64_t failovers_ = 0;
   std::uint64_t heartbeats_missed_ = 0;
   std::uint64_t resent_blocks_ = 0;
-  /// Lease fast path: below this virtual time, and with the runtime's
-  /// death epoch unchanged since the last full scan, no reader lease can
-  /// have expired — check_reader_leases() returns without touching the
-  /// per-peer death books. Only meaningful while
-  /// lease_epoch_seen_ == rt_->death_epoch().
-  double lease_watermark_ = 0.0;
-  std::uint64_t lease_epoch_seen_ = ~std::uint64_t{0};  ///< Forces first scan.
 
   // Elastic membership (both sides; armed from RuntimeConfig::elastic).
   net::ElasticSchedule elastic_;
   /// Writer: endpoints inside the elastic partition follow elastic_route
-  /// per epoch. Requires framing (handoffs ride the failover handshake).
+  /// per epoch (handoffs ride the failover handshake).
   bool elastic_armed_ = false;
   int elastic_epoch_ = 0;  ///< Last epoch this writer acted on.
   /// Per-endpoint ranks that held the link in an earlier epoch and

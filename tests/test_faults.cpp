@@ -72,38 +72,50 @@ TEST(Faults, CrashAtVirtualTime) {
   EXPECT_EQ(results->health.dead_world_ranks[0], 0);
 }
 
+/// Skeleton-payload copy caps a stream must ignore: none, and the
+/// paper-figure geometry (cap == block size, as the figure benches set).
+constexpr std::uint64_t kCopyCaps[] = {~0ull, 4096};
+
 TEST(Faults, CorruptionIsCaughtByCrcAndCounted) {
-  SessionConfig cfg = small_blocks_config();
-  cfg.faults.links.push_back({.corrupt_probability = 0.5});
-  Session session(cfg);
-  const int app = session.add_application("ring", 4, ring(300));
+  for (const std::uint64_t cap : kCopyCaps) {
+    SCOPED_TRACE(cap);
+    SessionConfig cfg = small_blocks_config();
+    cfg.runtime.payload_copy_cap = cap;
+    cfg.faults.links.push_back({.corrupt_probability = 0.5});
+    Session session(cfg);
+    const int app = session.add_application("ring", 4, ring(300));
 
-  auto results = session.run();
+    auto results = session.run();
 
-  const an::AppResults* r = results->find(app);
-  ASSERT_NE(r, nullptr);
-  EXPECT_GT(r->loss.blocks_corrupted, 0u)
-      << "with p=0.5 over many blocks the plan must corrupt some";
-  // A corrupted block is discarded before unpacking, never analysed: the
-  // analyzer sees at most what was emitted, minus the lost packs.
-  EXPECT_LE(r->total_events, session.instrument_totals().events);
-  EXPECT_LT(r->total_events, session.instrument_totals().events)
-      << "corrupted blocks must drop their events from the analysis";
-  EXPECT_GT(r->loss.events_dropped_estimate, 0u);
-  // No rank actually crashed.
-  EXPECT_TRUE(results->health.dead_world_ranks.empty());
+    const an::AppResults* r = results->find(app);
+    ASSERT_NE(r, nullptr);
+    EXPECT_GT(r->loss.blocks_corrupted, 0u)
+        << "with p=0.5 over many blocks the plan must corrupt some";
+    // A corrupted block is discarded before unpacking, never analysed: the
+    // analyzer sees at most what was emitted, minus the lost packs.
+    EXPECT_LE(r->total_events, session.instrument_totals().events);
+    EXPECT_LT(r->total_events, session.instrument_totals().events)
+        << "corrupted blocks must drop their events from the analysis";
+    EXPECT_GT(r->loss.events_dropped_estimate, 0u);
+    // No rank actually crashed.
+    EXPECT_TRUE(results->health.dead_world_ranks.empty());
+  }
 }
 
 TEST(Faults, DroppedBlocksAreCountedAsLost) {
-  SessionConfig cfg = small_blocks_config();
-  cfg.faults.links.push_back({.drop_probability = 0.3});
-  Session session(cfg);
-  const int app = session.add_application("ring", 4, ring(300));
-  auto results = session.run();
-  const an::AppResults* r = results->find(app);
-  ASSERT_NE(r, nullptr);
-  EXPECT_GT(r->loss.blocks_lost, 0u);
-  EXPECT_LE(r->total_events, session.instrument_totals().events);
+  for (const std::uint64_t cap : kCopyCaps) {
+    SCOPED_TRACE(cap);
+    SessionConfig cfg = small_blocks_config();
+    cfg.runtime.payload_copy_cap = cap;
+    cfg.faults.links.push_back({.drop_probability = 0.3});
+    Session session(cfg);
+    const int app = session.add_application("ring", 4, ring(300));
+    auto results = session.run();
+    const an::AppResults* r = results->find(app);
+    ASSERT_NE(r, nullptr);
+    EXPECT_GT(r->loss.blocks_lost, 0u);
+    EXPECT_LE(r->total_events, session.instrument_totals().events);
+  }
 }
 
 TEST(Faults, ThrowingKsIsQuarantinedBlackboardKeepsRunning) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <ostream>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -48,9 +49,11 @@ struct CouplingResult {
 
 /// The coupling codes of paper Figs. 11 and 12: writers stream
 /// `blocks_per_writer` blocks through a round-robin map to readers.
+/// `copy_cap` is the runtime's skeleton-payload copy cap, which stream
+/// data must ignore.
 void run_coupling(int n_writers, int n_readers, int blocks_per_writer,
                   std::uint64_t block_size, BalancePolicy policy,
-                  CouplingResult& res) {
+                  CouplingResult& res, std::uint64_t copy_cap = ~0ull) {
   std::vector<ProgramSpec> progs;
   progs.push_back(
       {"app", n_writers, [=](ProcEnv& env) {
@@ -84,7 +87,9 @@ void run_coupling(int n_writers, int n_readers, int blocks_per_writer,
            }
          } while (ret != 0);
        }});
-  Runtime rt(RuntimeConfig{}, std::move(progs));
+  RuntimeConfig cfg;
+  cfg.payload_copy_cap = copy_cap;
+  Runtime rt(cfg, std::move(progs));
   rt.run();
 }
 
@@ -123,18 +128,33 @@ INSTANTIATE_TEST_SUITE_P(Policies, StreamPolicyP,
                                            BalancePolicy::Random,
                                            BalancePolicy::RoundRobin));
 
-class StreamBlockSizeP : public ::testing::TestWithParam<std::uint64_t> {};
+struct BlockGeometry {
+  std::uint64_t block_size;
+  std::uint64_t copy_cap = ~0ull;  ///< Skeleton-payload copy cap.
+};
+
+void PrintTo(const BlockGeometry& g, std::ostream* os) {
+  *os << g.block_size;
+  if (g.copy_cap != ~0ull) *os << "_cap" << g.copy_cap;
+}
+
+class StreamBlockSizeP : public ::testing::TestWithParam<BlockGeometry> {};
 
 TEST_P(StreamBlockSizeP, IntegrityAcrossBlockSizes) {
   CouplingResult res;
-  run_coupling(2, 1, 6, GetParam(), BalancePolicy::RoundRobin, res);
+  run_coupling(2, 1, 6, GetParam().block_size, BalancePolicy::RoundRobin, res,
+               GetParam().copy_cap);
   EXPECT_EQ(res.blocks_received.load(), 12u);
   EXPECT_EQ(res.corrupt.load(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, StreamBlockSizeP,
-                         ::testing::Values(256, 4 * 1024, 64 * 1024,
-                                           1u << 20));
+// The last case caps skeleton copies far below the block size, as the
+// paper-figure benches do: every stream byte must still arrive.
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, StreamBlockSizeP,
+    ::testing::Values(BlockGeometry{256}, BlockGeometry{4 * 1024},
+                      BlockGeometry{64 * 1024}, BlockGeometry{1u << 20},
+                      BlockGeometry{64 * 1024, 4 * 1024}));
 
 TEST(VmpiStream, BlockingReadDrainsEverything) {
   std::atomic<int> got{0};
