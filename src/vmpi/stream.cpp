@@ -117,8 +117,11 @@ constexpr std::uint32_t kBlockMagic = 0x45535042;  // "ESPB"
 constexpr std::uint64_t kFrameBytes = sizeof(BlockHeader);
 constexpr std::size_t kCrcOffset = offsetof(BlockHeader, seq);
 
-std::uint32_t block_crc(const std::byte* msg, std::uint64_t payload) {
-  return crc32(msg + kCrcOffset, sizeof(BlockHeader) - kCrcOffset + payload);
+/// CRC of the header fields the checksum covers (seq, payload length); the
+/// payload bytes chain onto it.
+std::uint32_t header_crc(const BlockHeader& h) {
+  return crc32(reinterpret_cast<const std::byte*>(&h) + kCrcOffset,
+               sizeof h - kCrcOffset);
 }
 
 /// Header-only end-of-stream marker closing a link after `seq` blocks.
@@ -126,7 +129,7 @@ BlockHeader eos_header(std::uint64_t seq) {
   BlockHeader h;
   h.magic = kBlockMagic;
   h.seq = seq;
-  h.crc = block_crc(reinterpret_cast<const std::byte*>(&h), 0);
+  h.crc = header_crc(h);
   return h;
 }
 
@@ -444,13 +447,12 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
   }
   const int slot = acquire_out_buf();
   auto& ob = out_[static_cast<std::size_t>(slot)];
-  std::memcpy(ob.data->data() + kFrameBytes, buf, bytes);
   BlockHeader h;
   h.magic = kBlockMagic;
   h.seq = out_seq_[ti]++;
   h.payload = bytes;
-  std::memcpy(ob.data->data(), &h, sizeof h);
-  h.crc = block_crc(ob.data->data(), bytes);
+  // One pass frames the block: the payload is checksummed as it is copied.
+  h.crc = crc32_copy(ob.data->data() + kFrameBytes, buf, bytes, header_crc(h));
   std::memcpy(ob.data->data(), &h, sizeof h);
   rc.clock =
       rt_->machine().local_copy(rt_->core_of(rc.world_rank), bytes, rc.clock);
@@ -880,13 +882,19 @@ int Stream::try_read_block(void* buf) {
         mark_peer_dead(ip);
         break;
       }
-      // Validate before trusting a single byte.
+      // The header is checked before the copy: a matching size and magic
+      // bound the payload by the receive buffer, so by block_size. The CRC
+      // is checked during the copy into `buf`; a block that fails it may
+      // leave its bytes there, but it is never returned. Short blocks (a
+      // writer's final partial pack) copy and cost only their actual size;
+      // the tail of the caller's buffer is untouched.
       BlockHeader h;
       const bool sized = st.bytes >= sizeof h;
       if (sized) std::memcpy(&h, slot.data->data(), sizeof h);
-      const bool intact = sized && h.magic == kBlockMagic &&
-                          h.payload + sizeof h == st.bytes &&
-                          h.crc == block_crc(slot.data->data(), h.payload);
+      const bool intact =
+          sized && h.magic == kBlockMagic && h.payload + sizeof h == st.bytes &&
+          h.crc == crc32_copy(buf, slot.data->data() + sizeof h, h.payload,
+                              header_crc(h));
       if (!intact) {
         // Corrupt block: count it, retry with the next one a bounded
         // number of times, then quarantine the link. The block's seq is
@@ -917,9 +925,6 @@ int Stream::try_read_block(void* buf) {
         ip.closed = true;  // end-of-stream, seq = writer's final count
         break;
       }
-      // Short blocks (a writer's final partial pack) copy and cost only
-      // their actual size; the tail of the caller's buffer is untouched.
-      std::memcpy(buf, slot.data->data() + sizeof h, h.payload);
       rc.clock = rt_->machine().local_copy(rt_->core_of(rc.world_rank),
                                            h.payload, rc.clock);
       // Re-post the buffer immediately: a receive slot is always armed.

@@ -164,6 +164,10 @@ class Stream {
   /// the writers at open_map(). Returns blocks read (>0), kEagain
   /// (kNonblock set, nothing available), 0 (all writers closed cleanly),
   /// or kEpipe (no data can ever arrive and >= 1 writer died uncleanly).
+  /// The contents of `buf` are unspecified unless the call returns n > 0,
+  /// and then only the first n blocks are defined: a block's CRC is checked
+  /// while it is copied in, so a rejected block may leave its bytes behind
+  /// (it is counted and never returned).
   int read(void* buf, int nblocks, int flags = 0);
 
   /// Batched read: up to `max_blocks` blocks, each into its own pooled

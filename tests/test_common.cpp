@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -69,20 +70,48 @@ TEST(Hash, Crc32ChainsAtEverySplitPoint) {
         << "split " << split;
 }
 
-/// Lengths 0-80 cover zero to five 16-byte slices plus every tail length;
-/// start offsets 0-15 cover every alignment of the 32-bit loads.
+/// Lengths 0-300 reach the folding kernel's 64-byte entry, its 64- and
+/// 16-byte folds and every tail length; start offsets 0-15 cover every
+/// alignment of the loads. Each kernel runs on its own: the dispatched
+/// `crc32`, the portable and PCLMUL kernels called directly, and
+/// `crc32_copy`, whose destination must be an exact copy with the bytes
+/// after it untouched.
 TEST(Hash, Crc32MatchesBytewiseReferenceAtEveryOffsetAndLength) {
-  const auto buf = seeded_bytes(16 + 80, 12);
-  for (std::size_t off = 0; off < 16; ++off)
-    for (std::size_t len = 0; len <= 80; ++len)
-      for (std::uint32_t s : {0u, 0x9e3779b9u})
-        ASSERT_EQ(crc32(buf.data() + off, len, s),
-                  crc32_reference(buf.data() + off, len, s))
-            << "offset " << off << " length " << len << " seed " << s;
-  // One stream-block-sized range, unaligned, with a ragged tail.
+  constexpr std::size_t kMaxLen = 300;
+  constexpr unsigned char kGuard = 0xa5;
+  const auto buf = seeded_bytes(16 + kMaxLen, 12);
   const auto big = seeded_bytes((64 << 10) + 8, 13);
-  EXPECT_EQ(crc32(big.data() + 1, big.size() - 1),
-            crc32_reference(big.data() + 1, big.size() - 1));
+  std::vector<unsigned char> dst(big.size() + 16);
+  const auto check = [&](const char* name, const auto& kernel) {
+    for (std::size_t off = 0; off < 16; ++off)
+      for (std::size_t len = 0; len <= kMaxLen; ++len)
+        for (std::uint32_t s : {0u, 0x9e3779b9u})
+          ASSERT_EQ(kernel(buf.data() + off, len, s),
+                    crc32_reference(buf.data() + off, len, s))
+              << name << " offset " << off << " length " << len << " seed "
+              << s;
+    // One stream-block-sized range, unaligned, with a ragged tail.
+    ASSERT_EQ(kernel(big.data() + 1, big.size() - 1, 0),
+              crc32_reference(big.data() + 1, big.size() - 1))
+        << name;
+  };
+  const auto copy = [&](const void* src, std::size_t n, std::uint32_t s) {
+    std::fill(dst.begin(), dst.end(), kGuard);
+    const std::uint32_t c = crc32_copy(dst.data(), src, n, s);
+    const auto* p = static_cast<const unsigned char*>(src);
+    const bool copied =
+        std::equal(p, p + n, dst.begin()) &&
+        std::all_of(dst.begin() + static_cast<std::ptrdiff_t>(n), dst.end(),
+                    [&](unsigned char b) { return b == kGuard; });
+    // A bad copy returns a value that can never match the reference.
+    return copied ? c : ~crc32_reference(p, n, s);
+  };
+  ASSERT_NO_FATAL_FAILURE(check("crc32", crc32));
+  ASSERT_NO_FATAL_FAILURE(check("portable", detail::crc32_portable));
+  ASSERT_NO_FATAL_FAILURE(check("crc32_copy", copy));
+  if (!detail::crc32_pclmul_supported())
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ/SSE4.1: PCLMUL kernel not checked";
+  check("pclmul", detail::crc32_pclmul);
 }
 
 TEST(Hash, Crc32DetectsEverySingleBitFlip) {

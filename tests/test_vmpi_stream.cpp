@@ -575,9 +575,20 @@ TEST(VmpiStream, ByteCountersTrackPayload) {
   progs.push_back({"r", 1, [](ProcEnv& env) {
                      Stream st({4096, 2, BalancePolicy::None});
                      st.open_peer(env, 0, "r");
-                     std::vector<std::byte> block(4096);
-                     while (st.read(block.data(), 1) > 0) {
+                     std::vector<std::byte> sent(4096);
+                     fill_block(sent, 0, 0);
+                     // The full block, then the 100-byte short one: its
+                     // length is not a multiple of 16, so it also crosses
+                     // the CRC copy's split between bulk and tail.
+                     for (const std::size_t n : {std::size_t{4096},
+                                                 std::size_t{100}}) {
+                       std::vector<std::byte> block(4096);
+                       ASSERT_EQ(st.read(block.data(), 1), 1);
+                       EXPECT_EQ(std::memcmp(block.data(), sent.data(), n), 0)
+                           << n << "-byte block";
                      }
+                     std::vector<std::byte> block(4096);
+                     EXPECT_EQ(st.read(block.data(), 1), 0);
                      const auto s = st.stats();
                      EXPECT_EQ(s.blocks_read, 2u);
                      EXPECT_EQ(s.bytes_read, 4096u + 100u);
