@@ -6,6 +6,8 @@
 #include <limits>
 
 #include "net/fault.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "simmpi/runtime.hpp"
 
 #include "common/hash.hpp"
@@ -32,24 +34,58 @@ std::uint64_t physical_bytes(const Runtime& rt, int tag, std::uint64_t n) {
   return std::min(n, rt.config().payload_copy_cap);
 }
 
-/// Close a matched (send, recv) pair: copy the payload, compute the
-/// virtual transfer timing, and wake both sides. Runs outside mailbox
-/// locks on whichever thread completed the match.
+/// Payload-movement counters; each use is guarded by obs::enabled().
+struct CommObs {
+  obs::Counter& handoffs = obs::counter("simmpi.payload_handoffs");
+  obs::Counter& bytes_copied = obs::counter("simmpi.payload_bytes_copied");
+};
+
+CommObs& cobs() {
+  static CommObs o;
+  return o;
+}
+
+/// True when a matched pair can exchange buffer storage instead of
+/// copying: a rendezvous send and a receive (src_ref is set on rendezvous
+/// items only), both posted by reference on owning buffers of equal size
+/// (so each buffer keeps its pool size class), with the whole message
+/// physically delivered. Everything else — raw pointers, eager staging,
+/// views, truncation, capped skeleton payloads — takes the copy.
+bool can_hand_off(const detail::SendItem& s, const detail::RecvItem& r,
+                  std::uint64_t physical) {
+  return s.src_ref && r.keepalive &&
+         !s.src_ref->is_view() && !r.keepalive->is_view() &&
+         s.src_buf == s.src_ref->data() && r.dst_buf == r.keepalive->data() &&
+         s.src_ref->size() == r.keepalive->size() && physical == s.bytes;
+}
+
+/// Close a matched (send, recv) pair: deliver the payload (copy, or
+/// storage handoff), compute the virtual transfer timing, and wake both
+/// sides. Runs outside mailbox locks on whichever thread completed the
+/// match.
 void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
   const std::uint64_t n = std::min(s.bytes, r.max_bytes);
   const std::uint64_t physical = physical_bytes(rt, s.tag, n);
   if (physical != 0) {
-    const std::byte* src = s.eager_mode ? s.eager->data() : s.src_buf;
-    std::memcpy(r.dst_buf, src, physical);
+    std::byte* delivered = r.dst_buf;
+    if (can_hand_off(s, r, physical)) {
+      r.keepalive->swap_storage(*s.src_ref);
+      delivered = r.keepalive->data();
+      if (obs::enabled()) cobs().handoffs.add(1);
+    } else {
+      const std::byte* src = s.eager_mode ? s.eager->data() : s.src_buf;
+      std::memcpy(delivered, src, physical);
+      if (obs::enabled()) cobs().bytes_copied.add(physical);
+    }
     if (s.corrupt_bit >= 0) {
-      // Injected in-flight corruption: flip one bit of the delivered copy
-      // (never the sender's buffer). Only bits inside the physically
-      // copied region can flip; stream data is copied whole, so every
-      // flip on a stream block lands where its CRC covers it.
+      // Injected in-flight corruption: flip one bit of the delivered
+      // bytes, which the receiver owns (never the sender's). Only bits
+      // inside the physically delivered region can flip; stream data is
+      // delivered whole, so every flip on a stream block lands where its
+      // CRC covers it.
       const auto byte_i = static_cast<std::uint64_t>(s.corrupt_bit) / 8;
       if (byte_i < physical)
-        r.dst_buf[byte_i] ^=
-            static_cast<std::byte>(1u << (s.corrupt_bit % 8));
+        delivered[byte_i] ^= static_cast<std::byte>(1u << (s.corrupt_bit % 8));
     }
   }
   const double finish =
@@ -74,7 +110,7 @@ void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
 Request isend_impl(Runtime& rt, RankContext& rc,
                    const std::shared_ptr<const CommData>& cd,
                    std::uint64_t ctx, const void* buf, std::uint64_t bytes,
-                   int dst_world, int tag) {
+                   int dst_world, int tag, BufferRef src_ref = {}) {
   rc.check_crash();
   rc.advance(kCallOverhead);
   auto item = std::make_shared<detail::SendItem>();
@@ -112,6 +148,7 @@ Request isend_impl(Runtime& rt, RankContext& rc,
     req->complete(staged, st);  // sender-side completion only
   } else {
     item->src_buf = static_cast<const std::byte*>(buf);
+    item->src_ref = std::move(src_ref);
     item->t_ready = rc.clock;
     item->req = req;
   }
@@ -248,6 +285,13 @@ Request Comm::pisend(const void* buf, std::uint64_t bytes, int dst,
   auto& rc = Runtime::self();
   return isend_impl(*data_->rt, rc, data_, data_->ctx, buf, bytes,
                     world_rank(dst), tag);
+}
+
+Request Comm::pisend(const BufferRef& buf, std::uint64_t bytes, int dst,
+                     int tag) const {
+  auto& rc = Runtime::self();
+  return isend_impl(*data_->rt, rc, data_, data_->ctx, buf->data(), bytes,
+                    world_rank(dst), tag, buf);
 }
 
 Request Comm::pirecv(void* buf, std::uint64_t bytes, int src, int tag) const {

@@ -71,9 +71,20 @@ class Comm {
   Status precv(void* buf, std::uint64_t bytes, int src, int tag) const;
   Request pisend(const void* buf, std::uint64_t bytes, int dst, int tag) const;
   Request pirecv(void* buf, std::uint64_t bytes, int src, int tag) const;
-  /// pirecv into a ref-counted buffer: the posted receive co-owns the
-  /// storage, so a sender matching it after the caller was destroyed
-  /// still copies into live memory.
+  /// By-reference point-to-point. The posted item co-owns the buffer, so
+  /// a match after the caller was destroyed still touches live memory.
+  /// When a rendezvous pisend of a whole buffer meets a pirecv of an
+  /// owning buffer of the same size(), the match swaps the two buffers'
+  /// storage instead of copying the message (Buffer::swap_storage); every
+  /// other pairing copies as the raw-pointer calls do.
+  ///
+  /// Ownership rule: a buffer sent or posted by reference is neither read
+  /// nor written by its owner until its request completes, and afterwards
+  /// it may hold different bytes — a receive buffer holds the message
+  /// (plus the sender's stale bytes past it), a send buffer holds the
+  /// receiver's old bytes. Neither buffer may have views while posted.
+  Request pisend(const BufferRef& buf, std::uint64_t bytes, int dst,
+                 int tag) const;
   Request pirecv(const BufferRef& buf, std::uint64_t bytes, int src,
                  int tag) const;
   /// Non-blocking probe for a matching incoming message.

@@ -5,7 +5,8 @@
 /// One Mailbox per world rank. Senders post SendItems into the destination
 /// mailbox; receivers post RecvItems into their own. Whichever side closes
 /// a match removes both items under the lock and completes the pair outside
-/// it (payload copy + virtual-time transfer computation).
+/// it (payload copy or storage handoff + virtual-time transfer
+/// computation).
 /// Matching preserves MPI ordering: queues are scanned front-to-back, and
 /// items from one sender arrive in program order.
 
@@ -70,7 +71,14 @@ struct SendItem {
   int tag = 0;
   std::uint64_t bytes = 0;
   /// Rendezvous: pointer into the (pinned) sender buffer; null for eager.
+  /// When `src_ref` owns it, complete_match may hand the storage itself
+  /// to a by-reference receive instead of copying (see RecvItem).
   const std::byte* src_buf = nullptr;
+  /// Rendezvous sent by reference (Comm::pisend(const BufferRef&)):
+  /// co-owns the sender's buffer until the item is dropped, so a match
+  /// can swap its storage with the receiver's. Null for raw-pointer sends
+  /// and for eager sends (those deliver from `eager`).
+  BufferRef src_ref;
   /// Eager: staged copy owned by the item.
   BufferRef eager;
   bool eager_mode = false;
@@ -93,6 +101,10 @@ struct RecvItem {
   /// stream reader can be destroyed (normal exit after kEpipe, failover
   /// grace expiry) while slot receives are still posted; a sender that
   /// matches one of those later must never copy into freed memory.
+  /// When a by-reference rendezvous send of a buffer the same size
+  /// matches, complete_match swaps the two buffers' storage instead of
+  /// copying: this buffer then holds the message, and the sender's
+  /// buffer holds whatever bytes this one had.
   BufferRef keepalive;
   std::uint64_t max_bytes = 0;
   std::uint64_t ctx = 0;

@@ -175,9 +175,12 @@ std::uint64_t Stream::reclaim_closed_slots() {
             .probe(universe_.context(), ip.universe_rank, ip.tag, nullptr,
                    nullptr, nullptr))
       continue;
+    // A still-posted slot belongs to simmpi until its receive completes
+    // (the ownership rule in simmpi/comm.hpp), so its size is not read
+    // here: every slot is a (block + frame)-byte pool block.
     for (auto& s : ip.slots) {
       if (s.req) s.req->disarm_waitset(&waitset_);
-      if (s.data) freed += s.data->size();
+      if (s.data) freed += cfg_.block_size + kFrameBytes;
     }
     // Completing the posted receives drops the mailbox's keepalive refs;
     // clearing the slots drops ours. Per-link counters stay for the loss
@@ -456,11 +459,13 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
   std::memcpy(ob.data->data(), &h, sizeof h);
   rc.clock =
       rt_->machine().local_copy(rt_->core_of(rc.world_rank), bytes, rc.clock);
-  ob.req = universe_.pisend(ob.data->data(), bytes + kFrameBytes, peer,
-                            data_tag_);
   if ((failover_armed_ || elastic_armed_) && cfg_.resend_window > 0) {
     // Keep a framed copy for replay after a failover; blocks evicted from
-    // the ring are unreplayable and will surface as seq-gap loss.
+    // the ring are unreplayable and will surface as seq-gap loss. Taken
+    // before the send: a match hands ob.data's storage to the reader, so
+    // afterwards it no longer holds this frame. The ring itself is replayed
+    // through raw-pointer sends and never changes hands, so a chained
+    // failover can replay the same copies again.
     auto& ring = resend_[ti];
     // Pooled copy sized to the framed payload: evicted ring entries (and
     // replayed ones at teardown) go straight back to the block pool, so a
@@ -472,6 +477,10 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
     if (ring.size() > static_cast<std::size_t>(cfg_.resend_window))
       ring.pop_front();
   }
+  // By reference: the reader's posted slot receives this buffer's storage
+  // in exchange for its own (Comm::pisend), so ob.data is not touched
+  // again until ob.req completes.
+  ob.req = universe_.pisend(ob.data, bytes + kFrameBytes, peer, data_tag_);
   ++blocks_written_;
   bytes_written_ += bytes;
   if (obs::enabled()) {

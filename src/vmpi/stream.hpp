@@ -29,8 +29,17 @@
 /// surfaces as kEpipe rather than a hang; declaring a peer dead charges
 /// 1 ms of virtual time, modelling the reader's timeout.
 /// There is one wire format: every block and every end-of-stream marker
-/// is framed. The transport copies stream data in full whatever the
+/// is framed. The transport delivers stream data in full whatever the
 /// runtime's skeleton-payload cap says, so the header always arrives.
+///
+/// A block's bytes are touched twice on the host: the writer frames and
+/// checksums it while copying it into an output buffer, and the reader
+/// checks the CRC while copying it out of its slot. In between nothing
+/// copies it: the writer sends the output buffer by reference and the
+/// reader posts its slots by reference, so simmpi swaps the two buffers'
+/// storage at match time (Comm::pisend). Output buffers and slots are
+/// therefore both (block_size + 24)-byte pool blocks, and neither side
+/// touches one while its request is pending.
 ///
 /// Streams run on the universe communicator's PMPI layer in a reserved tag
 /// space, so instrumentation (which rides the tool chain) never sees its

@@ -213,7 +213,37 @@ TEST(Failover, CascadingAnalyzerDeathsChainToTheLastSurvivor) {
   const std::string report = slurp(dir + "/report.md");
   ASSERT_FALSE(report.empty());
   EXPECT_NE(report.find("Session health"), std::string::npos);
-  // Nothing analysed twice, whatever path the chained re-route took.
+  // Nothing analysed twice, whatever path the chained re-route took, and
+  // every replayed block arrives intact.
+  EXPECT_LE(r->total_events, session.instrument_totals().events);
+  EXPECT_EQ(r->loss.blocks_corrupted, 0u);
+}
+
+TEST(Failover, ReplayAfterStorageHandoffDeliversTheWrittenFrames) {
+  // Rendezvous-size blocks change hands by storage swap: after a match
+  // the writer's output buffer holds the reader's old bytes, so the
+  // resend ring must have copied each frame before its send. A ring
+  // filled afterwards would replay stale frames onto the survivor, and
+  // they would surface as corrupt blocks or as events analysed twice.
+  const std::string dir = testing::TempDir() + "esp_failover_handoff";
+  SessionConfig cfg = failover_config();
+  cfg.instrument.block_size = 32768;  // above the 16 KB eager threshold
+  cfg.instrument.resend_window = 64;
+  cfg.analyzer_ratio = 4;  // 8 app procs -> 2 analyzer ranks
+  cfg.output_dir = dir;
+  // Late enough that every writer has framed blocks to the dying rank.
+  cfg.faults.crashes.push_back({.at_time = 4e-2, .analyzer_rank = true});
+  cfg.faults.crashes.back().world_rank = 0;
+  Session session(cfg);
+  const int app = session.add_application("ring", 8, ring(1500));
+  auto results = session.run();
+
+  EXPECT_EQ(results->health.dead_analyzer_ranks, (std::vector<int>{0}));
+  const an::AppResults* r = results->find(app);
+  ASSERT_NE(r, nullptr);
+  EXPECT_GT(r->telemetry.failover_joins, 0u);
+  EXPECT_GT(r->telemetry.blocks_replayed, 0u);
+  EXPECT_EQ(r->loss.blocks_corrupted, 0u);
   EXPECT_LE(r->total_events, session.instrument_totals().events);
 }
 

@@ -1,14 +1,19 @@
 /// \file test_simmpi.cpp
 /// \brief Unit tests for the esp::mpi runtime: point-to-point semantics,
-/// wildcards, nonblocking completion, virtual-clock behaviour, and the
-/// tool chain.
+/// wildcards, nonblocking completion, virtual-clock behaviour, the tool
+/// chain, and the by-reference storage handoff with its copy fallbacks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <numeric>
 #include <vector>
 
+#include "common/buffer.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace esp::mpi {
@@ -269,6 +274,213 @@ TEST(SimMpi, EagerSendDoesNotBlockWithoutReceiver) {
       EXPECT_EQ(v, 5);
     }
   });
+}
+
+// ---------------------------------------------------------------------------
+// By-reference point-to-point: a matched rendezvous pair of equal-size
+// owning buffers swaps storage; every other shape copies.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t k64K = 64 * 1024;
+constexpr int kDataTag = 7;
+constexpr int kGoTag = 8;
+/// Where a view receive sits inside its parent buffer.
+constexpr std::size_t kViewOffset = 4096;
+constexpr std::byte kRecvFill{0xee};
+
+std::byte sent_byte(std::size_t i) {
+  return static_cast<std::byte>((i * 131 + 17) & 0xff);
+}
+
+/// One rank-0 -> rank-1 message; each endpoint is a raw pointer or a
+/// BufferRef. A 1-byte eager "go" message orders the two posts, so either
+/// side can be the one that closes the match.
+struct RefShape {
+  std::size_t send_buf = k64K;    ///< Sender buffer size.
+  std::size_t send_bytes = k64K;  ///< Message size.
+  std::size_t recv_buf = k64K;    ///< Receiver buffer size.
+  std::size_t recv_bytes = k64K;  ///< Posted receive capacity.
+  bool send_ref = true;
+  bool recv_ref = true;
+  bool recv_view = false;  ///< Post a view into a larger parent buffer.
+  /// Receive posted first, so the sender closes the match; otherwise the
+  /// send is queued first and the receiver closes it.
+  bool recv_first = true;
+};
+
+struct RefOutcome {
+  std::uint64_t handoffs = 0;      ///< simmpi.payload_handoffs delta.
+  std::uint64_t bytes_copied = 0;  ///< Data-message payload bytes copied.
+  Status status;                   ///< Receiver's completion.
+  std::vector<std::byte> sender_after;  ///< Sender buffer after completion.
+  /// Receiver buffer after completion (a view's whole parent).
+  std::vector<std::byte> receiver_after;
+};
+
+RefOutcome run_ref_message(const RefShape& sh,
+                           RuntimeConfig cfg = small_config()) {
+  auto& handoffs = obs::counter("simmpi.payload_handoffs");
+  auto& copied = obs::counter("simmpi.payload_bytes_copied");
+  const std::uint64_t h0 = handoffs.value();
+  const std::uint64_t c0 = copied.value();
+  RefOutcome out;
+  obs::set_enabled(true, false);
+  run_spmd(
+      2,
+      [&](ProcEnv& env) {
+        const Comm& c = env.world;
+        char go = 1;
+        if (env.world_rank == 0) {
+          auto buf = Buffer::make(sh.send_buf);
+          for (std::size_t i = 0; i < buf->size(); ++i)
+            buf->data()[i] = sent_byte(i);
+          if (sh.recv_first) c.precv(&go, 1, 1, kGoTag);
+          Request req = sh.send_ref
+                            ? c.pisend(buf, sh.send_bytes, 1, kDataTag)
+                            : c.pisend(buf->data(), sh.send_bytes, 1, kDataTag);
+          if (!sh.recv_first) c.psend(&go, 1, 1, kGoTag);
+          pwait(req);
+          out.sender_after.assign(buf->data(), buf->data() + buf->size());
+        } else {
+          auto owner =
+              Buffer::make(sh.recv_buf + (sh.recv_view ? kViewOffset : 0));
+          std::fill(owner->data(), owner->data() + owner->size(), kRecvFill);
+          BufferRef target =
+              sh.recv_view ? Buffer::view_of(owner, kViewOffset, sh.recv_buf)
+                           : owner;
+          if (!sh.recv_first) c.precv(&go, 1, 0, kGoTag);
+          Request req =
+              sh.recv_ref
+                  ? c.pirecv(target, sh.recv_bytes, 0, kDataTag)
+                  : c.pirecv(target->data(), sh.recv_bytes, 0, kDataTag);
+          if (sh.recv_first) c.psend(&go, 1, 0, kGoTag);
+          out.status = pwait(req);
+          out.receiver_after.assign(owner->data(),
+                                    owner->data() + owner->size());
+        }
+      },
+      std::move(cfg));
+  obs::set_enabled(false, false);
+  out.handoffs = handoffs.value() - h0;
+  out.bytes_copied = copied.value() - c0 - 1;  // minus the 1-byte go message
+  return out;
+}
+
+/// `n` bytes of the sent pattern starting at `at` in `got`.
+void expect_delivered(const std::vector<std::byte>& got, std::size_t at,
+                      std::size_t n) {
+  ASSERT_GE(got.size(), at + n);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(got[at + i], sent_byte(i)) << "byte " << i;
+}
+
+/// Bytes [from, to) of `got` still hold the receiver's fill.
+void expect_untouched(const std::vector<std::byte>& got, std::size_t from,
+                      std::size_t to) {
+  for (std::size_t i = from; i < to; ++i)
+    ASSERT_EQ(got[i], kRecvFill) << "byte " << i;
+}
+
+TEST(SimMpiHandoff, MatchedBufferRefsSwapStorageWhicheverSideCloses) {
+  for (const bool recv_first : {true, false}) {
+    SCOPED_TRACE(recv_first ? "sender closes the match"
+                            : "receiver closes the match");
+    RefShape sh;
+    sh.recv_first = recv_first;
+    const RefOutcome o = run_ref_message(sh);
+    EXPECT_EQ(o.handoffs, 1u);
+    EXPECT_EQ(o.bytes_copied, 0u);
+    EXPECT_EQ(o.status.bytes, k64K);
+    EXPECT_EQ(o.receiver_after.size(), k64K);
+    EXPECT_EQ(o.sender_after.size(), k64K);
+    expect_delivered(o.receiver_after, 0, k64K);
+    // The storage changed hands: the sender's buffer now holds the
+    // receiver's old bytes.
+    expect_untouched(o.sender_after, 0, k64K);
+  }
+}
+
+/// A shape that must fall back to the copy: no handoff, the copied bytes
+/// counted, the sender's buffer left as it was.
+RefOutcome expect_copied(const RefShape& sh, std::uint64_t copied,
+                         RuntimeConfig cfg = small_config()) {
+  RefOutcome o = run_ref_message(sh, std::move(cfg));
+  EXPECT_EQ(o.handoffs, 0u);
+  EXPECT_EQ(o.bytes_copied, copied);
+  EXPECT_EQ(o.sender_after.size(), sh.send_buf);
+  expect_delivered(o.sender_after, 0, sh.send_buf);
+  return o;
+}
+
+TEST(SimMpiHandoff, RawReceiveFromBufferRefSendCopies) {
+  for (const bool recv_first : {true, false}) {
+    RefShape sh;
+    sh.recv_ref = false;
+    sh.recv_first = recv_first;
+    const RefOutcome o = expect_copied(sh, k64K);
+    expect_delivered(o.receiver_after, 0, k64K);
+  }
+}
+
+TEST(SimMpiHandoff, BufferRefReceiveFromRawSendCopies) {
+  for (const bool recv_first : {true, false}) {
+    RefShape sh;
+    sh.send_ref = false;
+    sh.recv_first = recv_first;
+    const RefOutcome o = expect_copied(sh, k64K);
+    EXPECT_EQ(o.receiver_after.size(), k64K);
+    expect_delivered(o.receiver_after, 0, k64K);
+  }
+}
+
+TEST(SimMpiHandoff, TruncatedReceiveCopiesOnlyWhatFits) {
+  // Equal buffers, but the receive was posted for half the message.
+  RefShape sh;
+  sh.recv_bytes = k64K / 2;
+  const RefOutcome o = expect_copied(sh, k64K / 2);
+  EXPECT_EQ(o.status.bytes, k64K / 2);
+  expect_delivered(o.receiver_after, 0, k64K / 2);
+  expect_untouched(o.receiver_after, k64K / 2, k64K);
+}
+
+TEST(SimMpiHandoff, UnequalBufferSizesCopy) {
+  // Swapping would move a 64 KB vector into a 128 KB buffer's pool class.
+  RefShape sh;
+  sh.recv_buf = 2 * k64K;
+  sh.recv_bytes = 2 * k64K;
+  const RefOutcome o = expect_copied(sh, k64K);
+  EXPECT_EQ(o.status.bytes, k64K);
+  EXPECT_EQ(o.receiver_after.size(), 2 * k64K);
+  expect_delivered(o.receiver_after, 0, k64K);
+  expect_untouched(o.receiver_after, k64K, 2 * k64K);
+}
+
+TEST(SimMpiHandoff, EagerBufferRefSendCopies) {
+  RefShape sh;
+  sh.send_buf = sh.send_bytes = 8 * 1024;  // <= the 16 KB eager threshold
+  sh.recv_buf = sh.recv_bytes = 8 * 1024;
+  const RefOutcome o = expect_copied(sh, 8 * 1024);
+  expect_delivered(o.receiver_after, 0, 8 * 1024);
+}
+
+TEST(SimMpiHandoff, ViewReceiveCopiesIntoItsParent) {
+  RefShape sh;
+  sh.recv_view = true;
+  const RefOutcome o = expect_copied(sh, k64K);
+  EXPECT_EQ(o.receiver_after.size(), kViewOffset + k64K);
+  expect_untouched(o.receiver_after, 0, kViewOffset);
+  expect_delivered(o.receiver_after, kViewOffset, k64K);
+}
+
+TEST(SimMpiHandoff, CappedSkeletonPayloadCopiesTheCap) {
+  // A skeleton payload past payload_copy_cap is not delivered whole, so
+  // it cannot change hands.
+  RuntimeConfig cfg = small_config();
+  cfg.payload_copy_cap = 1024;
+  const RefOutcome o = expect_copied(RefShape{}, 1024, std::move(cfg));
+  EXPECT_EQ(o.status.bytes, k64K);
+  expect_delivered(o.receiver_after, 0, 1024);
+  expect_untouched(o.receiver_after, 1024, k64K);
 }
 
 }  // namespace

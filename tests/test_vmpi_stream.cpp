@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "vmpi/stream.hpp"
 
 namespace esp::vmpi {
@@ -597,6 +599,88 @@ TEST(VmpiStream, ByteCountersTrackPayload) {
                      EXPECT_EQ(peers[0].bytes_delivered, 4096u + 100u);
                    }});
   Runtime rt(RuntimeConfig{}, std::move(progs));
+  rt.run();
+}
+
+TEST(VmpiStream, FullBlocksChangeHandsWithoutACopy) {
+  // Rendezvous-size blocks: the writer sends its output buffer by
+  // reference into the reader's posted slot, and simmpi swaps the two
+  // buffers' storage. Only the control messages are copied: the open
+  // handshake and the end-of-stream header, 24 bytes each.
+  constexpr std::uint64_t kBlock = 32 * 1024;
+  constexpr int kBlocks = 6;
+  constexpr std::uint64_t kControlBytes = 2 * 24;
+  auto& handoffs = obs::counter("simmpi.payload_handoffs");
+  auto& copied = obs::counter("simmpi.payload_bytes_copied");
+  const std::uint64_t h0 = handoffs.value();
+  const std::uint64_t c0 = copied.value();
+  obs::set_enabled(true, false);
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", 1, [](ProcEnv& env) {
+                     Stream st({kBlock, 2, BalancePolicy::None});
+                     st.open_peer(env, 1, "w");
+                     std::vector<std::byte> block(kBlock);
+                     for (int b = 0; b < kBlocks; ++b) {
+                       fill_block(block, 0, b);
+                       st.write(block.data(), 1);
+                     }
+                     st.close();
+                   }});
+  progs.push_back({"r", 1, [](ProcEnv& env) {
+                     Stream st({kBlock, 2, BalancePolicy::None});
+                     st.open_peer(env, 0, "r");
+                     std::vector<std::byte> block(kBlock);
+                     std::vector<std::byte> sent(kBlock);
+                     for (int b = 0; b < kBlocks; ++b) {
+                       ASSERT_EQ(st.read(block.data(), 1), 1);
+                       fill_block(sent, 0, b);
+                       EXPECT_EQ(block, sent) << "block " << b;
+                     }
+                     EXPECT_EQ(st.read(block.data(), 1), 0);
+                   }});
+  Runtime rt(RuntimeConfig{}, std::move(progs));
+  rt.run();
+  obs::set_enabled(false, false);
+  EXPECT_EQ(handoffs.value() - h0, static_cast<std::uint64_t>(kBlocks));
+  EXPECT_EQ(copied.value() - c0, kControlBytes);
+}
+
+TEST(VmpiStream, CorruptionOfAHandedOffBlockIsCaught) {
+  // The injected bit flip must land in the storage the reader owns after
+  // the swap; flipping through the receive's stale pointer would hit the
+  // writer's recycled buffer and let every corrupt block pass as clean.
+  constexpr std::uint64_t kBlock = 32 * 1024;
+  constexpr int kBlocks = 4;  // under the 8-retry quarantine threshold
+  RuntimeConfig cfg;
+  cfg.faults.links.push_back({.corrupt_probability = 1.0});
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", 1, [](ProcEnv& env) {
+                     Stream st({kBlock, 2, BalancePolicy::None});
+                     st.open_peer(env, 1, "w");
+                     std::vector<std::byte> block(kBlock);
+                     for (int b = 0; b < kBlocks; ++b) {
+                       fill_block(block, 0, b);
+                       st.write(block.data(), 1);
+                     }
+                     st.close();
+                   }});
+  progs.push_back({"r", 1, [](ProcEnv& env) {
+                     Stream st({kBlock, 2, BalancePolicy::None});
+                     st.open_peer(env, 0, "r");
+                     std::vector<std::byte> block(kBlock);
+                     // Drain whatever passes, so the writer never waits
+                     // on a departed reader. The end-of-stream header is
+                     // corrupted too, so the link ends as a dead writer.
+                     int r = 0;
+                     while ((r = st.read(block.data(), 1)) == 1) {
+                     }
+                     EXPECT_EQ(r, kEpipe);
+                     const auto s = st.stats();
+                     EXPECT_EQ(s.blocks_read, 0u);
+                     EXPECT_GE(s.blocks_corrupted,
+                               static_cast<std::uint64_t>(kBlocks));
+                   }});
+  Runtime rt(std::move(cfg), std::move(progs));
   rt.run();
 }
 
