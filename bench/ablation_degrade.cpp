@@ -78,7 +78,6 @@ RungResult run_rung(const std::string& name, int force_mode,
     cfg.instrument.block_size = 32768;
     cfg.instrument.n_async = 1;
     cfg.analyzer.per_event_cost = 2e-4;
-    cfg.analyzer.n_async = 1;
   } else {
     cfg.instrument.block_size = 4096;
   }

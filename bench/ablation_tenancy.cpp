@@ -90,7 +90,6 @@ ScenarioResult run_scenario(const std::string& name, bool flood,
   // than a quiet fourth tenant would.
   cfg.instrument.block_size = 32768;
   cfg.instrument.n_async = 1;
-  cfg.analyzer.n_async = 1;
   cfg.analyzer.per_event_cost = 4e-4;
   cfg.tenants.enabled = true;
   for (int t = 0; t < 4; ++t) cfg.tenants.arrival[t] = 0.0;

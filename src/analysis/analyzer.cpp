@@ -242,7 +242,7 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
   for (const auto& lvl : levels)
     map.map_partitions(env, lvl.app_id, kMapPolicy);
 
-  vmpi::Stream stream({cfg.block_size, cfg.n_async, kStreamPolicy});
+  vmpi::Stream stream({.policy = kStreamPolicy});
   stream.open_map(env, map, "r");
 
   bb::Blackboard board(cfg.board);
@@ -265,7 +265,7 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
   // Read loop: stream blocks land in fresh buffers that move straight onto
   // the blackboard (temporary storage), freeing the stream slot. Buffers
   // are sized from the stream's *adopted* block size: open_map takes the
-  // writers' geometry, which may differ from this analyzer's config.
+  // writers' geometry (block size and slot depth) from their handshakes.
   // Bursts of queued blocks drain in one read_some() and enter the board
   // through a single submit_batch(), so the sensitivity index and the
   // dispatcher KS are locked once per burst, not once per block.
@@ -279,40 +279,16 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
     throw std::invalid_argument("AnalyzerConfig::read_batch must be > 0");
   const int read_batch = cfg.read_batch;
 
-  // Reduce root — and, in fabric mode, admission root: the first rank of
-  // this partition with no crash scheduled under the fault plan. The plan
-  // is known identically to every rank before the run, so all survivors
-  // agree on the root without any communication — killing analyzer rank 0
-  // kills neither the report nor the fabric control plane.
+  // Reduce root — and, in fabric mode, admission root: reduce_root() picks
+  // it from the runtime's fault plan and elastic schedule, which every rank
+  // knows identically before the run, so all survivors (and the tenants
+  // attaching to it) agree without any communication — killing analyzer
+  // rank 0 kills neither the report nor the fabric control plane. Member
+  // indexes coincide with partition-relative analyzer ranks.
   const mpi::Comm& world = env.world;
   const int arank = env.world_rank;
-  // Elastic membership: the same schedule every stream endpoint builds.
-  // Member indexes coincide with partition-relative analyzer ranks (the
-  // session resolves first_world to this partition's first world rank).
-  net::ElasticSchedule elastic;
-  {
-    const net::ElasticPlan& eplan = rt.config().elastic;
-    if (eplan.resolved() && eplan.active())
-      elastic = net::ElasticSchedule(eplan);
-  }
-  int root = 0;
-  if (elastic.enabled()) {
-    // Membership-aware root rule: initially active, never leaves, no
-    // scheduled crash — shared with the session's fabric wiring.
-    const int m = choose_root(elastic, [&](int member) {
-      return rt.injector().enabled() &&
-             rt.injector().has_crash(elastic.world_of_member(member));
-    });
-    if (m >= 0) root = m;
-  }
-  if (root == 0 && rt.injector().enabled()) {
-    for (int a = 0; a < env.partition->size; ++a) {
-      if (!rt.injector().has_crash(env.partition->first_world_rank + a)) {
-        root = a;
-        break;
-      }
-    }
-  }
+  const net::ElasticSchedule& elastic = rt.elastic();
+  const int root = reduce_root(rt, *env.partition);
   const bool fabric = cfg.fabric.enabled;
   const bool admission_root = fabric && arank == root;
   std::optional<AdmissionController> admission;

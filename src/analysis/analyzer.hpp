@@ -11,9 +11,9 @@
 ///     the stream buffer immediately, per the paper), until every writer
 ///     has closed,
 ///  5. drains the blackboard, reduces per-application partial results to
-///     a surviving analyzer rank (the first one with no crash scheduled
-///     under the fault plan; rank 0 when no faults are injected), which
-///     emits the chaptered report "briefly after execution ends".
+///     a surviving analyzer rank (reduce_root() in membership.hpp; rank 0
+///     when no faults or membership changes are planned), which emits
+///     the chaptered report "briefly after execution ends".
 ///
 /// Virtual-time model: the analyzer rank charges
 /// `per_event_cost / workers` seconds per event read, modelling the
@@ -34,8 +34,6 @@ namespace esp::an {
 
 struct AnalyzerConfig {
   bb::BlackboardConfig board{.workers = 4, .fifo_count = 16};
-  std::uint64_t block_size = 1u << 20;
-  int n_async = 3;
   /// Max stream blocks drained per blackboard submission: one batched
   /// submit_batch() per burst instead of one lock round-trip per block.
   int read_batch = 16;

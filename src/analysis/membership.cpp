@@ -1,16 +1,21 @@
 #include "analysis/membership.hpp"
 
+#include "simmpi/runtime.hpp"
+
 namespace esp::an {
 
-int choose_root(const net::ElasticSchedule& schedule,
-                const std::function<bool(int)>& has_crash) {
-  if (!schedule.enabled()) return -1;
-  for (const int m : schedule.active_at(0)) {
-    if (schedule.ever_leaves(m)) continue;
-    if (has_crash && has_crash(m)) continue;
-    return m;
+int reduce_root(const mpi::Runtime& rt, const mpi::PartitionDesc& analyzer) {
+  const auto& inj = rt.injector();
+  const auto& elastic = rt.elastic();
+  if (elastic.enabled()) {
+    for (const int m : elastic.active_at(0))
+      if (!elastic.ever_leaves(m) &&
+          !inj.has_crash(analyzer.first_world_rank + m))
+        return m;
   }
-  return -1;
+  for (int a = 0; a < analyzer.size; ++a)
+    if (!inj.has_crash(analyzer.first_world_rank + a)) return a;
+  return 0;
 }
 
 }  // namespace esp::an

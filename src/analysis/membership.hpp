@@ -8,15 +8,18 @@
 /// is "failover you scheduled on purpose": writers re-route their
 /// endpoints at epoch boundaries via the existing FailoverCtl handshake
 /// (drain-flagged, so a clean handoff charges nothing to the loss
-/// ledger). This header owns what sits above it: the root-eligibility
-/// rule the reduction and the session share, and the warm-join announce
-/// wire format.
+/// ledger). The schedule itself is built once by the runtime
+/// (mpi::Runtime::elastic()). This header owns what sits above it: the
+/// one rule that picks the reduction (and admission) root, and the
+/// warm-join announce wire format.
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
 
-#include "net/fault.hpp"
+namespace esp::mpi {
+class Runtime;
+struct PartitionDesc;
+}  // namespace esp::mpi
 
 namespace esp::an {
 
@@ -35,15 +38,13 @@ struct MembershipAnnounce {
 };
 static_assert(std::is_trivially_copyable_v<MembershipAnnounce>);
 
-/// Root-eligibility rule shared by the analyzer reduction and the
-/// session's fabric wiring: the root is the lowest member that is active
-/// from epoch 0, never leaves, and has no scheduled crash
-/// (`has_crash(member)` answers for the *partition-relative* index).
-/// Returns -1 when no member qualifies — the schedule's constructor
-/// guarantees a never-leaving initial member exists, so -1 only happens
-/// when the crash plan kills all of them (the caller falls back to the
-/// plain lowest-survivor rule).
-int choose_root(const net::ElasticSchedule& schedule,
-                const std::function<bool(int)>& has_crash);
+/// The reduce root of the `analyzer` partition, which is also the tenant
+/// fabric's admission root, as a partition-relative rank. Under an elastic
+/// plan it is the lowest member that is active from epoch 0, never leaves,
+/// and has no crash in the runtime's fault plan; otherwise (or when every
+/// such member has a crash) the lowest analyzer rank with no crash; else
+/// 0. A pure function of the runtime's immutable plans, so every rank
+/// that asks, analyzer or tenant, gets the same answer without talking.
+int reduce_root(const mpi::Runtime& rt, const mpi::PartitionDesc& analyzer);
 
 }  // namespace esp::an

@@ -39,8 +39,6 @@ std::vector<double> poisson_schedule(std::uint64_t seed, int n,
 AdmissionController::AdmissionController(mpi::ProcEnv& env, FabricConfig cfg)
     : env_(env), cfg_(std::move(cfg)) {
   for (const auto& t : cfg_.tenants) records_[t.app_id] = Record{};
-  const auto& ep = env_.runtime->config().elastic;
-  if (ep.resolved() && ep.active()) elastic_ = net::ElasticSchedule(ep);
 }
 
 /// Release fact for an admitted tenant: detach time, or the crash oracle.
@@ -77,8 +75,6 @@ void AdmissionController::drain_control(mpi::RankContext& rc) {
     if (!rec.released) {
       rec.released = true;
       rec.t_release = d.t_release;
-      active_.erase(std::remove(active_.begin(), active_.end(), d.app_id),
-                    active_.end());
     }
   }
   rc.clock = saved;
@@ -118,14 +114,16 @@ void AdmissionController::drain_control(mpi::RankContext& rc) {
       rec.released = true;
       rec.released_by_death = true;
       rec.t_release = td;
-      active_.erase(std::remove(active_.begin(), active_.end(), t.app_id),
-                    active_.end());
     }
   }
 }
 
 void AdmissionController::decide(mpi::RankContext& rc) {
   auto& rt = *env_.runtime;
+  // Membership schedule (disabled outside elastic mode): makes the
+  // admission ceiling a function of the active member set at the
+  // candidate admit time.
+  const net::ElasticSchedule& elastic = rt.elastic();
   // Strict (arrival, app_id) order: the head of the queue decides first,
   // later arrivals never jump it. This makes every verdict a function of
   // facts that are themselves deterministic.
@@ -141,7 +139,7 @@ void AdmissionController::decide(mpi::RankContext& rc) {
     const TenantSpec* spec = cfg_.find(app);
     auto& rec = records_.at(app);
     const bool elastic_cap =
-        cfg_.max_active_per_member > 0 && elastic_.enabled();
+        cfg_.max_active_per_member > 0 && elastic.enabled();
     const bool unconstrained = cfg_.max_active <= 0 && !elastic_cap;
 
     // Occupancy of the already-admitted set at candidate time t:
@@ -176,7 +174,7 @@ void AdmissionController::decide(mpi::RankContext& rc) {
         // shrink lowers it (later arrivals re-queue), a warm-join raises
         // it. Pure function of the elastic schedule, so deterministic.
         const int members = static_cast<int>(
-            elastic_.active_at(elastic_.epoch_at(t)).size());
+            elastic.active_at(elastic.epoch_at(t)).size());
         if (n_active >= cfg_.max_active_per_member * members) return false;
       }
       return true;
@@ -208,8 +206,8 @@ void AdmissionController::decide(mpi::RankContext& rc) {
             next = std::min(next, rel);
         }
         if (elastic_cap) {
-          for (int e = 1; e < elastic_.epoch_count(); ++e) {
-            const double bt = elastic_.epoch_time(e);
+          for (int e = 1; e < elastic.epoch_count(); ++e) {
+            const double bt = elastic.epoch_time(e);
             if (bt > t_admit) {
               next = std::min(next, bt);
               break;  // epoch times ascend: the first > t_admit is minimal
@@ -237,7 +235,6 @@ void AdmissionController::decide(mpi::RankContext& rc) {
     rec.t_admit = t_admit;
     if (admit) {
       ++admitted_total_;
-      active_.push_back(app);
     } else {
       ++rejected_total_;
       // A rejected tenant runs no workload and holds no capacity.

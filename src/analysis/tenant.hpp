@@ -83,8 +83,6 @@ struct FabricConfig {
   /// shrink therefore re-queues later arrivals deterministically; it
   /// never evicts an admitted tenant.
   int max_active_per_member = 0;
-  /// Universe rank of the admission root (= the reduce root).
-  int root_world = -1;
   std::vector<TenantSpec> tenants;
 
   const TenantSpec* find(int app_id) const {
@@ -195,9 +193,6 @@ class AdmissionController {
   /// decided, and (if admitted) released — i.e. the fabric is drained.
   bool poll(mpi::RankContext& rc);
 
-  /// True when no verdict is still owed to a blocked tenant.
-  bool quiescent() const { return pending_.empty(); }
-
   const std::map<int, Record>& records() const { return records_; }
   int admitted_count() const { return admitted_total_; }
   int rejected_count() const { return rejected_total_; }
@@ -209,13 +204,8 @@ class AdmissionController {
 
   mpi::ProcEnv& env_;
   FabricConfig cfg_;
-  /// Membership schedule (disabled outside elastic mode): makes the
-  /// admission ceiling a function of the active member set at the
-  /// candidate admit time.
-  net::ElasticSchedule elastic_;
   std::map<int, Record> records_;
   std::vector<int> pending_;  ///< Attached, undecided app ids.
-  std::vector<int> active_;   ///< Admitted, release not yet known.
   int admitted_total_ = 0;
   int rejected_total_ = 0;
 };

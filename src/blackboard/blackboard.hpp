@@ -229,7 +229,6 @@ class Blackboard {
   void stop();
 
   BlackboardStats stats() const;
-  int worker_count() const noexcept { return static_cast<int>(workers_.size()); }
 
  private:
   struct KsState {

@@ -65,34 +65,6 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
   acfg.results = results;
   acfg.output_dir = cfg_.output_dir;
 
-  // ---- Elastic membership plan resolution ------------------------------
-  // Resolved before the fabric: the admission root must be a member that
-  // is initially active and never leaves (the analyzer picks its reduce
-  // root the same way), and the admission ceiling may scale with the
-  // active member count.
-  net::ElasticPlan eplan;
-  net::ElasticSchedule esched;
-  if (el.enabled) {
-    eplan.events = el.plan;
-    eplan.spares = n_spares;
-    eplan.first_world = total_app_procs;
-    eplan.n_members = n_analyzer;
-    if (eplan.active())
-      esched = net::ElasticSchedule(eplan);  // throws on a bad plan
-    else
-      eplan = net::ElasticPlan{};  // no events, no spares: stay fixed
-  }
-
-  // Crash oracle over the *resolved* fault plan (analyzer-relative
-  // entries were rebased above), shared by root selection here and in
-  // the fabric block.
-  auto crash_scheduled = [&](int world) {
-    if (cfg_.faults.empty()) return false;
-    for (const auto& c : cfg_.faults.crashes)
-      if (!c.analyzer_rank && c.world_rank == world) return true;
-    return false;
-  };
-
   // ---- Tenant fabric assembly -----------------------------------------
   if (tn.enabled) {
     an::FabricConfig fab;
@@ -100,27 +72,6 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
     fab.max_active = tn.max_active;
     fab.max_admission_delay = tn.max_admission_delay;
     fab.max_active_per_member = el.max_active_per_member;
-    // Admission root = the analyzer's reduce root: under an elastic plan
-    // the first initially-active member that never leaves and has no
-    // crash scheduled; otherwise the first analyzer rank with no crash
-    // scheduled. Replicated here from the resolved plans so tenants know
-    // whom to attach to before the run.
-    int root_a = 0;
-    if (esched.enabled()) {
-      const int m = an::choose_root(esched, [&](int member) {
-        return crash_scheduled(esched.world_of_member(member));
-      });
-      if (m >= 0) root_a = m;
-    }
-    if (root_a == 0) {
-      for (int a = 0; a < n_analyzer; ++a) {
-        if (!crash_scheduled(total_app_procs + a)) {
-          root_a = a;
-          break;
-        }
-      }
-    }
-    fab.root_world = total_app_procs + root_a;
 
     // Arrivals: explicit overrides win over the seeded Poisson schedule.
     std::vector<double> schedule;
@@ -156,13 +107,18 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
         icfg.tenant_rate[ts.app_id] = ts.quota.entry_rate;
 
     // Wrap each application main in the attach/verdict/detach protocol.
+    // The admission root is the analyzer's reduce root, asked of the
+    // runtime on the rank thread: the same rule over the same plans the
+    // analyzer applies, so both sides always meet on one rank.
     for (std::size_t i = 0; i < apps_.size(); ++i) {
       const an::TenantSpec spec = fab.tenants[i];
-      const int root_world = fab.root_world;
       auto user_main = std::move(apps_[i].main);
-      apps_[i].main = [this, spec, root_world,
-                       user_main](mpi::ProcEnv& env) {
+      apps_[i].main = [this, spec, user_main](mpi::ProcEnv& env) {
         auto& rc = mpi::Runtime::self();
+        // The analyzer partition is appended last (below).
+        const auto& analyzer = env.runtime->partitions().back();
+        const int root_world = analyzer.first_world_rank +
+                               an::reduce_root(*env.runtime, analyzer);
         // The tenant's history starts at its scheduled arrival.
         if (rc.clock < spec.arrival) rc.clock = spec.arrival;
         bool admitted = true;
@@ -220,9 +176,16 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
                    [acfg](mpi::ProcEnv& env) { an::run_analyzer(env, acfg); }});
 
   mpi::RuntimeConfig rcfg = cfg_.runtime;
-  rcfg.machine = cfg_.machine;
   if (!cfg_.faults.empty()) rcfg.faults = cfg_.faults;
-  if (esched.enabled()) rcfg.elastic = eplan;
+  if (el.enabled) {
+    // Members are partition-relative. The runtime validates the resolved
+    // plan into its one schedule when it is built below, so a bad plan
+    // throws before any rank starts.
+    rcfg.elastic = net::ElasticPlan{.events = el.plan,
+                                    .spares = n_spares,
+                                    .first_world = total_app_procs,
+                                    .n_members = n_analyzer};
+  }
   runtime_ = std::make_unique<mpi::Runtime>(rcfg, std::move(progs));
   tool_ = inst::attach_online_instrumentation(*runtime_, cfg_.instrument);
   runtime_->run();

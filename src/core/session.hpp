@@ -27,7 +27,6 @@
 namespace esp {
 
 struct SessionConfig {
-  net::MachineConfig machine = net::MachineConfig::tera100();
   /// Instrumented processes per analyzer process (paper: ratios between
   /// 1 and 32 are practical; 10 is a good bandwidth-resource trade-off).
   int analyzer_ratio = 8;

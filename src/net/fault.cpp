@@ -42,8 +42,7 @@ FaultInjector::Decision FaultInjector::on_message(int src_world, int dst_world,
                                                   std::uint64_t bytes) const {
   Decision d;
   if (!enabled_ || plan_.links.empty()) return d;
-  if (plan_.scope == FaultScope::StreamsOnly && !is_stream_data_tag(tag))
-    return d;
+  if (!is_stream_data_tag(tag)) return d;
   for (std::size_t i = 0; i < plan_.links.size(); ++i) {
     const auto& f = plan_.links[i];
     if (!link_matches(f, src_world, dst_world)) continue;

@@ -27,21 +27,14 @@ namespace esp::net {
 inline constexpr int kAnyRank = -1;
 
 /// VMPI stream data traffic rides a reserved tag range (see
-/// src/vmpi/stream.cpp); the injector's default scope targets only it so
-/// a fault plan cannot deadlock internal collectives by accident.
+/// src/vmpi/stream.cpp). Link faults target only it, so a fault plan
+/// cannot deadlock internal collectives or control handshakes by accident.
 inline constexpr int kStreamDataTagBase = 0x6f200000;
 inline constexpr int kStreamDataTagEnd = 0x6f2fffff;
 
 constexpr bool is_stream_data_tag(int tag) noexcept {
   return tag >= kStreamDataTagBase && tag <= kStreamDataTagEnd;
 }
-
-/// Which traffic link faults (drop/delay/corrupt) may touch. Rank crashes
-/// always apply — a dead process takes all of its traffic with it.
-enum class FaultScope {
-  StreamsOnly,  ///< Only VMPI stream data blocks (default).
-  AllTraffic,   ///< Every point-to-point message, collectives included.
-};
 
 /// The declarative failure schedule, reproducible from its seed.
 struct FaultPlan {
@@ -61,9 +54,11 @@ struct FaultPlan {
     bool analyzer_rank = false;
   };
 
-  /// Per-link message faults; `kAnyRank` endpoints are wildcards.
-  /// Probabilities are evaluated independently per message via a seeded
-  /// hash, so they commute and reproduce exactly.
+  /// Per-link message faults; `kAnyRank` endpoints are wildcards. They
+  /// touch only VMPI stream data messages (a dead rank, by contrast, takes
+  /// all of its traffic with it). Probabilities are evaluated
+  /// independently per message via a seeded hash, so they commute and
+  /// reproduce exactly.
   struct LinkFault {
     int src_world = kAnyRank;
     int dst_world = kAnyRank;
@@ -73,7 +68,6 @@ struct FaultPlan {
     double delay_seconds = 0.0;
   };
 
-  FaultScope scope = FaultScope::StreamsOnly;
   std::vector<RankCrash> crashes;
   std::vector<LinkFault> links;
 
@@ -108,14 +102,13 @@ struct ElasticPlan {
 
   bool resolved() const noexcept { return first_world >= 0 && n_members > 0; }
   bool active() const noexcept { return !events.empty() || spares > 0; }
-  bool empty() const noexcept { return events.empty() && spares == 0; }
 };
 
 /// Validated, queryable form of an ElasticPlan: the per-epoch active
 /// member sets, precomputed once so every membership decision is a pure
-/// O(log) lookup on (virtual time) -> (epoch) -> (active set). Both
-/// stream endpoints build the same schedule from the same resolved plan,
-/// so their epoch transitions agree bit-exactly.
+/// O(log) lookup on (virtual time) -> (epoch) -> (active set). The
+/// runtime builds the one schedule of a run (mpi::Runtime::elastic()) and
+/// every module reads it, so all epoch transitions agree bit-exactly.
 class ElasticSchedule {
  public:
   ElasticSchedule() = default;

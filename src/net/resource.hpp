@@ -3,17 +3,17 @@
 /// \brief Virtual-time contended resources.
 ///
 /// The simulator charges communication and IO costs in *virtual time*.
-/// A SerialResource is a FIFO server: a request arriving at virtual time
+/// A resource lane is a FIFO server: a request arriving at virtual time
 /// `start` with service duration `d` begins at max(start, availability)
-/// and completes `d` later. Sharing one SerialResource among many flows
-/// caps their aggregate rate at the resource capacity — the behaviour that
+/// and completes `d` later. Sharing one resource among many flows caps
+/// their aggregate rate at the resource capacity — the behaviour that
 /// drives every contention effect reproduced from the paper (NIC
 /// serialization, bisection saturation, metadata-server contention).
 ///
 /// Approximation (documented in DESIGN.md): requests are queued in the
 /// order they arrive in *real* time; when ranks' virtual clocks drift this
 /// can reorder grants, which perturbs per-flow ordering but not aggregate
-/// statistics. Both resources carry the same causality tolerance: a
+/// statistics. Every lane carries the same causality tolerance: a
 /// request whose service time is covered by recorded *idle credit*
 /// (virtual time the server verifiably spent unreserved) is served at
 /// `start + duration` without moving the frontier, even when it overlaps
@@ -30,63 +30,9 @@
 
 namespace esp::net {
 
-/// FIFO server in virtual time; thread-safe.
-class SerialResource {
- public:
-  SerialResource() = default;
-
-  /// Reserve the resource for `duration` seconds starting no earlier than
-  /// `start`. Returns the completion time.
-  double acquire(double start, double duration) {
-    std::lock_guard lock(mu_);
-    ++requests_;
-    busy_ += duration;
-    if (start < available_ && idle_credit_ >= duration) {
-      // Covered by recorded past idle time: serve at the request's own
-      // start without moving the frontier (see file comment).
-      idle_credit_ -= duration;
-      return start + duration;
-    }
-    const double begin = start > available_ ? start : available_;
-    idle_credit_ += begin - available_;  // a real idle gap opened
-    available_ = begin + duration;
-    return available_;
-  }
-
-  /// Time at which the resource next becomes free (diagnostic).
-  double available() const {
-    std::lock_guard lock(mu_);
-    return available_;
-  }
-
-  std::uint64_t requests() const {
-    std::lock_guard lock(mu_);
-    return requests_;
-  }
-
-  /// Total busy (service) time accumulated.
-  double busy_time() const {
-    std::lock_guard lock(mu_);
-    return busy_;
-  }
-
-  void reset() {
-    std::lock_guard lock(mu_);
-    available_ = 0.0;
-    idle_credit_ = 0.0;
-    busy_ = 0.0;
-    requests_ = 0;
-  }
-
- private:
-  mutable std::mutex mu_;
-  double available_ = 0.0;
-  double idle_credit_ = 0.0;
-  double busy_ = 0.0;
-  std::uint64_t requests_ = 0;
-};
-
-/// A bandwidth-capacity resource: service time = bytes / per-lane rate.
+/// A bandwidth-capacity resource: service time = bytes / per-lane rate,
+/// or a duration given directly (serve(); a one-lane resource used that
+/// way is a plain FIFO server, e.g. a metadata server). Thread-safe.
 ///
 /// `lanes` splits the capacity into parallel FIFO channels (a fat tree's
 /// bisection is many physical uplinks, not one serial pipe). A transfer
@@ -108,9 +54,14 @@ class BandwidthResource {
   /// Reserve a transfer of `bytes` starting no earlier than `start`;
   /// returns completion time.
   double acquire(double start, std::uint64_t bytes) {
-    const double duration =
-        static_cast<double>(bytes) /
-        (bytes_per_sec_ / static_cast<double>(lanes_.size()));
+    return serve(start,
+                 static_cast<double>(bytes) /
+                     (bytes_per_sec_ / static_cast<double>(lanes_.size())));
+  }
+
+  /// Reserve a lane for `duration` seconds starting no earlier than
+  /// `start`; returns completion time.
+  double serve(double start, double duration) {
     std::lock_guard lock(mu_);
     std::size_t best = 0;
     for (std::size_t i = 1; i < lanes_.size(); ++i)
@@ -132,7 +83,6 @@ class BandwidthResource {
 
   double rate() const noexcept { return bytes_per_sec_; }
   void set_rate(double bytes_per_sec) noexcept { bytes_per_sec_ = bytes_per_sec; }
-  int lane_count() const noexcept { return static_cast<int>(lanes_.size()); }
   std::uint64_t requests() const {
     std::lock_guard lock(mu_);
     return requests_;

@@ -36,7 +36,7 @@ SimFs::SimFs(Machine& machine, int job_cores, SimFsConfig cfg)
 
 double SimFs::metadata_op(double start) {
   const double op_cost = machine_.config().fs_metadata_op_cost;
-  const double done = mds_.acquire(start, op_cost);
+  const double done = mds_.serve(start, op_cost);
   if (obs::enabled()) {
     auto& o = fobs();
     o.meta_ops.add(1);

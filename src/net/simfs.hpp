@@ -53,7 +53,7 @@ class SimFs {
  private:
   Machine& machine_;
   SimFsConfig cfg_;
-  SerialResource mds_;
+  BandwidthResource mds_;  ///< One lane: a FIFO metadata server.
   BandwidthResource ost_;
   mutable std::mutex stat_mu_;
   std::uint64_t bytes_written_ = 0;

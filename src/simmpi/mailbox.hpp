@@ -291,10 +291,6 @@ class Mailbox {
     return static_cast<int>(cancelled.size());
   }
 
-  std::size_t pending_sends() {
-    std::lock_guard lock(mu_);
-    return sends_.size();
-  }
   std::size_t pending_recvs() {
     std::lock_guard lock(mu_);
     return recvs_.size();

@@ -83,6 +83,7 @@ Runtime::Runtime(RuntimeConfig cfg, std::vector<ProgramSpec> programs)
   final_clock_.assign(static_cast<std::size_t>(world_size_), 0.0);
 
   injector_.configure(cfg_.faults, cfg_.seed);
+  elastic_ = net::ElasticSchedule(cfg_.elastic);  // throws on a bad plan
   rank_dead_ = std::make_unique<std::atomic<bool>[]>(
       static_cast<std::size_t>(world_size_));
   rank_done_ = std::make_unique<std::atomic<bool>[]>(

@@ -138,8 +138,8 @@ struct RuntimeConfig {
   /// Only armed together with watchdog_virtual_deadline.
   double watchdog_stall_seconds = 30.0;
   /// Planned elastic membership for the analyzer partition (resolved by
-  /// the session; empty = fixed membership). Both stream endpoints read
-  /// it from here so their epoch transitions agree bit-exactly.
+  /// the session; empty = fixed membership). The runtime validates it
+  /// once into Runtime::elastic(), the schedule every module reads.
   net::ElasticPlan elastic;
 };
 
@@ -199,6 +199,10 @@ class Runtime {
 
   // ---- fault services --------------------------------------------------
   const net::FaultInjector& injector() const noexcept { return injector_; }
+  /// The elastic membership schedule built from RuntimeConfig::elastic
+  /// (disabled under fixed membership). Immutable after construction, so
+  /// every rank reads the same epochs without synchronization.
+  const net::ElasticSchedule& elastic() const noexcept { return elastic_; }
   /// True once `world_rank` crashed under the fault plan.
   bool rank_dead(int world_rank) const noexcept {
     return rank_dead_[static_cast<std::size_t>(world_rank)].load(
@@ -270,6 +274,7 @@ class Runtime {
   bool ran_ = false;
 
   net::FaultInjector injector_;
+  net::ElasticSchedule elastic_;
   std::unique_ptr<std::atomic<bool>[]> rank_dead_;
   std::unique_ptr<std::atomic<bool>[]> rank_done_;
   std::unique_ptr<std::atomic<double>[]> death_time_;

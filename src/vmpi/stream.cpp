@@ -61,11 +61,9 @@ constexpr MapPolicy kRemapPolicy = MapPolicy::RoundRobin;
 
 constexpr int kStreamCtlTag = 0x6f100000;
 /// Failover handshake tag. Deliberately *outside* the injected data-tag
-/// range: under the default StreamsOnly fault scope the handshake can
-/// never be dropped, so a failover either completes or the writer itself
-/// died — there is no half-joined state. (Under FaultScope::AllTraffic a
-/// dropped handshake would orphan the replayed blocks; the soak harness
-/// therefore only generates StreamsOnly plans.)
+/// range: link faults touch only stream data, so the handshake can never
+/// be dropped, and a failover either completes or the writer itself died —
+/// there is no half-joined state.
 constexpr int kStreamFailoverTag = 0x6f100001;
 constexpr int kStreamDataBase = net::kStreamDataTagBase;
 
@@ -216,24 +214,22 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
     // map may disagree even at epoch 0 — the reader enumerates its
     // writers by the route, so both sides agree by construction). Handoffs
     // ride the failover handshake and its sequence accounting.
-    const net::ElasticPlan& eplan = rt_->config().elastic;
-    if (eplan.resolved() && eplan.active()) {
-      net::ElasticSchedule sched(eplan);
+    const net::ElasticSchedule& elastic = rt_->elastic();
+    if (elastic.enabled()) {
       int elastic_endpoints = 0;
       for (int peer : peers_)
-        if (sched.contains_world(peer)) ++elastic_endpoints;
+        if (elastic.contains_world(peer)) ++elastic_endpoints;
       if (elastic_endpoints > 1)
         throw std::invalid_argument(
             "elastic membership supports one endpoint per stream in the "
             "elastic partition");
-      if (elastic_endpoints == 1 && sched.enabled()) {
-        elastic_ = std::move(sched);
+      if (elastic_endpoints == 1) {
         elastic_armed_ = true;
         std::vector<int> active;
-        for (const int m : elastic_.active_at(0))
-          active.push_back(elastic_.world_of_member(m));
+        for (const int m : elastic.active_at(0))
+          active.push_back(elastic.world_of_member(m));
         for (int& peer : peers_)
-          if (elastic_.contains_world(peer))
+          if (elastic.contains_world(peer))
             peer = Map::elastic_route(kRemapPolicy, rt_->config().seed,
                                       env.universe_rank, 0, active);
       }
@@ -270,8 +266,9 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
       // member, so a crash scheduled anywhere in the elastic partition
       // must arm the lease machinery even if the epoch-0 holder is safe.
       if (!failover_armed_ && elastic_armed_) {
-        for (int m = 0; m < elastic_.n_members(); ++m) {
-          if (rt_->injector().has_crash(elastic_.world_of_member(m))) {
+        const net::ElasticSchedule& elastic = rt_->elastic();
+        for (int m = 0; m < elastic.n_members(); ++m) {
+          if (rt_->injector().has_crash(elastic.world_of_member(m))) {
             failover_armed_ = true;
             break;
           }
@@ -295,27 +292,21 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   // communication. A spare member simply starts with zero links and lives
   // off drain handoffs.
   std::vector<int> sources = map.peers();
-  {
-    const net::ElasticPlan& eplan = rt_->config().elastic;
-    if (eplan.resolved() && eplan.active()) {
-      net::ElasticSchedule sched(eplan);
-      if (sched.enabled() && sched.contains_world(env.universe_rank)) {
-        elastic_ = std::move(sched);
-        elastic_reader_ = true;
-        std::vector<int> active;
-        for (const int m : elastic_.active_at(0))
-          active.push_back(elastic_.world_of_member(m));
-        sources.clear();
-        const auto& mine = rt_->partition_of_world(env.universe_rank);
-        for (const auto& part : rt_->partitions()) {
-          if (part.id == mine.id) continue;
-          for (int w = part.first_world_rank;
-               w < part.first_world_rank + part.size; ++w) {
-            if (Map::elastic_route(kRemapPolicy, rt_->config().seed, w,
-                                   0, active) == env.universe_rank)
-              sources.push_back(w);
-          }
-        }
+  const net::ElasticSchedule& elastic = rt_->elastic();
+  if (elastic.enabled() && elastic.contains_world(env.universe_rank)) {
+    elastic_reader_ = true;
+    std::vector<int> active;
+    for (const int m : elastic.active_at(0))
+      active.push_back(elastic.world_of_member(m));
+    sources.clear();
+    const auto& mine = rt_->partition_of_world(env.universe_rank);
+    for (const auto& part : rt_->partitions()) {
+      if (part.id == mine.id) continue;
+      for (int w = part.first_world_rank;
+           w < part.first_world_rank + part.size; ++w) {
+        if (Map::elastic_route(kRemapPolicy, rt_->config().seed, w, 0,
+                               active) == env.universe_rank)
+          sources.push_back(w);
       }
     }
   }
@@ -340,7 +331,7 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
     InPeer ip;
     ip.universe_rank = peer;
     ip.tag = ctl.tag;
-    ip.slots.resize(static_cast<std::size_t>(cfg_.n_async));
+    ip.slots.resize(static_cast<std::size_t>(ctl.n_async));
     for (auto& s : ip.slots) {
       s.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
       s.req = universe_.pirecv(s.data, cfg_.block_size + kFrameBytes, peer,
@@ -589,8 +580,9 @@ void Stream::fail_over_endpoint(std::size_t ti, double t_dead) {
         // a rank that held this link in an earlier epoch never re-adopts
         // it — its partials already cover those sequence ranges, so
         // handing the link back would double-analyze the replayed tail.
-        const int m = elastic_.member_of_world(r);
-        if (m >= 0 && !elastic_.is_active(m, elastic_.epoch_at(rc.clock)))
+        const net::ElasticSchedule& elastic = rt_->elastic();
+        const int m = elastic.member_of_world(r);
+        if (m >= 0 && !elastic.is_active(m, elastic.epoch_at(rc.clock)))
           continue;
         if (std::find(prior_holders_[ti].begin(), prior_holders_[ti].end(),
                       r) != prior_holders_[ti].end())
@@ -600,7 +592,7 @@ void Stream::fail_over_endpoint(std::size_t ti, double t_dead) {
     }
     const int target = Map::failover_target(
         kRemapPolicy, rt_->config().seed, rc.world_rank, dead, cands,
-        elastic_armed_ ? elastic_.epoch_at(rc.clock) : 0);
+        elastic_armed_ ? rt_->elastic().epoch_at(rc.clock) : 0);
     if (target < 0) {
       // Total partition loss: the endpoint becomes a dead end; further
       // writes to it are counted failed.
@@ -647,15 +639,16 @@ void Stream::fail_over_endpoint(std::size_t ti, double t_dead) {
 
 void Stream::check_elastic_epoch() {
   auto& rc = mpi::Runtime::self();
-  const int now = elastic_.epoch_at(rc.clock);
+  const net::ElasticSchedule& elastic = rt_->elastic();
+  const int now = elastic.epoch_at(rc.clock);
   if (now == elastic_epoch_) return;
   elastic_epoch_ = now;
   std::vector<int> active;
-  for (const int m : elastic_.active_at(now))
-    active.push_back(elastic_.world_of_member(m));
+  for (const int m : elastic.active_at(now))
+    active.push_back(elastic.world_of_member(m));
   for (std::size_t ti = 0; ti < peers_.size(); ++ti) {
     const int old = peers_[ti];
-    if (old < 0 || !elastic_.contains_world(old)) continue;
+    if (old < 0 || !elastic.contains_world(old)) continue;
     const int want = Map::elastic_route(kRemapPolicy, rt_->config().seed,
                                         rc.world_rank, now, active);
     if (want < 0 || want == old) continue;

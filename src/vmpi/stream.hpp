@@ -12,6 +12,8 @@
 ///  - the read endpoint posts `n_async` receive buffers PER incoming
 ///    stream so an arriving block always finds a buffer (no unexpected
 ///    message: the transport writes directly into the posted buffer);
+///    each writer announces its block size and `n_async` when it opens,
+///    and the reader adopts both per link;
 ///  - a stream connected to multiple endpoints distributes blocks using a
 ///    load-balancing policy (none / random / round-robin), independently
 ///    chosen at each endpoint;
@@ -72,7 +74,7 @@ inline constexpr int kNonblock = 1;
 
 struct StreamConfig {
   std::uint64_t block_size = 1u << 20;  ///< Paper: block size tends to ~1 MB.
-  int n_async = 3;                      ///< N_A of Fig. 9.
+  int n_async = 3;  ///< N_A of Fig. 9; a reader posts its writers' value.
   BalancePolicy policy = BalancePolicy::RoundRobin;
 
   // ---- reader-liveness lease + failover (see "Failure model v2") ------
@@ -197,10 +199,8 @@ class Stream {
   /// Idempotent: second and later calls are no-ops.
   void close();
 
-  bool is_writer() const noexcept { return writer_; }
   bool is_open() const noexcept { return open_ && !closed_; }
   std::uint64_t block_size() const noexcept { return cfg_.block_size; }
-  int endpoint_count() const noexcept { return static_cast<int>(peers_.size()); }
   std::uint64_t blocks_written() const noexcept { return blocks_written_; }
   std::uint64_t blocks_read() const noexcept { return blocks_read_; }
 
@@ -333,8 +333,7 @@ class Stream {
   std::uint64_t heartbeats_missed_ = 0;
   std::uint64_t resent_blocks_ = 0;
 
-  // Elastic membership (both sides; armed from RuntimeConfig::elastic).
-  net::ElasticSchedule elastic_;
+  // Elastic membership (both sides; armed from Runtime::elastic()).
   /// Writer: endpoints inside the elastic partition follow elastic_route
   /// per epoch (handoffs ride the failover handshake).
   bool elastic_armed_ = false;

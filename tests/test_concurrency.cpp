@@ -96,7 +96,6 @@ TEST(FullStack, ThreeConcurrentAppsStress) {
   auto results = std::make_shared<an::AnalysisResults>();
   an::AnalyzerConfig acfg;
   acfg.results = results;
-  acfg.block_size = 16 * 1024;  // frequent pack rotation
   acfg.board.workers = 2;
 
   auto ring = [](int iters, std::uint64_t bytes) {

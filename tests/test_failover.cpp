@@ -299,7 +299,6 @@ TEST(Degrade, LadderStepsDownUnderOverload) {
   // Starve the analyzer: a high per-event analysis cost makes producers
   // outrun it, so the streams back-pressure and the ladder must react.
   cfg.analyzer.per_event_cost = 2e-4;
-  cfg.analyzer.n_async = 1;
   Session session(cfg);
   const int app = session.add_application("ring", 8, ring(400));
   auto results = session.run();

@@ -194,14 +194,14 @@ TEST(Faults, SameSeedReproducesIdenticalLedger) {
 
 TEST(Faults, InjectorDecisionsArePureFunctions) {
   net::FaultPlan plan;
-  plan.scope = net::FaultScope::AllTraffic;
   plan.links.push_back({.drop_probability = 0.5, .corrupt_probability = 0.5});
   net::FaultInjector x, y;
   x.configure(plan, 1234);
   y.configure(plan, 1234);
+  constexpr int kTag = net::kStreamDataTagBase + 7;
   for (std::uint64_t seq = 0; seq < 200; ++seq) {
-    const auto dx = x.on_message(0, 1, 7, seq, 4096);
-    const auto dy = y.on_message(0, 1, 7, seq, 4096);
+    const auto dx = x.on_message(0, 1, kTag, seq, 4096);
+    const auto dy = y.on_message(0, 1, kTag, seq, 4096);
     EXPECT_EQ(dx.drop, dy.drop);
     EXPECT_EQ(dx.corrupt_bit, dy.corrupt_bit);
     EXPECT_EQ(dx.delay, dy.delay);
@@ -211,15 +211,15 @@ TEST(Faults, InjectorDecisionsArePureFunctions) {
   z.configure(plan, 99);
   bool differs = false;
   for (std::uint64_t seq = 0; seq < 200 && !differs; ++seq)
-    differs = x.on_message(0, 1, 7, seq, 4096).drop !=
-              z.on_message(0, 1, 7, seq, 4096).drop;
+    differs = x.on_message(0, 1, kTag, seq, 4096).drop !=
+              z.on_message(0, 1, kTag, seq, 4096).drop;
   EXPECT_TRUE(differs);
 }
 
 TEST(Faults, StreamScopeProtectsControlTraffic) {
-  // StreamsOnly scope must leave non-stream tags untouched even with
+  // Link faults must leave non-stream tags untouched even with
   // probability-1 faults.
-  net::FaultPlan plan;  // scope defaults to StreamsOnly
+  net::FaultPlan plan;
   plan.links.push_back({.drop_probability = 1.0, .corrupt_probability = 1.0});
   net::FaultInjector inj;
   inj.configure(plan, 5);

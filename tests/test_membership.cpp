@@ -272,6 +272,66 @@ TEST(Membership, ScheduleRejectsInconsistentPlans) {
 }
 
 // ---------------------------------------------------------------------------
+// The one root rule, over the plans the runtime actually executes.
+// ---------------------------------------------------------------------------
+
+/// An 8-rank app and a 3-rank analyzer (world ranks 8..10, member 2 a
+/// spare that joins at 1 ms; member `leaver`, if any, drains at 2 ms).
+/// The runtime is built, never run: reduce_root is a pure function of it.
+int reduce_root_under(std::vector<net::FaultPlan::RankCrash> crashes,
+                      int leaver = -1) {
+  mpi::RuntimeConfig rcfg;
+  rcfg.faults.crashes = std::move(crashes);
+  rcfg.elastic.events = {{.at_time = 1e-3, .member = 2, .join = true}};
+  if (leaver >= 0)
+    rcfg.elastic.events.push_back(
+        {.at_time = 2e-3, .member = leaver, .join = false});
+  rcfg.elastic.spares = 1;
+  rcfg.elastic.first_world = 8;
+  rcfg.elastic.n_members = 3;
+  std::vector<mpi::ProgramSpec> progs;
+  progs.push_back({"app", 8, [](mpi::ProcEnv&) {}});
+  progs.push_back({"analyzer", 3, [](mpi::ProcEnv&) {}});
+  mpi::Runtime rt(rcfg, std::move(progs));
+  return an::reduce_root(rt, rt.partitions().back());
+}
+
+TEST(Membership, ReduceRootCountsACrashThatNeverFires) {
+  EXPECT_EQ(reduce_root_under({}), 0);
+  // A call budget the run never reaches still schedules a crash: every
+  // rank that asks must skip member 0, or tenants and the analyzer would
+  // meet on different ranks.
+  EXPECT_EQ(
+      reduce_root_under({{.world_rank = 8, .after_calls = 1'000'000'000}}),
+      1);
+  // An entry with no trigger at all schedules nothing.
+  EXPECT_EQ(reduce_root_under({{.world_rank = 8}}), 0);
+}
+
+TEST(Membership, ReduceRootFallsBackWhenEveryRootableMemberCrashes) {
+  // A member that leaves never roots while another member can.
+  EXPECT_EQ(reduce_root_under({}, /*leaver=*/0), 1);
+  // Member 1 leaves, so member 0 is the only rootable member. With it
+  // crashing the rule falls back to the lowest analyzer rank with no
+  // crash, leaving or not.
+  EXPECT_EQ(reduce_root_under({}, /*leaver=*/1), 0);
+  EXPECT_EQ(reduce_root_under({{.world_rank = 8, .at_time = 5e-3}},
+                              /*leaver=*/1),
+            1);
+  // Both base members crash: the fallback takes the spare, though it is
+  // not active from epoch 0.
+  EXPECT_EQ(reduce_root_under({{.world_rank = 8, .at_time = 5e-3},
+                               {.world_rank = 9, .at_time = 5e-3}}),
+            2);
+  // Every analyzer rank crashes: rank 0.
+  EXPECT_EQ(reduce_root_under({{.world_rank = 8, .at_time = 5e-3},
+                               {.world_rank = 9, .at_time = 5e-3},
+                               {.world_rank = 10, .at_time = 5e-3}},
+                              /*leaver=*/1),
+            0);
+}
+
+// ---------------------------------------------------------------------------
 // Pure mapping functions: the rebalance and failover choices every
 // endpoint computes without communication.
 // ---------------------------------------------------------------------------

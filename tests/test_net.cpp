@@ -12,11 +12,11 @@
 namespace esp::net {
 namespace {
 
-TEST(SerialResource, FifoQueueing) {
-  SerialResource r;
-  EXPECT_DOUBLE_EQ(r.acquire(0.0, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(r.acquire(0.0, 1.0), 2.0);  // queued behind the first
-  EXPECT_DOUBLE_EQ(r.acquire(5.0, 1.0), 6.0);  // idle gap, starts at 5
+TEST(BandwidthResource, ServeQueuesDurationsFifo) {
+  BandwidthResource r;  // one lane: a FIFO server of given durations
+  EXPECT_DOUBLE_EQ(r.serve(0.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(r.serve(0.0, 1.0), 2.0);  // queued behind the first
+  EXPECT_DOUBLE_EQ(r.serve(5.0, 1.0), 6.0);  // idle gap, starts at 5
   EXPECT_EQ(r.requests(), 3u);
   EXPECT_DOUBLE_EQ(r.busy_time(), 3.0);
 }

@@ -50,7 +50,6 @@ PipelineRun run_ring_pipeline(int n_app, int n_an, int iters,
                               const std::string& output_dir = "") {
   PipelineRun out;
   AnalyzerConfig acfg;
-  acfg.block_size = 64 * 1024;  // small packs -> several flushes
   acfg.results = out.results;
   acfg.output_dir = output_dir;
   acfg.board.workers = 2;
@@ -62,7 +61,7 @@ PipelineRun run_ring_pipeline(int n_app, int n_an, int iters,
                    }});
   Runtime rt(RuntimeConfig{}, std::move(progs));
   inst::InstrumentConfig icfg;
-  icfg.block_size = 64 * 1024;
+  icfg.block_size = 64 * 1024;  // small packs -> several flushes
   out.tool = inst::attach_online_instrumentation(rt, icfg);
   rt.run();
   out.app_walltime = rt.partition_walltime(0);
@@ -141,7 +140,6 @@ TEST(Pipeline, MultiApplicationConcurrentProfiling) {
   // the multi-level blackboard must keep them fully separate (Fig. 5).
   auto results = std::make_shared<AnalysisResults>();
   AnalyzerConfig acfg;
-  acfg.block_size = 32 * 1024;
   acfg.results = results;
   acfg.board.workers = 2;
 

@@ -300,7 +300,9 @@ TEST(TenantFabric, SameSeedCampaignWithTenantCrashIsBitIdentical) {
   // The crashed tenant was released by the crash oracle, not a detach
   // (unless it never attached before dying — then it never ran at all).
   const auto& crashed = a.tenants[2];
-  if (crashed.admitted) EXPECT_TRUE(crashed.by_death);
+  if (crashed.admitted) {
+    EXPECT_TRUE(crashed.by_death);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +349,58 @@ TEST(TenantFabric, TenantCrashLeavesSurvivorResultsBitIdentical) {
   EXPECT_EQ(faulty->health.dead_world_ranks, (std::vector<int>{2}));
   const an::AppResults* cr = faulty->find(1);
   ASSERT_NE(cr, nullptr);
-  if (cr->tenant.admitted) EXPECT_TRUE(cr->tenant.released_by_death);
+  if (cr->tenant.admitted) {
+    EXPECT_TRUE(cr->tenant.released_by_death);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Root agreement: tenants attach to the rank that runs the admission
+// controller, whichever fault plan names a crash and whatever its trigger.
+// ---------------------------------------------------------------------------
+
+/// Two 4-rank tenants on two analyzer ranks, watchdog armed: a tenant that
+/// attaches to any rank but the admission root waits for its verdict
+/// until the watchdog aborts the run.
+void expect_both_tenants_admitted(SessionConfig cfg, const std::string& dir) {
+  cfg.output_dir = dir;
+  cfg.runtime.watchdog_virtual_deadline = 10;
+  cfg.runtime.watchdog_stall_seconds = 5;
+  Session session(cfg);
+  const int a = session.add_application("a", 4, ring(200));
+  const int b = session.add_application("b", 4, ring(200));
+  auto results = session.run();
+
+  EXPECT_EQ(results->health.tenants_admitted, 2u);
+  for (int app : {a, b}) {
+    const an::AppResults* r = results->find(app);
+    ASSERT_NE(r, nullptr);
+    EXPECT_TRUE(r->tenant.admitted) << "app " << app;
+  }
+  EXPECT_TRUE(results->health.dead_world_ranks.empty());
+  EXPECT_NE(slurp(dir + "/report.md").find("## Tenant fabric"),
+            std::string::npos);
+}
+
+TEST(TenantFabric, RuntimePlanCrashThatNeverFiresMovesBothRoots) {
+  // World rank 8 is analyzer rank 0. The entry comes through the
+  // runtime's own fault plan with a call budget the run never reaches:
+  // the plan still names a crash, so the root moves to analyzer rank 1
+  // for the analyzer and the tenants alike.
+  SessionConfig cfg = fabric_config();
+  cfg.runtime.faults.crashes.push_back(
+      {.world_rank = 8, .after_calls = 1'000'000'000});
+  expect_both_tenants_admitted(cfg,
+                               testing::TempDir() + "esp_tenancy_root_rt");
+}
+
+TEST(TenantFabric, UntriggeredAnalyzerCrashEntryKeepsBothRootsOnRankZero) {
+  // An analyzer-relative entry with neither a time nor a call budget
+  // schedules no crash, so analyzer rank 0 stays the root for everyone.
+  SessionConfig cfg = fabric_config();
+  cfg.faults.crashes.push_back({.world_rank = 0, .analyzer_rank = true});
+  expect_both_tenants_admitted(cfg,
+                               testing::TempDir() + "esp_tenancy_root_plan");
 }
 
 }  // namespace

@@ -226,6 +226,41 @@ TEST(VmpiStream, NonblockingReadReturnsEagainBeforeData) {
   rt.run();
 }
 
+TEST(VmpiStream, ReaderPostsTheWritersSlotDepth) {
+  // The writer announces n_async = 1 in its open handshake; the reader,
+  // configured with 3, posts exactly one receive on the link.
+  std::atomic<bool> counted{false};
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", 1, [&](ProcEnv& env) {
+                     Stream st({1024, 1, BalancePolicy::None});
+                     st.open_peer(env, 1, "w");
+                     while (!counted.load()) {
+                     }
+                     std::vector<std::byte> block(1024);
+                     for (int b = 0; b < 3; ++b) {
+                       fill_block(block, 0, b);
+                       st.write(block.data(), 1);
+                     }
+                     st.close();
+                   }});
+  progs.push_back({"r", 1, [&](ProcEnv& env) {
+                     Stream st({1024, 3, BalancePolicy::None});
+                     st.open_peer(env, 0, "r");
+                     EXPECT_EQ(env.runtime->mailbox(env.universe_rank)
+                                   .pending_recvs(),
+                               1u);
+                     counted.store(true);
+                     std::vector<std::byte> block(1024);
+                     for (int b = 0; b < 3; ++b) {
+                       ASSERT_EQ(st.read(block.data(), 1), 1);
+                       EXPECT_TRUE(check_block(block));
+                     }
+                     EXPECT_EQ(st.read(block.data(), 1), 0);
+                   }});
+  Runtime rt(RuntimeConfig{}, std::move(progs));
+  rt.run();
+}
+
 TEST(VmpiStream, BackpressureBoundsWriterProgress) {
   // With a slow reader and N_A=2 output buffers, a writer of B blocks can
   // be at most N_A blocks ahead of what the reader consumed. We check the

@@ -26,7 +26,6 @@ std::shared_ptr<AnalysisResults> profile_workload(WorkloadParams p, int nprocs,
                                                   int n_analyzer) {
   auto results = std::make_shared<AnalysisResults>();
   an::AnalyzerConfig acfg;
-  acfg.block_size = 64 * 1024;
   acfg.results = results;
   acfg.board.workers = 2;
   std::vector<ProgramSpec> progs;
