@@ -46,10 +46,6 @@ inline WorkloadRun run_workload(nas::WorkloadParams params, int nprocs,
   WorkloadRun out;
   mpi::RuntimeConfig rcfg;
   rcfg.machine = machine;
-  // Skeleton payload contents are never read: cap their physical copies so
-  // large-message workloads stay host-affordable (virtual costs still use
-  // the full sizes; stream data is exempt and always copied whole).
-  rcfg.payload_copy_cap = 1u << 20;
 
   std::vector<mpi::ProgramSpec> progs;
   progs.push_back({nas::workload_label(params.bench, params.cls), nprocs,

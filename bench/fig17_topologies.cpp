@@ -65,7 +65,6 @@ int main() {
                      }});
     mpi::RuntimeConfig rcfg;
     rcfg.machine = machine;
-    rcfg.payload_copy_cap = 1u << 20;  // skeleton payloads; streams copy whole
     mpi::Runtime rt(rcfg, std::move(progs));
     inst::attach_online_instrumentation(rt);
     rt.run();

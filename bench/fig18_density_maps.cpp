@@ -76,7 +76,6 @@ int main() {
                      [acfg](mpi::ProcEnv& env) { an::run_analyzer(env, acfg); }});
     mpi::RuntimeConfig rcfg;
     rcfg.machine = machine;
-    rcfg.payload_copy_cap = 1u << 20;  // skeleton payloads; streams copy whole
     mpi::Runtime rt(rcfg, std::move(progs));
     inst::attach_online_instrumentation(rt);
     rt.run();

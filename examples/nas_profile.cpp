@@ -47,8 +47,6 @@ int main(int argc, char** argv) {
   SessionConfig cfg;
   cfg.analyzer_ratio = ratio;
   cfg.output_dir = "nas_profile_report";
-  // Skeleton payloads are opaque; stream data is always copied whole.
-  cfg.runtime.payload_copy_cap = 1u << 20;
 
   Session session(cfg);
   const int app =

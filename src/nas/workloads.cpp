@@ -40,19 +40,14 @@ ClassScale scale_of(ProblemClass c) {
 
 /// Exchange `bytes` with each listed neighbour via irecv/isend/waitall.
 void halo_exchange(const mpi::Comm& w, const std::vector<int>& neighbours,
-                   std::uint64_t bytes, std::vector<std::byte>& sendbuf,
-                   std::vector<std::byte>& recvbuf) {
+                   std::uint64_t bytes) {
   if (neighbours.empty()) return;
-  if (sendbuf.size() < bytes) sendbuf.resize(bytes);
-  if (recvbuf.size() < bytes * neighbours.size())
-    recvbuf.resize(bytes * neighbours.size());
   std::vector<mpi::Request> reqs;
   reqs.reserve(neighbours.size() * 2);
-  for (std::size_t i = 0; i < neighbours.size(); ++i)
-    reqs.push_back(w.irecv(recvbuf.data() + i * bytes, bytes, neighbours[i],
-                           kWorkTag));
   for (int nb : neighbours)
-    reqs.push_back(w.isend(sendbuf.data(), bytes, nb, kWorkTag));
+    reqs.push_back(w.irecv(nullptr, bytes, nb, kWorkTag));
+  for (int nb : neighbours)
+    reqs.push_back(w.isend(nullptr, bytes, nb, kWorkTag));
   mpi::waitall(reqs);
 }
 
@@ -90,12 +85,11 @@ void run_bt_sp(mpi::ProcEnv& env, ProblemClass cls, int iters, bool is_sp) {
   const std::vector<int> x_nb = {at(row, col - 1), at(row, col + 1)};
   const std::vector<int> y_nb = {at(row - 1, col), at(row + 1, col)};
 
-  std::vector<std::byte> sendbuf, recvbuf;
   for (int it = 0; it < iters; ++it) {
     mpi::compute_flops(flops);
     for (int s = 0; s < stages; ++s) {
-      halo_exchange(w, x_nb, msg, sendbuf, recvbuf);  // x sweep
-      halo_exchange(w, y_nb, msg, sendbuf, recvbuf);  // y sweep
+      halo_exchange(w, x_nb, msg);  // x sweep
+      halo_exchange(w, y_nb, msg);  // y sweep
     }
     if (it % 8 == 7) {
       double residual = 1.0, out = 0.0;
@@ -138,25 +132,24 @@ void run_lu(mpi::ProcEnv& env, ProblemClass cls, int iters) {
   const int west = col > 0 ? r - 1 : -1;
   const int east = col + 1 < px ? r + 1 : -1;
 
-  std::vector<std::byte> bn(msg_s), bs(msg_s), bw(msg_e), be(msg_e);
   const double stage_flops = flops / (2.0 * stages);
 
   for (int it = 0; it < iters; ++it) {
     // Lower-triangular sweep: NW -> SE.
     for (int s = 0; s < stages; ++s) {
-      if (north >= 0) w.recv(bn.data(), msg_s, north, kWorkTag);
-      if (west >= 0) w.recv(bw.data(), msg_e, west, kWorkTag);
+      if (north >= 0) w.recv(nullptr, msg_s, north, kWorkTag);
+      if (west >= 0) w.recv(nullptr, msg_e, west, kWorkTag);
       mpi::compute_flops(stage_flops);
-      if (south >= 0) w.send(bs.data(), msg_s, south, kWorkTag);
-      if (east >= 0) w.send(be.data(), msg_e, east, kWorkTag);
+      if (south >= 0) w.send(nullptr, msg_s, south, kWorkTag);
+      if (east >= 0) w.send(nullptr, msg_e, east, kWorkTag);
     }
     // Upper-triangular sweep: SE -> NW.
     for (int s = 0; s < stages; ++s) {
-      if (south >= 0) w.recv(bs.data(), msg_s, south, kWorkTag);
-      if (east >= 0) w.recv(be.data(), msg_e, east, kWorkTag);
+      if (south >= 0) w.recv(nullptr, msg_s, south, kWorkTag);
+      if (east >= 0) w.recv(nullptr, msg_e, east, kWorkTag);
       mpi::compute_flops(stage_flops);
-      if (north >= 0) w.send(bn.data(), msg_s, north, kWorkTag);
-      if (west >= 0) w.send(bw.data(), msg_e, west, kWorkTag);
+      if (north >= 0) w.send(nullptr, msg_s, north, kWorkTag);
+      if (west >= 0) w.send(nullptr, msg_e, west, kWorkTag);
     }
     if (it % 8 == 7) {
       double rsd = 1.0, out = 0.0;
@@ -191,12 +184,10 @@ void run_cg(mpi::ProcEnv& env, ProblemClass cls, int iters) {
   const int t_col = row + (col >= R ? R : 0);
   const int transpose_partner = t_row * npcols + t_col;
 
-  std::vector<std::byte> out_buf(std::max(reduce_bytes, transpose_bytes));
-  std::vector<std::byte> in_buf(out_buf.size());
   auto sendrecv = [&](int partner, std::uint64_t bytes) {
     if (partner == r) return;
-    mpi::Request rq = w.irecv(in_buf.data(), bytes, partner, kWorkTag);
-    w.send(out_buf.data(), bytes, partner, kWorkTag);
+    mpi::Request rq = w.irecv(nullptr, bytes, partner, kWorkTag);
+    w.send(nullptr, bytes, partner, kWorkTag);
     mpi::wait(rq);
   };
 
@@ -234,11 +225,9 @@ void run_ft(mpi::ProcEnv& env, ProblemClass cls, int iters) {
   const double flops =
       sc.ft_points * 5.0 * std::log2(sc.ft_points) / p;
 
-  std::vector<std::byte> out(bytes_each * static_cast<std::size_t>(p));
-  std::vector<std::byte> in(out.size());
   for (int it = 0; it < iters; ++it) {
     mpi::compute_flops(flops);
-    w.alltoall(out.data(), bytes_each, in.data());
+    w.alltoall(nullptr, bytes_each, nullptr);
     if (it % 4 == 3) {
       double chk = 1.0, outv = 0.0;
       w.allreduce(&chk, &outv, 1, mpi::Datatype::Double, mpi::ReduceOp::Sum);
@@ -272,10 +261,9 @@ void run_eulermhd(mpi::ProcEnv& env, ProblemClass cls, int iters) {
   };
   const std::vector<int> nb = {at(row, col - 1), at(row, col + 1),
                                at(row - 1, col), at(row + 1, col)};
-  std::vector<std::byte> sendbuf, recvbuf;
   for (int it = 0; it < iters; ++it) {
     mpi::compute_flops(flops);
-    halo_exchange(w, nb, msg, sendbuf, recvbuf);
+    halo_exchange(w, nb, msg);
     double dt_local = 1e-3, dt = 0.0;
     w.allreduce(&dt_local, &dt, 1, mpi::Datatype::Double, mpi::ReduceOp::Min);
     if (it % 10 == 9) {

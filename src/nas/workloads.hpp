@@ -8,7 +8,8 @@
 /// class — and charges analytic compute time per iteration, calibrated so
 /// the instrumentation-bandwidth ordering of the paper holds (class C
 /// programs issue MPI calls more intensively than class D ones, hence a
-/// larger Bi and a larger online-instrumentation overhead, Fig. 15).
+/// larger Bi and a larger online-instrumentation overhead, Fig. 15). Work
+/// traffic is size-only (null buffers, see mpi::Comm): nobody reads it.
 ///
 /// Patterns implemented (and the paper figures they feed):
 ///  - BT / SP: square process grid, ADI-style x/y sweeps; SP issues more,

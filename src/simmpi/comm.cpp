@@ -26,9 +26,9 @@ constexpr std::uint64_t coll_ctx(std::uint64_t ctx) noexcept {
   return ctx | (1ull << 63);
 }
 
-/// Bytes of an `n`-byte message physically copied on the host. Skeleton
-/// payloads stop at RuntimeConfig::payload_copy_cap; stream data always
-/// travels whole, because its reader checks the frame header and CRC.
+/// Bytes of an `n`-byte message physically copied on the host. Payloads
+/// stop at RuntimeConfig::payload_copy_cap; stream data always travels
+/// whole, because its reader checks the frame header and CRC.
 std::uint64_t physical_bytes(const Runtime& rt, int tag, std::uint64_t n) {
   if (net::is_stream_data_tag(tag)) return n;
   return std::min(n, rt.config().payload_copy_cap);
@@ -50,7 +50,7 @@ CommObs& cobs() {
 /// items only), both posted by reference on owning buffers of equal size
 /// (so each buffer keeps its pool size class), with the whole message
 /// physically delivered. Everything else — raw pointers, eager staging,
-/// views, truncation, capped skeleton payloads — takes the copy.
+/// views, truncation, capped payloads — takes the copy.
 bool can_hand_off(const detail::SendItem& s, const detail::RecvItem& r,
                   std::uint64_t physical) {
   return s.src_ref && r.keepalive &&
@@ -62,10 +62,14 @@ bool can_hand_off(const detail::SendItem& s, const detail::RecvItem& r,
 /// Close a matched (send, recv) pair: deliver the payload (copy, or
 /// storage handoff), compute the virtual transfer timing, and wake both
 /// sides. Runs outside mailbox locks on whichever thread completed the
-/// match.
+/// match. A size-only end (null buffer) moves no host byte: a real send
+/// into a null receive is discarded, a null send leaves a real receive
+/// buffer untouched, and an injected corrupt bit has nothing to flip.
 void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
   const std::uint64_t n = std::min(s.bytes, r.max_bytes);
-  const std::uint64_t physical = physical_bytes(rt, s.tag, n);
+  const std::byte* src = s.eager_mode && s.eager ? s.eager->data() : s.src_buf;
+  const std::uint64_t physical =
+      src && r.dst_buf ? physical_bytes(rt, s.tag, n) : 0;
   if (physical != 0) {
     std::byte* delivered = r.dst_buf;
     if (can_hand_off(s, r, physical)) {
@@ -73,7 +77,6 @@ void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
       delivered = r.keepalive->data();
       if (obs::enabled()) cobs().handoffs.add(1);
     } else {
-      const std::byte* src = s.eager_mode ? s.eager->data() : s.src_buf;
       std::memcpy(delivered, src, physical);
       if (obs::enabled()) cobs().bytes_copied.add(physical);
     }
@@ -106,7 +109,8 @@ void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
 
 /// Base isend: stages eagerly below the threshold (request completes at
 /// staging finish) or posts a rendezvous item (request completes at
-/// transfer finish).
+/// transfer finish). A size-only send (null `buf`) stages no bytes but is
+/// charged the same staging time.
 Request isend_impl(Runtime& rt, RankContext& rc,
                    const std::shared_ptr<const CommData>& cd,
                    std::uint64_t ctx, const void* buf, std::uint64_t bytes,
@@ -136,7 +140,8 @@ Request isend_impl(Runtime& rt, RankContext& rc,
   const bool eager = bytes <= rt.config().eager_threshold;
   item->eager_mode = eager;
   if (eager) {
-    item->eager = Buffer::copy_of(buf, physical_bytes(rt, tag, bytes));
+    if (buf != nullptr)
+      item->eager = Buffer::copy_of(buf, physical_bytes(rt, tag, bytes));
     const double staged =
         rt.machine().local_copy(rt.core_of(rc.world_rank), bytes, rc.clock);
     rc.clock = staged;
@@ -550,18 +555,19 @@ void Comm::palltoall(const void* in, std::uint64_t bytes_each,
   P2p p(*this);
   const int n = size();
   const int r = rank();
+  auto block = [bytes_each](auto* base, int i) {  // size-only stays null
+    return base ? base + static_cast<std::size_t>(i) * bytes_each : base;
+  };
   const auto* src_bytes = static_cast<const std::byte*>(in);
   auto* dst_bytes = static_cast<std::byte*>(out);
-  std::memcpy(dst_bytes + static_cast<std::size_t>(r) * bytes_each,
-              src_bytes + static_cast<std::size_t>(r) * bytes_each, bytes_each);
+  if (src_bytes && dst_bytes)
+    std::memcpy(block(dst_bytes, r), block(src_bytes, r), bytes_each);
   for (int shift = 1; shift < n; ++shift) {
     const int dst = (r + shift) % n;
     const int src = (r - shift + n) % n;
     Request rreq =
-        p.irecv(dst_bytes + static_cast<std::size_t>(src) * bytes_each,
-                bytes_each, src, kCollTag + 5);
-    p.send(src_bytes + static_cast<std::size_t>(dst) * bytes_each, bytes_each,
-           dst, kCollTag + 5);
+        p.irecv(block(dst_bytes, src), bytes_each, src, kCollTag + 5);
+    p.send(block(src_bytes, dst), bytes_each, dst, kCollTag + 5);
     pwait(rreq);
   }
 }

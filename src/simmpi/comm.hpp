@@ -66,6 +66,14 @@ class Comm {
 
   // --------------------------------------------------------------------
   // PMPI layer: base implementations, never intercepted.
+  //
+  // Size-only messages: send/isend/recv/irecv (both layers, raw pointers)
+  // and alltoall's in/out accept a null buffer with a non-zero count. It
+  // is charged exactly like a real buffer (sender clock, staging, wire,
+  // crash-oracle booking, Status.bytes, every tool's CallInfo), but no
+  // host byte moves: a real send into a null receive is discarded, and a
+  // null send leaves a real receive buffer untouched. Reductions read
+  // their operands, so they take real buffers.
   // --------------------------------------------------------------------
   void psend(const void* buf, std::uint64_t bytes, int dst, int tag) const;
   Status precv(void* buf, std::uint64_t bytes, int src, int tag) const;

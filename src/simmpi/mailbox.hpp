@@ -6,7 +6,8 @@
 /// mailbox; receivers post RecvItems into their own. Whichever side closes
 /// a match removes both items under the lock and completes the pair outside
 /// it (payload copy or storage handoff + virtual-time transfer
-/// computation).
+/// computation). A size-only message (null send or receive buffer, see
+/// comm.hpp) is matched and timed the same way but moves no bytes.
 /// Matching preserves MPI ordering: queues are scanned front-to-back, and
 /// items from one sender arrive in program order.
 
@@ -70,7 +71,8 @@ struct SendItem {
   std::uint64_t ctx = 0;
   int tag = 0;
   std::uint64_t bytes = 0;
-  /// Rendezvous: pointer into the (pinned) sender buffer; null for eager.
+  /// Rendezvous: pointer into the (pinned) sender buffer; null for eager
+  /// and for size-only sends.
   /// When `src_ref` owns it, complete_match may hand the storage itself
   /// to a by-reference receive instead of copying (see RecvItem).
   const std::byte* src_buf = nullptr;
@@ -79,7 +81,7 @@ struct SendItem {
   /// can swap its storage with the receiver's. Null for raw-pointer sends
   /// and for eager sends (those deliver from `eager`).
   BufferRef src_ref;
-  /// Eager: staged copy owned by the item.
+  /// Eager: staged copy owned by the item; null for a size-only send.
   BufferRef eager;
   bool eager_mode = false;
   double t_ready = 0.0;   ///< Virtual time the message leaves the sender.
@@ -96,7 +98,7 @@ struct SendItem {
 };
 
 struct RecvItem {
-  std::byte* dst_buf = nullptr;
+  std::byte* dst_buf = nullptr;  ///< Null for a size-only receive.
   /// Keeps dst_buf's backing storage alive until the item is dropped. A
   /// stream reader can be destroyed (normal exit after kEpipe, failover
   /// grace expiry) while slot receives are still posted; a sender that

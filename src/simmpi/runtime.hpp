@@ -118,12 +118,11 @@ struct RuntimeConfig {
   net::MachineConfig machine = net::MachineConfig::tera100();
   /// Messages up to this size are staged eagerly (sender does not block).
   std::uint64_t eager_threshold = 16 * 1024;
-  /// Host-side optimization for large skeleton payloads: at most this many
-  /// bytes are physically copied per message, while *virtual* costs are
-  /// always charged for the full size. Keep at the default (unlimited)
-  /// whenever receivers read payload content beyond the cap. VMPI stream
-  /// data is exempt and always copied whole, so event packs arrive intact
-  /// under any cap.
+  /// At most this many bytes are physically copied per message, while
+  /// *virtual* costs are always charged for the full size. VMPI stream
+  /// data is exempt and always copied whole. Still honoured, but nothing
+  /// in src/, bench/ or examples/ sets it: skeleton workloads post
+  /// size-only messages (null buffers, see comm.hpp), which copy nothing.
   std::uint64_t payload_copy_cap = ~0ull;
   std::uint64_t seed = 42;
   /// Deterministic fault schedule (empty = fault-free run). Decisions are

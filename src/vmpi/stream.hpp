@@ -32,7 +32,7 @@
 /// 1 ms of virtual time, modelling the reader's timeout.
 /// There is one wire format: every block and every end-of-stream marker
 /// is framed. The transport delivers stream data in full whatever the
-/// runtime's skeleton-payload cap says, so the header always arrives.
+/// runtime's payload copy cap says, so the header always arrives.
 ///
 /// A block's bytes are touched twice on the host: the writer frames and
 /// checksums it while copying it into an output buffer, and the reader

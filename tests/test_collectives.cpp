@@ -124,6 +124,35 @@ TEST_P(CollectivesP, ScanPrefixSums) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, CollectivesP,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16, 32));
 
+TEST(Alltoall, SizeOnlyChargesLikeBuffered) {
+  // Null in/out is a size-only alltoall: the same rank clocks as the
+  // buffered call, at an eager and a rendezvous block size. One rank per
+  // node: ranks sharing a node's copy lanes are granted them in host
+  // arrival order (DESIGN "Known approximation"), which moves an eager
+  // sender's clock between runs whatever its buffers are.
+  constexpr int kRanks = 4;
+  RuntimeConfig cfg;
+  cfg.machine.cores_per_node = 1;
+  auto clocks = [&cfg](std::uint64_t each, bool size_only) {
+    std::vector<ProgramSpec> progs;
+    progs.push_back({"test", kRanks, [=](ProcEnv& env) {
+                       std::vector<std::byte> out(size_only ? 0 : each * kRanks);
+                       std::vector<std::byte> in(out.size());
+                       env.world.alltoall(size_only ? nullptr : out.data(), each,
+                                          size_only ? nullptr : in.data());
+                     }});
+    Runtime rt(cfg, std::move(progs));
+    rt.run();
+    std::vector<double> c;
+    for (int r = 0; r < kRanks; ++r) c.push_back(rt.final_clock(r));
+    return c;
+  };
+  for (const std::uint64_t each : {1024ull, 64ull * 1024}) {
+    SCOPED_TRACE(::testing::Message() << each << " bytes per block");
+    EXPECT_EQ(clocks(each, true), clocks(each, false));
+  }
+}
+
 TEST(CommSplit, SplitsByColorOrderedByKey) {
   run_spmd(8, [](ProcEnv& env) {
     const int color = env.world_rank % 2;

@@ -1,7 +1,8 @@
 /// \file test_simmpi.cpp
 /// \brief Unit tests for the esp::mpi runtime: point-to-point semantics,
 /// wildcards, nonblocking completion, virtual-clock behaviour, the tool
-/// chain, and the by-reference storage handoff with its copy fallbacks.
+/// chain, the by-reference storage handoff with its copy fallbacks, and
+/// size-only (null-buffer) messages.
 
 #include <gtest/gtest.h>
 
@@ -481,6 +482,102 @@ TEST(SimMpiHandoff, CappedSkeletonPayloadCopiesTheCap) {
   EXPECT_EQ(o.status.bytes, k64K);
   expect_delivered(o.receiver_after, 0, 1024);
   expect_untouched(o.receiver_after, 1024, k64K);
+}
+
+// ---------------------------------------------------------------------------
+// Size-only messages: a null buffer with a non-zero count is charged like a
+// real one (clocks, wire, Status) but moves no host bytes.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t k1K = 1024;  // eager (<= the 16 KB threshold)
+
+struct SizeOnlyOutcome {
+  Status status;               ///< Receiver's completion.
+  std::vector<double> clocks;  ///< Final virtual clock of ranks 0 and 1.
+  std::uint64_t bytes_copied = 0;  ///< simmpi.payload_bytes_copied delta.
+  /// Receiver buffer after completion (canary-filled before the receive).
+  std::vector<std::byte> received;
+};
+
+/// One `n`-byte rank-0 -> rank-1 message on a fresh runtime; either end
+/// may pass a null buffer. `nonblocking` uses isend/irecv + wait.
+SizeOnlyOutcome run_size_only(std::size_t n, bool null_send, bool null_recv,
+                              bool nonblocking = false) {
+  auto& copied = obs::counter("simmpi.payload_bytes_copied");
+  const std::uint64_t c0 = copied.value();
+  SizeOnlyOutcome out;
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"test", 2, [&](ProcEnv& env) {
+                     const Comm& c = env.world;
+                     if (env.world_rank == 0) {
+                       std::vector<std::byte> data(n);
+                       for (std::size_t i = 0; i < n; ++i) data[i] = sent_byte(i);
+                       const void* buf = null_send ? nullptr : data.data();
+                       if (nonblocking) {
+                         Request req = c.isend(buf, n, 1, kDataTag);
+                         wait(req);
+                       } else {
+                         c.send(buf, n, 1, kDataTag);
+                       }
+                     } else {
+                       out.received.assign(n, kRecvFill);
+                       void* buf = null_recv ? nullptr : out.received.data();
+                       if (nonblocking) {
+                         Request req = c.irecv(buf, n, 0, kDataTag);
+                         out.status = wait(req);
+                       } else {
+                         out.status = c.recv(buf, n, 0, kDataTag);
+                       }
+                     }
+                   }});
+  obs::set_enabled(true, false);
+  Runtime rt(small_config(), std::move(progs));
+  rt.run();
+  obs::set_enabled(false, false);
+  out.bytes_copied = copied.value() - c0;
+  out.clocks = {rt.final_clock(0), rt.final_clock(1)};
+  return out;
+}
+
+TEST(SimMpiSizeOnly, NullPairIsChargedLikeABufferedPair) {
+  for (const std::size_t n : {k1K, k64K}) {
+    for (const bool nonblocking : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << n << " bytes, "
+                                        << (nonblocking ? "isend/irecv"
+                                                        : "send/recv"));
+      const SizeOnlyOutcome null_pair = run_size_only(n, true, true, nonblocking);
+      const SizeOnlyOutcome real_pair =
+          run_size_only(n, false, false, nonblocking);
+      EXPECT_EQ(null_pair.status.bytes, n);
+      EXPECT_EQ(null_pair.status.source, 0);
+      EXPECT_EQ(null_pair.status.tag, kDataTag);
+      EXPECT_EQ(null_pair.clocks, real_pair.clocks);
+      EXPECT_EQ(null_pair.bytes_copied, 0u);
+      EXPECT_EQ(real_pair.bytes_copied, n);
+      expect_delivered(real_pair.received, 0, n);
+    }
+  }
+}
+
+TEST(SimMpiSizeOnly, NullSendLeavesTheReceiveBufferUntouched) {
+  for (const std::size_t n : {k1K, k64K}) {
+    SCOPED_TRACE(::testing::Message() << n << " bytes");
+    const SizeOnlyOutcome o = run_size_only(n, true, false);
+    EXPECT_EQ(o.status.bytes, n);
+    EXPECT_EQ(o.bytes_copied, 0u);
+    ASSERT_EQ(o.received.size(), n);
+    expect_untouched(o.received, 0, n);
+  }
+}
+
+TEST(SimMpiSizeOnly, RealSendIntoNullReceiveIsDiscarded) {
+  for (const std::size_t n : {k1K, k64K}) {
+    SCOPED_TRACE(::testing::Message() << n << " bytes");
+    const SizeOnlyOutcome o = run_size_only(n, false, true);
+    EXPECT_EQ(o.status.bytes, n);
+    EXPECT_EQ(o.bytes_copied, 0u);
+    EXPECT_EQ(o.clocks, run_size_only(n, false, false).clocks);
+  }
 }
 
 }  // namespace

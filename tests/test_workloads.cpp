@@ -1,8 +1,9 @@
 /// \file test_workloads.cpp
 /// \brief NAS skeleton invariants: every workload runs to completion on
 /// valid process counts, produces the expected topology through the full
-/// pipeline, and its class scaling ordering holds (C is more
-/// communication-intensive per second than D).
+/// pipeline, its class scaling ordering holds (C is more
+/// communication-intensive per second than D), and its work traffic is
+/// size-only: charged as before, with no payload bytes moved.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include "analysis/analyzer.hpp"
 #include "instrument/online_instrument.hpp"
 #include "nas/workloads.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace esp::nas {
 namespace {
@@ -55,6 +58,12 @@ struct BenchCase {
   int nprocs;
 };
 
+/// Parameterized test suffix, e.g. "BT9".
+constexpr auto case_name = [](const auto& info) {
+  return std::string(benchmark_name(info.param.bench)) +
+         std::to_string(info.param.nprocs);
+};
+
 class WorkloadP : public ::testing::TestWithParam<BenchCase> {};
 
 TEST_P(WorkloadP, RunsAndProducesEvents) {
@@ -76,10 +85,85 @@ INSTANTIATE_TEST_SUITE_P(
                       BenchCase{Benchmark::LU, 8}, BenchCase{Benchmark::CG, 8},
                       BenchCase{Benchmark::FT, 8},
                       BenchCase{Benchmark::EulerMHD, 9}),
-    [](const auto& info) {
-      return std::string(benchmark_name(info.param.bench)) +
-             std::to_string(info.param.nprocs);
-    });
+    case_name);
+
+/// What one skeleton run shows simmpi, the tool chain and the payload
+/// counters.
+struct SkeletonTraffic {
+  std::uint64_t calls = 0;       ///< RankContext::calls_made over all ranks.
+  std::uint64_t tool_bytes = 0;  ///< Sum of every CallInfo::bytes seen.
+  /// Point-to-point messages inside the allreduces: 2 (p - 1) per
+  /// instance (reduce tree, then broadcast tree). The skeletons call no
+  /// other collective that carries values.
+  std::uint64_t reduce_msgs = 0;
+  std::uint64_t bytes_copied = 0;  ///< simmpi.payload_bytes_copied delta.
+};
+
+SkeletonTraffic run_skeleton(Benchmark b, int nprocs, int iters) {
+  struct Tally : mpi::Tool {
+    std::atomic<std::uint64_t> calls{0}, bytes{0}, allreduce_calls{0};
+    void on_call(mpi::RankContext&, const mpi::CallInfo& ci) override {
+      bytes.fetch_add(ci.bytes);
+      if (ci.kind == mpi::CallKind::Allreduce) allreduce_calls.fetch_add(1);
+    }
+    void on_finalize(mpi::RankContext& rc) override {
+      calls.fetch_add(rc.calls_made);
+    }
+  };
+  auto& copied = obs::counter("simmpi.payload_bytes_copied");
+  const std::uint64_t c0 = copied.value();
+  std::vector<ProgramSpec> progs;
+  progs.push_back({benchmark_name(b), nprocs,
+                   make_workload({b, ProblemClass::C, iters})});
+  auto tally = std::make_shared<Tally>();
+  obs::set_enabled(true, false);
+  {
+    Runtime rt(RuntimeConfig{}, std::move(progs));
+    rt.tools().attach(tally);
+    rt.run();
+  }
+  obs::set_enabled(false, false);
+  SkeletonTraffic t;
+  t.calls = tally->calls.load();
+  t.tool_bytes = tally->bytes.load();
+  t.reduce_msgs = tally->allreduce_calls.load() / static_cast<unsigned>(nprocs) *
+                  2 * static_cast<unsigned>(nprocs - 1);
+  t.bytes_copied = copied.value() - c0;
+  return t;
+}
+
+struct SkeletonCase {
+  Benchmark bench;
+  int nprocs;
+  /// simmpi calls and tool-observed bytes of the same run, measured when
+  /// the skeletons still posted real payload buffers.
+  std::uint64_t buffered_calls;
+  std::uint64_t buffered_tool_bytes;
+};
+
+class SkeletonTrafficP : public ::testing::TestWithParam<SkeletonCase> {};
+
+TEST_P(SkeletonTrafficP, WorkTrafficIsSizeOnly) {
+  const SkeletonCase c = GetParam();
+  // 8 iterations: every skeleton reaches at least one allreduce.
+  const SkeletonTraffic t = run_skeleton(c.bench, c.nprocs, 8);
+  ASSERT_GT(t.reduce_msgs, 0u);
+  // Only the 8-byte reductions move host bytes.
+  EXPECT_LE(t.bytes_copied, 16 * t.reduce_msgs);
+  // The simulated work is what the buffered skeleton did.
+  EXPECT_EQ(t.calls, c.buffered_calls);
+  EXPECT_EQ(t.tool_bytes, c.buffered_tool_bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Skeletons, SkeletonTrafficP,
+    ::testing::Values(SkeletonCase{Benchmark::BT, 9, 680, 806215752},
+                      SkeletonCase{Benchmark::SP, 16, 2236, 1073295488},
+                      SkeletonCase{Benchmark::LU, 8, 3612, 134369344},
+                      SkeletonCase{Benchmark::CG, 8, 696, 129607040},
+                      SkeletonCase{Benchmark::FT, 8, 1016, 17179869312},
+                      SkeletonCase{Benchmark::EulerMHD, 9, 904, 113246784}),
+    case_name);
 
 TEST(Workloads, LuTopologyIsNonPeriodicGrid) {
   WorkloadParams p{Benchmark::LU, ProblemClass::C, 2};
