@@ -1,10 +1,8 @@
 #include "analysis/analyzer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <optional>
-#include <thread>
 
 #include "analysis/membership.hpp"
 #include "analysis/modules.hpp"
@@ -416,10 +414,11 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
     // (every tenant attached, decided and released).
     if ((r == 0 || r == vmpi::kEpipe) && drained) break;
     if (fabric && (++sweep_tick & 63u) == 0) teardown_sweep();
-    // Non-blocking root: don't busy-spin host CPU while the fabric is
-    // idle. Real-time sleep only — no virtual clock is touched.
-    if (admission_root && blocks.empty())
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    // Non-blocking root: don't spin while the fabric is idle. An idle
+    // wait resumes once no other rank can run; no virtual clock moves. A
+    // kEagain from read_some() already was one.
+    if (admission_root && blocks.empty() && r != vmpi::kEagain)
+      mpi::fib::idle();
   }
   teardown_sweep();
   board.drain();

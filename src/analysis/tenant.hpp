@@ -168,7 +168,7 @@ struct LatencyHist {
 };
 
 // ---------------------------------------------------------------------------
-// Admission controller (runs on the fabric root's rank thread).
+// Admission controller (runs on the fabric root's rank).
 // ---------------------------------------------------------------------------
 
 class AdmissionController {

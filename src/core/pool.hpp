@@ -33,8 +33,11 @@
 namespace esp::mem {
 
 /// Buffers a pool keeps idle in its free list; returns beyond it are
-/// heap-freed so one burst cannot pin memory forever.
-inline constexpr std::size_t kRetainCap = 64;
+/// heap-freed so one burst cannot pin memory forever. Sized above the
+/// framed blocks a 64-writer → 8-reader fan-in holds at once (3 output
+/// buffers per writer plus 3 slots per link, 384 in all), so reopening
+/// such a stream reuses them instead of zero-filling fresh megabytes.
+inline constexpr std::size_t kRetainCap = 512;
 
 struct PoolStats {
   std::uint64_t hits = 0;      ///< Acquires served from the free list.

@@ -108,7 +108,7 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
 
     // Wrap each application main in the attach/verdict/detach protocol.
     // The admission root is the analyzer's reduce root, asked of the
-    // runtime on the rank thread: the same rule over the same plans the
+    // runtime inside the rank: the same rule over the same plans the
     // analyzer applies, so both sides always meet on one rank.
     for (std::size_t i = 0; i < apps_.size(); ++i) {
       const an::TenantSpec spec = fab.tenants[i];

@@ -21,10 +21,6 @@ constexpr std::uint64_t kDegradeDownThreshold = 1;
 /// Consecutive clear windows before stepping one rung back up.
 constexpr int kDegradeUpWindows = 2;
 
-/// The rank thread's active instrumentation state, for record_posix.
-thread_local void* g_rank_state = nullptr;
-thread_local OnlineInstrument* g_rank_tool = nullptr;
-
 struct InstObs {
   obs::Counter& events = obs::counter("inst.events");
   obs::Counter& packs = obs::counter("inst.packs");
@@ -147,8 +143,9 @@ void OnlineInstrument::on_init(mpi::RankContext& rc) {
   st->open = true;
 
   states_[static_cast<std::size_t>(rc.world_rank)] = std::move(st);
-  g_rank_state = states_[static_cast<std::size_t>(rc.world_rank)].get();
-  g_rank_tool = this;
+  // The rank's active instrumentation, for record_posix.
+  rc.tool_state = states_[static_cast<std::size_t>(rc.world_rank)].get();
+  rc.tool = this;
 }
 
 void OnlineInstrument::append(mpi::RankContext& rc, RankState& st,
@@ -343,8 +340,8 @@ void OnlineInstrument::on_finalize(mpi::RankContext& rc) {
   total_windows_agg_.fetch_add(st.windows_aggregated);
   total_sampled_out_.fetch_add(st.sampled_out);
   total_aggregated_.fetch_add(st.aggregated_calls);
-  g_rank_state = nullptr;
-  g_rank_tool = nullptr;
+  rc.tool_state = nullptr;
+  rc.tool = nullptr;
 }
 
 void OnlineInstrument::note_admit(mpi::RankContext& rc, double t_admit) {
@@ -355,15 +352,17 @@ void OnlineInstrument::note_admit(mpi::RankContext& rc, double t_admit) {
 
 void OnlineInstrument::record_posix(EventKind kind, std::uint64_t bytes,
                                     double duration) {
-  if (g_rank_state == nullptr || g_rank_tool == nullptr) return;
+  if (!mpi::Runtime::on_rank_thread()) return;
   auto& rc = mpi::Runtime::self();
+  if (rc.tool_state == nullptr || rc.tool == nullptr) return;
   Event ev;
   ev.kind = kind;
   ev.rank = rc.partition_rank;
   ev.bytes = bytes;
   ev.t_begin = rc.clock - duration;
   ev.t_end = rc.clock;
-  g_rank_tool->record(rc, *static_cast<RankState*>(g_rank_state), ev);
+  static_cast<OnlineInstrument*>(rc.tool)->record(
+      rc, *static_cast<RankState*>(rc.tool_state), ev);
 }
 
 void posix_io(EventKind kind, std::uint64_t bytes, double duration) {

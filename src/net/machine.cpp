@@ -102,7 +102,7 @@ double Machine::transfer(int src_core, int dst_core, std::uint64_t bytes,
         wait_us(start, done, cfg_.nic_latency, bytes, cfg_.nic_bandwidth);
     o.lane_wait.observe(w);
     // A queued lane is the interesting case: surface it on the caller's
-    // track (virtual time on rank threads).
+    // track (virtual time on rank tracks).
     if (w > 0) obs::trace_span("net", "net.lane_wait", start, done, bytes,
                                "bytes");
   }

@@ -11,17 +11,19 @@
 /// serialization, bisection saturation, metadata-server contention).
 ///
 /// Approximation (documented in DESIGN.md): requests are queued in the
-/// order they arrive in *real* time; when ranks' virtual clocks drift this
-/// can reorder grants, which perturbs per-flow ordering but not aggregate
-/// statistics. Every lane carries the same causality tolerance: a
+/// order the rank scheduler issues them (simmpi/fiber.hpp) — a fixed
+/// function of the seed that yields to smaller virtual clocks before a
+/// booking but is not strictly virtual-time order; when ranks' virtual
+/// clocks drift this can reorder grants, which perturbs per-flow ordering
+/// but not aggregate statistics. Every lane carries the same causality tolerance: a
 /// request whose service time is covered by recorded *idle credit*
 /// (virtual time the server verifiably spent unreserved) is served at
 /// `start + duration` without moving the frontier, even when it overlaps
 /// the frontier — a fluid approximation of short-term sharing. Capacity
 /// conservation stays exact (credit only accrues from real idle gaps and
 /// every serve debits its full service time), and completions are a pure
-/// function of the request while credit lasts — real-time arrival order
-/// can only matter under sustained saturation, when the credit pool is
+/// function of the request while credit lasts — arrival order can only
+/// matter under sustained saturation, when the credit pool is
 /// drained and contention is physical rather than a scheduling artifact.
 
 #include <cstdint>
@@ -38,7 +40,7 @@ namespace esp::net {
 /// bisection is many physical uplinks, not one serial pipe). A transfer
 /// takes the lane whose frontier is earliest.
 ///
-/// Causality tolerance: requests arrive in *real-time* order, which can
+/// Causality tolerance: requests arrive in scheduler order, which can
 /// differ from virtual-time order when rank clocks drift. A request whose
 /// virtual start lies before a lane's frontier may be served "in the
 /// past" — but only against that lane's recorded *idle credit* (gaps when

@@ -16,14 +16,16 @@
 ///   ESP_OBS_DIR         artifact directory override (default: the
 ///                       session's report output_dir)
 ///
-/// Thread tracks: the tracer renders one Perfetto track per thread. Rank
-/// threads register an explicit (pid = partition id + 1, tid = universe
-/// rank) track timed on their *virtual* clocks; auxiliary threads
-/// (blackboard workers) fall onto an auto-assigned real-time track that
-/// can be named with name_current_thread().
+/// Tracks: the tracer renders one Perfetto track per thread or rank. Each
+/// rank owns an explicit (pid = partition id + 1, tid = universe rank)
+/// track timed on its *virtual* clock, bound to the carrier thread while
+/// the rank's fiber runs; auxiliary threads (blackboard workers) fall onto
+/// an auto-assigned real-time track that can be named with
+/// name_current_thread().
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 namespace esp::obs {
@@ -55,12 +57,19 @@ std::uint64_t trace_max_events();
 /// otherwise `session_output_dir` (may be empty = nowhere).
 std::string artifact_dir(const std::string& session_output_dir);
 
-/// Bind the calling thread to an explicit trace track. Rank threads call
-/// this with their partition (process row) and universe rank (thread row);
-/// subsequent spans from this thread land on that track.
-void set_thread_track(std::int32_t pid, std::int32_t tid,
-                      const std::string& thread_name,
-                      const std::string& process_name = std::string());
+/// A span buffer with its track identity (trace.cpp).
+struct TraceTrack;
+
+/// A registered track with an explicit identity: a rank's partition
+/// (process row) and universe rank (thread row). Its spans survive the
+/// handle until the next trace_reset().
+std::shared_ptr<TraceTrack> make_track(std::int32_t pid, std::int32_t tid,
+                                       const std::string& thread_name,
+                                       const std::string& process_name);
+
+/// Route the calling thread's spans to `track` (null: back to the thread's
+/// own track). The rank scheduler rebinds it on every fiber switch.
+void bind_track(TraceTrack* track) noexcept;
 
 /// Name the calling thread's auto-assigned (real-time) track.
 void name_current_thread(const std::string& name);

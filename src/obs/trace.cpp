@@ -25,10 +25,13 @@ struct TraceEvent {
   const char* a1_key = nullptr;
 };
 
-/// One thread's event buffer + track identity. Appended only by its owner
-/// thread under `mu` (uncontended in steady state); write_trace_json locks
-/// each buffer while copying so a late auxiliary thread cannot race it.
-struct ThreadBuf {
+}  // namespace
+
+/// One track's event buffer + identity. Appended only by the thread it is
+/// bound to under `mu` (uncontended in steady state); write_trace_json
+/// locks each buffer while copying so a late auxiliary thread cannot race
+/// it.
+struct TraceTrack {
   std::mutex mu;
   std::int32_t pid = 9999;  ///< Auxiliary-threads process row by default.
   std::int32_t tid = 0;
@@ -37,9 +40,11 @@ struct ThreadBuf {
   std::vector<TraceEvent> events;
 };
 
+namespace {
+
 struct TraceRegistry {
   std::mutex mu;
-  std::vector<std::shared_ptr<ThreadBuf>> bufs;
+  std::vector<std::shared_ptr<TraceTrack>> bufs;
   std::atomic<std::int32_t> next_tid{0};
   std::atomic<std::uint64_t> dropped{0};
 };
@@ -49,9 +54,12 @@ TraceRegistry& registry() {
   return *r;
 }
 
-ThreadBuf& thread_buf() {
-  static thread_local std::shared_ptr<ThreadBuf> buf = [] {
-    auto b = std::make_shared<ThreadBuf>();
+thread_local TraceTrack* t_bound = nullptr;
+
+TraceTrack& thread_buf() {
+  if (t_bound != nullptr) return *t_bound;
+  static thread_local std::shared_ptr<TraceTrack> buf = [] {
+    auto b = std::make_shared<TraceTrack>();
     auto& reg = registry();
     b->tid = reg.next_tid.fetch_add(1, std::memory_order_relaxed);
     b->thread_name = "thread-" + std::to_string(b->tid);
@@ -81,16 +89,21 @@ void json_escape(std::string& out, const std::string& s) {
 
 }  // namespace
 
-void set_thread_track(std::int32_t pid, std::int32_t tid,
-                      const std::string& thread_name,
-                      const std::string& process_name) {
-  auto& b = thread_buf();
-  std::lock_guard lock(b.mu);
-  b.pid = pid;
-  b.tid = tid;
-  b.thread_name = thread_name;
-  b.process_name = process_name;
+std::shared_ptr<TraceTrack> make_track(std::int32_t pid, std::int32_t tid,
+                                       const std::string& thread_name,
+                                       const std::string& process_name) {
+  auto b = std::make_shared<TraceTrack>();
+  b->pid = pid;
+  b->tid = tid;
+  b->thread_name = thread_name;
+  b->process_name = process_name;
+  auto& reg = registry();
+  std::lock_guard lock(reg.mu);
+  reg.bufs.push_back(b);
+  return b;
 }
+
+void bind_track(TraceTrack* track) noexcept { t_bound = track; }
 
 void name_current_thread(const std::string& name) {
   auto& b = thread_buf();
@@ -130,9 +143,9 @@ void trace_instant(const char* cat, const char* name, double t,
 void trace_reset() {
   auto& reg = registry();
   std::lock_guard lock(reg.mu);
-  // The registry is the last owner of a buffer whose thread has exited
-  // (the thread_local handle died with it): drop it, track name included.
-  std::erase_if(reg.bufs, [](const std::shared_ptr<ThreadBuf>& b) {
+  // The registry is the last owner of a buffer whose thread or rank is
+  // gone (its handle died with it): drop it, track name included.
+  std::erase_if(reg.bufs, [](const std::shared_ptr<TraceTrack>& b) {
     return b.use_count() == 1;
   });
   for (const auto& b : reg.bufs) {

@@ -3,9 +3,10 @@
 /// \brief Virtual-time span/event tracer emitting Chrome trace_event JSON.
 ///
 /// Spans carry explicit (begin, end) timestamps in *seconds* supplied by
-/// the caller: rank threads pass their virtual clocks, auxiliary threads
-/// pass obs::real_now(). Each thread appends to its own buffer (registered
-/// globally, capped at obs::trace_max_events()); write_trace_json() sorts
+/// the caller: ranks pass their virtual clocks, auxiliary threads pass
+/// obs::real_now(). Each rank and each thread appends to its own track
+/// buffer (registered globally, capped at obs::trace_max_events());
+/// write_trace_json() sorts
 /// per track so timestamps are monotone per (pid, tid) in file order —
 /// the schema the CI smoke check enforces — and emits process_name /
 /// thread_name metadata so Perfetto labels partitions and ranks.

@@ -61,7 +61,7 @@ bool can_hand_off(const detail::SendItem& s, const detail::RecvItem& r,
 
 /// Close a matched (send, recv) pair: deliver the payload (copy, or
 /// storage handoff), compute the virtual transfer timing, and wake both
-/// sides. Runs outside mailbox locks on whichever thread completed the
+/// sides. Runs outside mailbox locks on whichever rank completed the
 /// match. A size-only end (null buffer) moves no host byte: a real send
 /// into a null receive is discarded, a null send leaves a real receive
 /// buffer untouched, and an injected corrupt bit has nothing to flip.
@@ -117,6 +117,7 @@ Request isend_impl(Runtime& rt, RankContext& rc,
                    int dst_world, int tag, BufferRef src_ref = {}) {
   rc.check_crash();
   rc.advance(kCallOverhead);
+  fib::yield_point();  // staging, wire booking and matching are ordered
   auto item = std::make_shared<detail::SendItem>();
   item->src_world = rc.world_rank;
   item->dst_world = dst_world;
@@ -211,6 +212,7 @@ Request irecv_impl(Runtime& rt, RankContext& rc,
                    int src_world, int tag, BufferRef keepalive = {}) {
   rc.check_crash();
   rc.advance(kCallOverhead);
+  fib::yield_point();  // matching is ordered
   auto item = std::make_shared<detail::RecvItem>();
   item->dst_buf = static_cast<std::byte*>(buf);
   item->keepalive = std::move(keepalive);
@@ -318,6 +320,7 @@ bool Comm::piprobe(int src, int tag, Status* st) const {
   auto& rc = Runtime::self();
   auto& rt = *data_->rt;
   rc.advance(kCallOverhead);
+  fib::yield_point();  // what the mailbox holds depends on who ran first
   const int src_world = src == kAnySource ? kAnySource : world_rank(src);
   std::uint64_t bytes = 0;
   int src_out = -1, tag_out = -1;
@@ -351,7 +354,12 @@ void pwaitall(std::span<Request> rs) {
 }
 
 bool ptest(Request& r, Status* st) {
-  if (!r->is_done()) return false;
+  if (!r->is_done()) {
+    // A rank polling test() in a loop must let the others complete it:
+    // like a failed non-blocking read, a miss is an idle wait.
+    fib::idle();
+    return false;
+  }
   Status s = pwait(r);
   if (st != nullptr) *st = s;
   return true;
@@ -703,6 +711,10 @@ bool Comm::iprobe(int src, int tag, Status* st) const {
   w.ci.peer = src;
   w.ci.tag = tag;
   const bool found = piprobe(src, tag, st);
+  // A rank polling iprobe() in a loop must let the sender run, as test()
+  // does. piprobe() stays a plain probe: internal drain loops stop at the
+  // first miss and must not wait for every other rank.
+  if (!found) fib::idle();
   w.done();
   return found;
 }

@@ -3,8 +3,8 @@
 /// \brief Communicators and the two-layer (MPI_/PMPI_-style) call API.
 ///
 /// A Comm is a cheap value handle over shared group data. Like MPI, the
-/// calling rank is implicit: methods resolve the calling thread's rank
-/// through the runtime's thread-local RankContext.
+/// calling rank is implicit: methods resolve the running rank's
+/// RankContext through the runtime (Runtime::self).
 ///
 /// Two layers are exposed:
 ///  - `p*` methods — the PMPI-equivalent base implementation. Tools and
@@ -49,7 +49,7 @@ class Comm {
   bool valid() const noexcept { return data_ != nullptr; }
   int size() const noexcept { return static_cast<int>(data_->world_ranks.size()); }
   std::uint64_t context() const noexcept { return data_->ctx; }
-  /// Rank of the *calling thread* within this communicator (-1 if outside).
+  /// Rank of the *calling rank* within this communicator (-1 if outside).
   int rank() const;
   /// World rank of a member; throws std::out_of_range for bad ranks (a
   /// negative peer computed by the caller fails loudly, not as UB).
@@ -95,7 +95,9 @@ class Comm {
                  int tag) const;
   Request pirecv(const BufferRef& buf, std::uint64_t bytes, int src,
                  int tag) const;
-  /// Non-blocking probe for a matching incoming message.
+  /// Non-blocking probe for a matching incoming message. A miss returns
+  /// at once, so a loop that polls until a message arrives must use
+  /// iprobe(), whose miss lets the other ranks run.
   bool piprobe(int src, int tag, Status* st) const;
 
   void pbarrier() const;

@@ -1,0 +1,541 @@
+#include "simmpi/fiber.hpp"
+
+#include <cxxabi.h>
+#include <linux/futex.h>
+#include <pthread.h>
+#include <sched.h>
+#include <sys/mman.h>
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <climits>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <deque>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <new>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
+#include "obs/obs.hpp"
+#include "simmpi/runtime.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define ESP_FIB_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ESP_FIB_ASAN 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define ESP_FIB_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define ESP_FIB_TSAN 1
+#endif
+#endif
+#ifdef ESP_FIB_ASAN
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef ESP_FIB_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
+#if !defined(__x86_64__)
+#error "the rank scheduler's context switch is written for x86-64"
+#endif
+
+// Saves the callee-saved registers, MXCSR and the x87 control word on the
+// current stack, stores the stack pointer to *save_sp, and resumes the
+// context whose stack pointer is next_sp (System V x86-64).
+extern "C" void esp_fib_switch(void** save_sp, void* next_sp);
+asm(R"(
+  .text
+  .globl esp_fib_switch
+  .hidden esp_fib_switch
+  .type esp_fib_switch,@function
+  .p2align 4
+esp_fib_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size esp_fib_switch, .-esp_fib_switch
+)");
+
+namespace esp::mpi::fib {
+
+namespace {
+
+constexpr std::size_t kStackBytes = 1 << 20;
+constexpr std::size_t kGuardBytes = 4096;
+/// Size of libstdc++'s per-thread __cxa_eh_globals (caught-exception
+/// chain + uncaught count): each fiber keeps its own.
+constexpr std::size_t kEhBytes = 16;
+
+long futex(std::atomic<std::uint32_t>* addr, int op, std::uint32_t val) {
+  static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t));
+  return syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(addr), op, val,
+                 nullptr, nullptr, 0);
+}
+
+/// The process-wide helper threads that run pure byte work: created on
+/// first use, one per CPU of the process's affinity mask minus the
+/// carrier. Idle helpers sleep on a futex; a carrier waiting for a task
+/// runs queued tasks itself. Which thread runs a task never changes what
+/// it computes, so output bytes do not depend on the helper count.
+class Helpers {
+ public:
+  static Helpers& get() {
+    static Helpers* h = new Helpers;  // never destroyed: threads are detached
+    return *h;
+  }
+
+  void submit(PureTask* t) {
+    {
+      std::lock_guard lock(mu_);
+      queue_.push_back(t);
+    }
+    work_seq_.fetch_add(1);
+    if (sleepers_.load() > 0) futex(&work_seq_, FUTEX_WAKE_PRIVATE, 1);
+  }
+
+  /// Return once `t` finished, running queued tasks meanwhile.
+  void wait(PureTask* t) {
+    while (!t->done.load(std::memory_order_acquire)) {
+      if (run_one()) continue;
+      waiters_.fetch_add(1);
+      const std::uint32_t seen = done_seq_.load();
+      if (!t->done.load(std::memory_order_acquire))
+        futex(&done_seq_, FUTEX_WAIT_PRIVATE, seen);
+      waiters_.fetch_sub(1);
+    }
+  }
+
+ private:
+  Helpers() {
+    cpu_set_t set;
+    const int cpus =
+        sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 1;
+    for (int i = 1; i < cpus; ++i) std::thread([this] { loop(); }).detach();
+  }
+
+  bool run_one() {
+    PureTask* t = nullptr;
+    {
+      std::lock_guard lock(mu_);
+      if (queue_.empty()) return false;
+      t = queue_.front();
+      queue_.pop_front();
+    }
+    t->fn(t->arg);
+    // The last touch of `t`: its owner may free it as soon as it sees done.
+    t->done.store(true, std::memory_order_release);
+    done_seq_.fetch_add(1);
+    if (waiters_.load() > 0) futex(&done_seq_, FUTEX_WAKE_PRIVATE, INT_MAX);
+    return true;
+  }
+
+  [[noreturn]] void loop() {
+    // Background work: a helper woken onto the carrier's core must not
+    // preempt it, because every rank waits on the carrier. SCHED_BATCH
+    // drops wakeup preemption, and a nicer helper loses a shared core.
+    sched_param param{};
+    pthread_setschedparam(pthread_self(), SCHED_BATCH, &param);
+    setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)), 5);
+    for (;;) {
+      const std::uint32_t seen = work_seq_.load();
+      if (run_one()) continue;
+      sleepers_.fetch_add(1);
+      futex(&work_seq_, FUTEX_WAIT_PRIVATE, seen);
+      sleepers_.fetch_sub(1);
+    }
+  }
+
+  std::mutex mu_;
+  std::deque<PureTask*> queue_;
+  std::atomic<std::uint32_t> work_seq_{0};
+  std::atomic<std::uint32_t> done_seq_{0};
+  std::atomic<int> sleepers_{0};
+  std::atomic<int> waiters_{0};
+};
+
+std::atomic<bool> g_inline_pure{false};
+
+/// A saved execution context: a fiber's, or the carrier's own.
+struct Ctx {
+  void* sp = nullptr;
+  const void* stack_lo = nullptr;  ///< ASan: bounds of this context's stack.
+  std::size_t stack_size = 0;
+  void* tsan = nullptr;            ///< TSan fiber handle.
+  unsigned char eh[kEhBytes] = {};
+};
+
+enum class State : std::uint8_t { Ready, Running, Parked, Idle, Busy, Done };
+
+class Scheduler;
+
+}  // namespace
+
+struct Fiber {
+  Scheduler* sched = nullptr;
+  int rank = -1;
+  State state = State::Ready;
+  bool in_idle_list = false;
+  bool wakeable = false;
+  bool woken = false;
+  double key = -1.0;  ///< Unstarted fibers sort before every started one.
+  RankContext* rc = nullptr;
+  PureTask* task = nullptr;  ///< Work in flight on a helper, if any.
+  const char* wait_what = nullptr;
+  int wait_peer = -1;
+  void* mapping = nullptr;
+  Ctx ctx;
+};
+
+namespace {
+
+thread_local Fiber* t_current = nullptr;
+
+[[noreturn]] void trampoline();
+
+class Scheduler {
+ public:
+  Scheduler(int n, const std::function<void(int)>& main,
+            const std::function<std::string(int)>& describe)
+      : main_fn_(main),
+        describe_(describe),
+        eh_(abi::__cxa_get_globals()),
+        trace_(obs::trace_enabled()) {
+#ifdef ESP_FIB_ASAN
+    pthread_attr_t attr;
+    if (pthread_getattr_np(pthread_self(), &attr) == 0) {
+      void* lo = nullptr;
+      std::size_t size = 0;
+      pthread_attr_getstack(&attr, &lo, &size);
+      main_.stack_lo = lo;
+      main_.stack_size = size;
+      pthread_attr_destroy(&attr);
+    }
+#endif
+#ifdef ESP_FIB_TSAN
+    main_.tsan = __tsan_get_current_fiber();
+#endif
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fpucw = 0;
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    asm volatile("fnstcw %0" : "=m"(fpucw));
+    fibers_.reserve(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r) {
+      auto f = std::make_unique<Fiber>();
+      f->sched = this;
+      f->rank = r;
+      void* m = mmap(nullptr, kStackBytes + kGuardBytes,
+                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                     0);
+      if (m == MAP_FAILED) throw std::bad_alloc();
+      f->mapping = m;
+      mprotect(m, kGuardBytes, PROT_NONE);  // overflow faults, not corrupts
+      auto* lo = static_cast<unsigned char*>(m) + kGuardBytes;
+      f->ctx.stack_lo = lo;
+      f->ctx.stack_size = kStackBytes;
+      // Initial frame, popped by esp_fib_switch: control words, six
+      // callee-saved registers, then "return" into the trampoline with the
+      // stack aligned as at a call.
+      auto top = reinterpret_cast<std::uintptr_t>(lo + kStackBytes) &
+                 ~std::uintptr_t{15};
+      auto* slot = reinterpret_cast<std::uint64_t*>(top - 16);
+      slot[0] = reinterpret_cast<std::uint64_t>(&trampoline);
+      slot[1] = 0;
+      for (int i = 1; i <= 6; ++i) slot[-i] = 0;
+      auto* ctl = reinterpret_cast<unsigned char*>(slot - 7);
+      std::memcpy(ctl, &mxcsr, sizeof mxcsr);
+      std::memcpy(ctl + 4, &fpucw, sizeof fpucw);
+      f->ctx.sp = ctl;
+#ifdef ESP_FIB_TSAN
+      f->ctx.tsan = __tsan_create_fiber(0);
+#endif
+      fibers_.push_back(std::move(f));
+    }
+    for (auto& f : fibers_) push_ready(f.get(), -1.0);
+    live_ = unstarted_ = n;
+  }
+
+  ~Scheduler() {
+    for (auto& f : fibers_) {
+#ifdef ESP_FIB_TSAN
+      __tsan_destroy_fiber(f->ctx.tsan);
+#endif
+#ifdef ESP_FIB_ASAN
+      __asan_unpoison_memory_region(f->mapping, kStackBytes + kGuardBytes);
+#endif
+      munmap(f->mapping, kStackBytes + kGuardBytes);
+    }
+  }
+
+  void run() {
+    while (Fiber* f = next_runnable()) jump(main_, f, false);
+    if (live_ > 0) deadlock();
+  }
+
+  [[noreturn]] void start(Fiber* self) {
+    --unstarted_;
+    try {
+      main_fn_(self->rank);
+    } catch (...) {
+      std::fprintf(stderr, "esperf: exception escaped rank %d's fiber\n",
+                   self->rank);
+      std::terminate();
+    }
+    self->state = State::Done;
+    self->rc = nullptr;
+    --live_;
+    jump(self->ctx, next_runnable(), true);
+    __builtin_unreachable();
+  }
+
+  void yield_point(Fiber* self) {
+    if (unstarted_ == 0 &&
+        (heap_.empty() || !before(heap_.front(), clock_of(self), self->rank)))
+      return;
+    push_ready(self, clock_of(self));
+    switch_out(self);
+  }
+
+  void park(Fiber* self, const char* what, int peer) {
+    self->state = State::Parked;
+    self->wait_what = what;
+    self->wait_peer = peer;
+    switch_out(self);
+  }
+
+  void wake(Fiber* f, double t) {
+    if (f->state == State::Idle && f->wakeable)
+      f->woken = true;
+    else if (f->state != State::Parked)
+      return;
+    push_ready(f, std::max(clock_of(f), t));
+  }
+
+  bool idle(Fiber* self, bool wakeable) {
+    self->state = State::Idle;
+    self->wakeable = wakeable;
+    self->woken = false;
+    if (!self->in_idle_list) {
+      self->in_idle_list = true;
+      idle_.push_back(self);
+    }
+    switch_out(self);
+    return self->woken;
+  }
+
+  void run_pure(Fiber* self, PureTask& t) {
+    if (g_inline_pure.load(std::memory_order_relaxed)) {
+      t.fn(t.arg);
+    } else {
+      Helpers::get().submit(&t);
+      self->task = &t;
+    }
+    self->state = State::Busy;
+    busy_.push_back(self);
+    switch_out(self);
+  }
+
+ private:
+  static double clock_of(const Fiber* f) {
+    return f->rc != nullptr ? f->rc->clock : 0.0;
+  }
+  /// Strict (key, rank) order of the ready heap.
+  static bool before(const Fiber* a, double key, int rank) {
+    return a->key < key || (a->key == key && a->rank < rank);
+  }
+  static bool later(const Fiber* a, const Fiber* b) {
+    return before(b, a->key, a->rank);
+  }
+
+  void push_ready(Fiber* f, double key) {
+    f->state = State::Ready;
+    f->key = key;
+    heap_.push_back(f);
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+
+  /// The next fiber to run, marked Running: the ready minimum; else every
+  /// busy fiber rejoins at once; else every idle fiber does. Null when
+  /// nothing can ever run again.
+  Fiber* next_runnable() {
+    for (;;) {
+      if (!heap_.empty()) {
+        std::pop_heap(heap_.begin(), heap_.end(), later);
+        Fiber* f = heap_.back();
+        heap_.pop_back();
+        if (f->task != nullptr) {
+          Helpers::get().wait(f->task);
+          f->task = nullptr;
+        }
+        f->state = State::Running;
+        return f;
+      }
+      if (!busy_.empty()) {
+        for (Fiber* f : busy_) push_ready(f, clock_of(f));
+        busy_.clear();
+        continue;
+      }
+      for (Fiber* f : idle_) {
+        f->in_idle_list = false;
+        if (f->state == State::Idle) push_ready(f, clock_of(f));
+      }
+      idle_.clear();
+      if (heap_.empty()) return nullptr;
+    }
+  }
+
+  void switch_out(Fiber* self) {
+    Fiber* next = next_runnable();
+    if (next != self) jump(self->ctx, next, false);
+  }
+
+  /// Leave `from` for `to` (null: the carrier's own context).
+  void jump(Ctx& from, Fiber* to, bool exiting) {
+    Ctx& dst = to != nullptr ? to->ctx : main_;
+    std::memcpy(from.eh, eh_, kEhBytes);
+    std::memcpy(eh_, dst.eh, kEhBytes);
+    t_current = to;
+    if (trace_)
+      obs::bind_track(to != nullptr && to->rc != nullptr
+                          ? to->rc->trace_track.get()
+                          : nullptr);
+#ifdef ESP_FIB_ASAN
+    void* fake = nullptr;
+    __sanitizer_start_switch_fiber(exiting ? nullptr : &fake, dst.stack_lo,
+                                   dst.stack_size);
+#else
+    (void)exiting;
+#endif
+#ifdef ESP_FIB_TSAN
+    __tsan_switch_to_fiber(dst.tsan, 0);
+#endif
+    esp_fib_switch(&from.sp, dst.sp);
+#ifdef ESP_FIB_ASAN
+    __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
+#endif
+  }
+
+  [[noreturn]] void deadlock() {
+    std::fprintf(stderr,
+                 "esperf: scheduler deadlock: %d rank(s) parked and none can "
+                 "run; what each parked rank waits on:\n",
+                 live_);
+    for (const auto& f : fibers_) {
+      if (f->state != State::Parked) continue;
+      std::fprintf(stderr, "  rank %d (%s): clock=%.9fs waits on %s", f->rank,
+                   describe_(f->rank).c_str(), clock_of(f.get()),
+                   f->wait_what != nullptr ? f->wait_what : "?");
+      if (f->wait_peer >= 0) std::fprintf(stderr, " peer %d", f->wait_peer);
+      std::fputc('\n', stderr);
+    }
+    std::fflush(stderr);
+    std::abort();
+  }
+
+  const std::function<void(int)>& main_fn_;
+  const std::function<std::string(int)>& describe_;
+  void* const eh_;  ///< The carrier's __cxa_eh_globals.
+  const bool trace_;
+  std::vector<std::unique_ptr<Fiber>> fibers_;
+  std::vector<Fiber*> heap_;
+  std::vector<Fiber*> busy_;
+  std::vector<Fiber*> idle_;
+  Ctx main_;
+  int live_ = 0;
+  int unstarted_ = 0;
+};
+
+void trampoline() {
+#ifdef ESP_FIB_ASAN
+  __sanitizer_finish_switch_fiber(nullptr, nullptr, nullptr);
+#endif
+  Fiber* self = t_current;
+  self->sched->start(self);
+}
+
+}  // namespace
+
+void run_fibers(int n, const std::function<void(int)>& main,
+                const std::function<std::string(int)>& describe) {
+  if (t_current != nullptr)
+    throw std::logic_error("Runtime::run called from inside a rank");
+  Scheduler sched(n, main, describe);
+  sched.run();
+}
+
+Fiber* current() noexcept { return t_current; }
+
+RankContext* current_rank() noexcept {
+  return t_current != nullptr ? t_current->rc : nullptr;
+}
+
+void set_current_rank(RankContext* rc) noexcept {
+  if (t_current != nullptr) t_current->rc = rc;
+}
+
+void yield_point() {
+  if (Fiber* f = t_current) f->sched->yield_point(f);
+}
+
+void park(const char* what, int peer) {
+  Fiber* f = t_current;
+  if (f == nullptr) {
+    std::fprintf(stderr,
+                 "esperf: blocking wait on %s outside a rank fiber can never "
+                 "complete\n",
+                 what);
+    std::abort();
+  }
+  f->sched->park(f, what, peer);
+}
+
+void wake(Fiber* f, double t) { f->sched->wake(f, t); }
+
+bool idle(bool wakeable) {
+  Fiber* f = t_current;
+  return f != nullptr && f->sched->idle(f, wakeable);
+}
+
+void run_pure(PureTask& task) {
+  if (Fiber* f = t_current)
+    f->sched->run_pure(f, task);
+  else
+    task.fn(task.arg);
+}
+
+void set_inline_pure_for_testing(bool on) noexcept {
+  g_inline_pure.store(on, std::memory_order_relaxed);
+}
+
+}  // namespace esp::mpi::fib

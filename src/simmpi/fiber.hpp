@@ -1,0 +1,100 @@
+#pragma once
+/// \file fiber.hpp
+/// \brief The deterministic rank scheduler (internal).
+///
+/// Runtime::run executes every rank main as a fiber on its calling thread
+/// (the *carrier*). Exactly one fiber runs at a time, and the scheduler
+/// picks the next one from a ready heap keyed by (virtual clock, world
+/// rank), so the order of every simulation step is a function of the
+/// seed alone:
+///  - **yield** — at a step whose order matters (a matching or booking
+///    p-layer call) a fiber switches out when a ready fiber has a smaller
+///    key (yield_point);
+///  - **park** — a blocking wait leaves the heap until the completion
+///    wakes it, keyed at max(its clock, the completion's finish time);
+///  - **busy** — pure byte work (a stream CRC copy) runs on a helper
+///    thread while the fiber is out of the heap; busy fibers rejoin in one
+///    wave, in key order, once no other fiber is ready (run_pure);
+///  - **idle** — a real-time poll (a non-blocking read that found
+///    nothing, a dead-writer poll) resumes only when nothing else can run
+///    at all, busy waves included; that moment is its timeout (idle).
+/// An empty heap with fibers still parked and none busy or idle is a
+/// deadlock: the scheduler prints what each parked fiber waits on and
+/// aborts. A wedge that leaves some fiber idle-polling is not detected
+/// here (its poll keeps running in idle waves); the runtime's watchdog
+/// stall trigger is what ends it. DESIGN.md "Deterministic scheduler" has
+/// the full contract.
+
+#include <atomic>
+#include <functional>
+#include <string>
+#include <type_traits>
+
+namespace esp::mpi {
+struct RankContext;
+}
+
+namespace esp::mpi::fib {
+
+struct Fiber;
+
+/// Run `main(r)` for r in [0, n) as fibers on the calling thread until all
+/// return. `describe(r)` labels rank r in the deadlock dump.
+void run_fibers(int n, const std::function<void(int)>& main,
+                const std::function<std::string(int)>& describe);
+
+/// Pure byte work handed to a helper thread: it may touch only memory its
+/// fiber owns while it is out of the ready heap.
+struct PureTask {
+  void (*fn)(void*) = nullptr;
+  void* arg = nullptr;
+  std::atomic<bool> done{false};
+};
+
+/// The fiber running on this thread, or null (helper threads, the
+/// carrier's own context, threads outside any runtime).
+Fiber* current() noexcept;
+
+/// The running fiber's rank context (set by the rank main), or null.
+RankContext* current_rank() noexcept;
+/// Install the running fiber's rank context.
+void set_current_rank(RankContext* rc) noexcept;
+
+/// Switch out if a ready fiber has a smaller (clock, rank) key. While some
+/// rank main has not started yet, always switch out, so every rank enters
+/// its main before any rank runs past its first ordered step. No-op off a
+/// fiber.
+void yield_point();
+
+/// Leave the ready heap until wake(). `what` and `peer` name the wait in
+/// the deadlock dump. Aborts when called off a fiber: nothing could ever
+/// wake the caller.
+void park(const char* what, int peer);
+
+/// Make a parked (or wakeable idle) fiber ready, keyed at max(its clock,
+/// `t`). Carrier only.
+void wake(Fiber* f, double t);
+
+/// Resume only when nothing else can run. With `wakeable`, a wake()
+/// resumes the fiber earlier; returns true in that case. No-op (returning
+/// false) off a fiber.
+bool idle(bool wakeable = false);
+
+/// Run `task` off the carrier while this fiber is busy (see the file
+/// comment); returns once it finished. Runs inline off a fiber.
+void run_pure(PureTask& task);
+
+template <class F>
+void run_pure(F&& fn) {
+  using Fn = std::remove_reference_t<F>;
+  PureTask t;
+  t.fn = [](void* a) { (*static_cast<Fn*>(a))(); };
+  t.arg = const_cast<void*>(static_cast<const void*>(&fn));
+  run_pure(t);
+}
+
+/// Test seam: run pure work inline on the carrier instead of on helpers.
+/// The busy/rejoin order is unchanged, so outputs must be identical.
+void set_inline_pure_for_testing(bool on) noexcept;
+
+}  // namespace esp::mpi::fib

@@ -2,11 +2,11 @@
 /// \file request.hpp
 /// \brief Nonblocking-operation handles.
 
-#include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <utility>
 
+#include "simmpi/fiber.hpp"
 #include "simmpi/types.hpp"
 
 namespace esp::mpi {
@@ -15,44 +15,55 @@ struct CommData;
 
 /// A multiplexed completion target: several requests can be armed to
 /// notify one WaitSet, giving wait-any semantics without a global
-/// broadcast (a global completion channel serializes the whole runtime
-/// into a futex storm at scale).
+/// broadcast. At most one rank waits on a WaitSet at a time.
 struct WaitSet {
   std::mutex mu;
-  std::condition_variable cv;
   std::uint64_t ticket = 0;
+  fib::Fiber* waiter = nullptr;  ///< The rank parked in a wait, if any.
 
-  void notify() {
-    {
-      std::lock_guard lock(mu);
-      ++ticket;
-    }
-    cv.notify_all();
+  /// A completion at virtual time `t` changed the set: wake the waiter,
+  /// keyed at max(its clock, t).
+  void notify(double t) {
+    std::unique_lock lock(mu);
+    ++ticket;
+    fib::Fiber* w = std::exchange(waiter, nullptr);
+    lock.unlock();
+    if (w != nullptr) fib::wake(w, t);
   }
   std::uint64_t snapshot() {
     std::lock_guard lock(mu);
     return ticket;
   }
-  /// Block until notify() has been called after `seen` was snapshotted.
+  /// Park until notify() has been called after `seen` was snapshotted.
   void wait_change(std::uint64_t seen) {
     std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return ticket != seen; });
+    while (ticket == seen) {
+      waiter = fib::current();
+      lock.unlock();
+      fib::park("waitany", -1);
+      lock.lock();
+    }
   }
-  /// Like wait_change() but gives up after `timeout` (real time). Returns
-  /// false on timeout — used by readers that must periodically re-check
-  /// whether a silently-dead writer will ever notify them.
-  bool wait_change_for(std::uint64_t seen, std::chrono::nanoseconds timeout) {
+  /// Like wait_change(), but an idle wait: gives up when nothing else can
+  /// run (fiber.hpp). Returns false then — used by readers that must
+  /// re-check whether a silently-dead writer will ever notify them.
+  bool wait_change_or_idle(std::uint64_t seen) {
     std::unique_lock lock(mu);
-    return cv.wait_for(lock, timeout, [&] { return ticket != seen; });
+    if (ticket != seen) return true;
+    waiter = fib::current();
+    lock.unlock();
+    fib::idle(true);
+    lock.lock();
+    waiter = nullptr;
+    return ticket != seen;
   }
 };
 
 /// Shared completion state of a nonblocking operation. Matching happens on
-/// whichever thread closes the (send, recv) pair; the initiating rank
+/// whichever rank closes the (send, recv) pair; the initiating rank
 /// observes completion through wait()/test().
 struct RequestState {
   std::mutex mu;
-  std::condition_variable cv;
   bool done = false;
 
   /// Virtual time at which the *owning* rank may consider the operation
@@ -72,6 +83,8 @@ struct RequestState {
 
   /// Armed wait-any target; see arm_waitset()/disarm_waitset().
   WaitSet* waitset = nullptr;
+  /// The rank parked in block(), if any.
+  fib::Fiber* waiter = nullptr;
 
   void complete(double t, Status st) {
     std::unique_lock lock(mu);
@@ -83,9 +96,10 @@ struct RequestState {
     // a stack- or stream-owned WaitSet may be destroyed right after
     // disarming. Safe order-wise: nothing locks a request while holding a
     // WaitSet's mutex.
-    if (waitset != nullptr) waitset->notify();
+    if (waitset != nullptr) waitset->notify(t);
+    fib::Fiber* w = std::exchange(waiter, nullptr);
     lock.unlock();
-    cv.notify_all();
+    if (w != nullptr) fib::wake(w, t);
   }
 
   /// Register `ws` for completion notification. Returns true when the
@@ -108,10 +122,15 @@ struct RequestState {
     return done;
   }
 
-  /// Block (in real time) until done; returns the virtual finish time.
+  /// Park the calling rank until done; returns the virtual finish time.
   double block() {
     std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return done; });
+    while (!done) {
+      waiter = fib::current();
+      lock.unlock();
+      fib::park(call_kind_name(kind), peer_world);
+      lock.lock();
+    }
     return finish;
   }
 };

@@ -1,7 +1,5 @@
 #include "simmpi/runtime.hpp"
 
-#include <pthread.h>
-
 #include <algorithm>
 #include <cassert>
 #include <chrono>
@@ -17,19 +15,20 @@
 namespace esp::mpi {
 
 namespace {
-thread_local RankContext* g_self = nullptr;
-
 /// Fixed context ids for runtime-created communicators.
 constexpr std::uint64_t kUniverseCtx = 1;
 constexpr std::uint64_t kPartitionCtxBase = 1000;
 }  // namespace
 
 RankContext& Runtime::self() {
-  assert(g_self != nullptr && "not on a rank thread");
-  return *g_self;
+  RankContext* rc = fib::current_rank();
+  assert(rc != nullptr && "not inside a rank");
+  return *rc;
 }
 
-bool Runtime::on_rank_thread() noexcept { return g_self != nullptr; }
+bool Runtime::on_rank_thread() noexcept {
+  return fib::current_rank() != nullptr;
+}
 
 void RankContext::check_crash() {
   ++calls_made;
@@ -196,22 +195,6 @@ void Runtime::dispatch_tools(RankContext& rc, const CallInfo& ci) {
                        [&](Tool& t) { t.on_call(rc, ci); });
 }
 
-namespace {
-constexpr std::size_t kRankStackBytes = 1 << 20;
-
-struct LaunchArg {
-  Runtime* rt;
-  int world_rank;
-  void (Runtime::*entry)(int);
-};
-}  // namespace
-
-void* Runtime::rank_thread_entry(void* arg) {
-  auto* la = static_cast<LaunchArg*>(arg);
-  (la->rt->*(la->entry))(la->world_rank);
-  return nullptr;
-}
-
 void Runtime::rank_main(int world_rank) {
   const PartitionDesc& part = partition_of_world(world_rank);
 
@@ -224,14 +207,16 @@ void Runtime::rank_main(int world_rank) {
                                  world_rank + 1))));
   rc.crash_at = injector_.crash_time(world_rank);
   rc.crash_after_calls = injector_.crash_after_calls(world_rank);
-  g_self = &rc;
+  fib::set_current_rank(&rc);
 
   // Trace identity: one Perfetto process per partition, one track per
   // universe rank; span timestamps on these tracks are *virtual* seconds.
-  if (obs::enabled())
-    obs::set_thread_track(part.id + 1, world_rank,
-                          part.name + "/" + std::to_string(rc.partition_rank),
-                          part.name);
+  if (obs::trace_enabled()) {
+    rc.trace_track = obs::make_track(
+        part.id + 1, world_rank,
+        part.name + "/" + std::to_string(rc.partition_rank), part.name);
+    obs::bind_track(rc.trace_track.get());
+  }
 
   ProcEnv env;
   env.universe = universe();
@@ -257,7 +242,8 @@ void Runtime::rank_main(int world_rank) {
   final_clock_[static_cast<std::size_t>(world_rank)] = rc.clock;
   rank_done_[static_cast<std::size_t>(world_rank)].store(
       true, std::memory_order_release);
-  g_self = nullptr;
+  if (rc.trace_track) obs::bind_track(nullptr);
+  fib::set_current_rank(nullptr);
 }
 
 void Runtime::dump_progress_and_abort(const char* why) {
@@ -327,25 +313,12 @@ void Runtime::run() {
   if (cfg_.watchdog_virtual_deadline > 0.0)
     watchdog_ = std::thread([this] { watchdog_loop(); });
 
-  pthread_attr_t attr;
-  pthread_attr_init(&attr);
-  pthread_attr_setstacksize(&attr, kRankStackBytes);
-
-  std::vector<pthread_t> threads(static_cast<std::size_t>(world_size_));
-  std::vector<LaunchArg> args(static_cast<std::size_t>(world_size_));
-  for (int r = 0; r < world_size_; ++r) {
-    args[static_cast<std::size_t>(r)] = {this, r, &Runtime::rank_main};
-    const int rc = pthread_create(&threads[static_cast<std::size_t>(r)], &attr,
-                                  &Runtime::rank_thread_entry,
-                                  &args[static_cast<std::size_t>(r)]);
-    if (rc != 0) {
-      pthread_attr_destroy(&attr);
-      throw std::runtime_error("pthread_create failed for rank " +
-                               std::to_string(r));
-    }
-  }
-  pthread_attr_destroy(&attr);
-  for (auto& t : threads) pthread_join(t, nullptr);
+  fib::run_fibers(
+      world_size_, [this](int r) { rank_main(r); },
+      [this](int r) {
+        const auto& part = partition_of_world(r);
+        return part.name + "/" + std::to_string(r - part.first_world_rank);
+      });
   if (watchdog_.joinable()) {
     watchdog_stop_.store(true, std::memory_order_release);
     watchdog_.join();

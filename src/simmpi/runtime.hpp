@@ -3,14 +3,16 @@
 /// \brief The MPMD launcher and per-rank execution context.
 ///
 /// A Runtime hosts one MPMD job: a list of programs (partitions), each with
-/// a number of processes. Every process is a thread with its own virtual
-/// clock; world ranks are assigned contiguously per program in declaration
-/// order (as `mpirun prog1 : prog2 : ...` would). The runtime owns the
-/// machine model, the mailboxes, the communicator registry, and the tool
-/// chain through which vmpi virtualization and instrumentation attach.
+/// a number of processes. Every process is a fiber with its own virtual
+/// clock, and all of them run on the thread that calls run(), one at a
+/// time, in (virtual clock, world rank) order (simmpi/fiber.hpp), so a
+/// seed fixes every simulation step. World ranks are assigned contiguously
+/// per program in declaration order (as `mpirun prog1 : prog2 : ...`
+/// would). The runtime owns the machine model, the mailboxes, the
+/// communicator registry, and the tool chain through which vmpi
+/// virtualization and instrumentation attach.
 
 #include <atomic>
-#include <condition_variable>
 #include <mutex>
 #include <cstdint>
 #include <functional>
@@ -25,7 +27,9 @@
 #include "common/rng.hpp"
 #include "net/fault.hpp"
 #include "net/machine.hpp"
+#include "obs/obs.hpp"
 #include "simmpi/comm.hpp"
+#include "simmpi/fiber.hpp"
 #include "simmpi/mailbox.hpp"
 #include "simmpi/tool.hpp"
 
@@ -44,7 +48,7 @@ struct PartitionDesc {
   }
 };
 
-/// Thrown inside a rank thread when its FaultPlan crash point fires.
+/// Thrown inside a rank when its FaultPlan crash point fires.
 /// Deliberately *not* derived from std::exception: program code that
 /// catches std::exception must not be able to swallow a simulated death.
 struct RankCrashedError {
@@ -59,7 +63,9 @@ struct RankDeath {
   std::uint64_t calls = 0;     ///< p-layer calls the rank made before dying.
 };
 
-/// Per-rank execution context (one per thread).
+/// Per-rank execution context (one per fiber). Everything a rank keeps
+/// across calls lives here, never in a thread_local: all ranks share one
+/// thread.
 struct RankContext {
   Runtime* rt = nullptr;
   int world_rank = -1;
@@ -76,6 +82,15 @@ struct RankContext {
   std::uint64_t crash_after_calls = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t calls_made = 0;
   bool crashed = false;  ///< Set once; guards cleanup paths during unwind.
+
+  /// Streams this rank opened, for deterministic tag allocation (vmpi).
+  int streams_opened = 0;
+  /// The instrumentation tool attached to this rank and its per-rank
+  /// state, for hooks reached outside the p-layer (instrument layer).
+  void* tool = nullptr;
+  void* tool_state = nullptr;
+  /// This rank's trace track (null while tracing is off).
+  std::shared_ptr<obs::TraceTrack> trace_track;
 
   void advance(double dt) noexcept { clock += dt; }
 
@@ -153,9 +168,9 @@ class Runtime {
   /// Tool chain; attach tools before run().
   ToolChain& tools() noexcept { return tools_; }
 
-  /// Spawn all rank threads, execute every program, join. Call once.
-  /// The first exception thrown by any rank's program (or tool) is
-  /// captured and rethrown here after every thread exited.
+  /// Run every rank's program as a fiber on the calling thread until all
+  /// return. Call once. The first exception thrown by any rank's program
+  /// (or tool) is captured and rethrown here after every rank finished.
   void run();
 
   // ---- topology / partitions -----------------------------------------
@@ -207,8 +222,8 @@ class Runtime {
     return rank_dead_[static_cast<std::size_t>(world_rank)].load(
         std::memory_order_acquire);
   }
-  /// True once `world_rank`'s thread left its program (normally or by
-  /// crash) — after this it will never send another message.
+  /// True once `world_rank` left its program (normally or by crash) —
+  /// after this it will never send another message.
   bool rank_finished(int world_rank) const noexcept {
     return rank_done_[static_cast<std::size_t>(world_rank)].load(
         std::memory_order_acquire);
@@ -220,7 +235,7 @@ class Runtime {
     return death_time_[static_cast<std::size_t>(world_rank)].load(
         std::memory_order_acquire);
   }
-  /// Publish one rank's progress (called from check_crash on its thread).
+  /// Publish one rank's progress (called from check_crash).
   void note_progress(const RankContext& rc) noexcept;
   /// The maximum progress clock published by any rank so far — the global
   /// virtual-time frontier used for idle-crash polling and the watchdog.
@@ -238,14 +253,13 @@ class Runtime {
   /// otherwise wait on the dead rank forever.
   void on_rank_crashed(const RankContext& rc, std::uint64_t calls);
 
-  /// The calling thread's rank context. Only valid on rank threads.
+  /// The running rank's context. Only valid inside a rank.
   static RankContext& self();
-  /// True when the calling thread is a rank thread of some runtime.
+  /// True when called from inside a rank of some runtime.
   static bool on_rank_thread() noexcept;
 
  private:
   void rank_main(int world_rank);
-  static void* rank_thread_entry(void* arg);
   void watchdog_loop();
   void dump_progress_and_abort(const char* why);
 

@@ -1,13 +1,10 @@
 #include "vmpi/stream.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "common/hash.hpp"
 #include "core/pool.hpp"
@@ -50,9 +47,6 @@ StreamObs& sobs() {
 /// Corrupt blocks tolerated back-to-back from one peer before the link
 /// is declared hopeless and the peer quarantined (counted as dead).
 constexpr int kMaxCorruptRetries = 8;
-/// Real-time poll period while blocked in read(): how often the reader
-/// re-checks whether a silent writer has died.
-constexpr auto kDeadPoll = std::chrono::microseconds(200);
 /// Virtual seconds charged to the reader's clock when it gives up on a
 /// silently-dead writer (the simulated detection timeout).
 constexpr double kReadDeadline = 1e-3;
@@ -130,10 +124,6 @@ BlockHeader eos_header(std::uint64_t seq) {
   h.crc = header_crc(h);
   return h;
 }
-
-/// Streams opened by this rank thread, for tag allocation. Rank threads
-/// are created per Runtime::run, so the counter starts at zero each run.
-thread_local int t_streams_opened = 0;
 }  // namespace
 
 Stream::Stream(StreamConfig cfg) : cfg_(cfg) {
@@ -239,7 +229,8 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
     // with it the fault injector's per-message hash — depend on thread
     // interleaving. Unique while opens * universe_size fits the tag range.
     data_tag_ = kStreamDataBase +
-                (t_streams_opened++ * universe_.size() + universe_.rank()) %
+                (mpi::Runtime::self().streams_opened++ * universe_.size() +
+                 universe_.rank()) %
                     (net::kStreamDataTagEnd - net::kStreamDataTagBase + 1);
     StreamCtl ctl{data_tag_, cfg_.block_size, cfg_.n_async};
     for (int peer : peers_)
@@ -445,25 +436,33 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
   h.magic = kBlockMagic;
   h.seq = out_seq_[ti]++;
   h.payload = bytes;
-  // One pass frames the block: the payload is checksummed as it is copied.
-  h.crc = crc32_copy(ob.data->data() + kFrameBytes, buf, bytes, header_crc(h));
-  std::memcpy(ob.data->data(), &h, sizeof h);
+  mpi::fib::yield_point();  // the node's memory lane is booked in rank order
   rc.clock =
       rt_->machine().local_copy(rt_->core_of(rc.world_rank), bytes, rc.clock);
-  if ((failover_armed_ || elastic_armed_) && cfg_.resend_window > 0) {
-    // Keep a framed copy for replay after a failover; blocks evicted from
-    // the ring are unreplayable and will surface as seq-gap loss. Taken
-    // before the send: a match hands ob.data's storage to the reader, so
-    // afterwards it no longer holds this frame. The ring itself is replayed
-    // through raw-pointer sends and never changes hands, so a chained
-    // failover can replay the same copies again.
-    auto& ring = resend_[ti];
-    // Pooled copy sized to the framed payload: evicted ring entries (and
-    // replayed ones at teardown) go straight back to the block pool, so a
-    // failover-armed writer stops costing one malloc per block written.
-    BufferRef copy =
+  // Keep a framed copy for replay after a failover; blocks evicted from
+  // the ring are unreplayable and will surface as seq-gap loss. Taken
+  // before the send: a match hands ob.data's storage to the reader, so
+  // afterwards it no longer holds this frame. The ring itself is replayed
+  // through raw-pointer sends and never changes hands, so a chained
+  // failover can replay the same copies again. Pooled and sized to the
+  // framed payload: evicted ring entries (and replayed ones at teardown)
+  // go straight back to the block pool.
+  BufferRef copy;
+  if ((failover_armed_ || elastic_armed_) && cfg_.resend_window > 0)
+    copy =
         mem::acquire_block(cfg_.block_size + kFrameBytes, bytes + kFrameBytes);
-    std::memcpy(copy->data(), ob.data->data(), bytes + kFrameBytes);
+  // One pass frames the block: the payload is checksummed as it is copied.
+  // Pure byte work on buffers only this rank holds (the caller's block,
+  // an output buffer whose send retired, the fresh ring copy), so it runs
+  // on a helper thread while other ranks proceed.
+  std::byte* frame = ob.data->data();
+  mpi::fib::run_pure([&] {
+    h.crc = crc32_copy(frame + kFrameBytes, buf, bytes, header_crc(h));
+    std::memcpy(frame, &h, sizeof h);
+    if (copy) std::memcpy(copy->data(), frame, bytes + kFrameBytes);
+  });
+  if (copy) {
+    auto& ring = resend_[ti];
     ring.push_back(std::move(copy));
     if (ring.size() > static_cast<std::size_t>(cfg_.resend_window))
       ring.pop_front();
@@ -857,7 +856,7 @@ bool Stream::scan_silent_dead() {
   return changed;
 }
 
-int Stream::try_read_block(void* buf) {
+int Stream::try_read_block(void* buf, BufferRef* out) {
   auto& rc = mpi::Runtime::self();
   const std::size_t n = in_peers_.size();
   // A spare elastic member starts with zero links; "all closed" is
@@ -884,19 +883,30 @@ int Stream::try_read_block(void* buf) {
         mark_peer_dead(ip);
         break;
       }
-      // The header is checked before the copy: a matching size and magic
-      // bound the payload by the receive buffer, so by block_size. The CRC
-      // is checked during the copy into `buf`; a block that fails it may
-      // leave its bytes there, but it is never returned. Short blocks (a
-      // writer's final partial pack) copy and cost only their actual size;
-      // the tail of the caller's buffer is untouched.
+      // The header is checked first: a matching size and magic bound the
+      // payload by the receive buffer, so by block_size. A copying read
+      // checks the CRC during the copy into `buf` — pure byte work, on a
+      // helper thread — and a block that fails it may leave its bytes
+      // there, but it is never returned. Short blocks (a writer's final
+      // partial pack) copy and cost only their actual size; the tail of
+      // the caller's buffer is untouched. A handoff read checks the CRC in
+      // place and hands the slot itself over (below).
       BlockHeader h;
       const bool sized = st.bytes >= sizeof h;
       if (sized) std::memcpy(&h, slot.data->data(), sizeof h);
-      const bool intact =
-          sized && h.magic == kBlockMagic && h.payload + sizeof h == st.bytes &&
-          h.crc == crc32_copy(buf, slot.data->data() + sizeof h, h.payload,
-                              header_crc(h));
+      bool intact =
+          sized && h.magic == kBlockMagic && h.payload + sizeof h == st.bytes;
+      if (intact) {
+        const std::byte* payload = slot.data->data() + sizeof h;
+        if (out != nullptr) {
+          intact = h.crc == crc32(payload, h.payload, header_crc(h));
+        } else {
+          mpi::fib::run_pure([&] {
+            intact =
+                h.crc == crc32_copy(buf, payload, h.payload, header_crc(h));
+          });
+        }
+      }
       if (!intact) {
         // Corrupt block: count it, retry with the next one a bounded
         // number of times, then quarantine the link. The block's seq is
@@ -927,8 +937,18 @@ int Stream::try_read_block(void* buf) {
         ip.closed = true;  // end-of-stream, seq = writer's final count
         break;
       }
+      // A handoff is charged the copy it replaces, so virtual time does
+      // not depend on how the caller reads.
+      mpi::fib::yield_point();  // the node's memory lane is booked in rank order
       rc.clock = rt_->machine().local_copy(rt_->core_of(rc.world_rank),
                                            h.payload, rc.clock);
+      if (out != nullptr) {
+        // Handoff: the caller gets a view of the slot's payload, and the
+        // slot is reposted with a fresh pooled block. The viewed block is
+        // never posted again, so no match can swap storage under the view.
+        *out = Buffer::view_of(std::move(slot.data), kFrameBytes, h.payload);
+        slot.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
+      }
       // Re-post the buffer immediately: a receive slot is always armed.
       slot.req = universe_.pirecv(slot.data, cfg_.block_size + kFrameBytes,
                                   ip.universe_rank, ip.tag);
@@ -949,11 +969,19 @@ int Stream::try_read_block(void* buf) {
 }
 
 int Stream::read(void* buf, int nblocks, int flags) {
+  const int r = read_counted(buf, nullptr, nblocks, flags);
+  // A caller polling with kNonblock must let the writers run: for the
+  // scheduler a miss is an idle wait, as a real-time poll would be.
+  if (r == kEagain) mpi::fib::idle();
+  return r;
+}
+
+int Stream::read_counted(void* buf, BufferRef* out, int nblocks, int flags) {
   if (!open_ || writer_) throw std::logic_error("not an open read stream");
   if (closed_) throw std::logic_error("read on closed stream");
   const bool obs_on = obs::enabled();
   const double t_begin = obs_on ? mpi::Runtime::self().clock : 0.0;
-  const int r = read_impl(buf, nblocks, flags);
+  const int r = read_impl(buf, out, nblocks, flags);
   if (r == kEagain) {
     // Single authoritative accounting site: the stats member and its obs
     // mirror increment together, so stats().eagain_returns and the
@@ -976,7 +1004,7 @@ int Stream::read(void* buf, int nblocks, int flags) {
   return r;
 }
 
-int Stream::read_impl(void* buf, int nblocks, int flags) {
+int Stream::read_impl(void* buf, BufferRef* out, int nblocks, int flags) {
   auto* dst = static_cast<std::byte*>(buf);
   auto& rc = mpi::Runtime::self();
   int got = 0;
@@ -988,8 +1016,11 @@ int Stream::read_impl(void* buf, int nblocks, int flags) {
     // loop alive once any peer's clock passed the deadline — which is
     // what makes writer-side lease declaration sound.
     rc.poll_scheduled_crash();
-    const int r =
-        try_read_block(dst + static_cast<std::size_t>(got) * cfg_.block_size);
+    const int r = try_read_block(
+        out != nullptr
+            ? nullptr
+            : dst + static_cast<std::size_t>(got) * cfg_.block_size,
+        out != nullptr ? out + got : nullptr);
     if (r == 1) {
       ++got;
       continue;
@@ -1004,7 +1035,7 @@ int Stream::read_impl(void* buf, int nblocks, int flags) {
         if (accept_failover_joins()) continue;  // adopted a link: rescan
         if (!failover_grace_over()) {
           if (flags & kNonblock) return kEagain;
-          std::this_thread::sleep_for(kDeadPoll);
+          mpi::fib::idle();
           continue;
         }
       }
@@ -1030,22 +1061,21 @@ int Stream::read_impl(void* buf, int nblocks, int flags) {
     if (heads.empty()) {
       // Nothing armed on any live peer: only the silent-dead scan can
       // make progress now.
-      if (!scan_silent_dead()) std::this_thread::sleep_for(kDeadPoll);
+      if (!scan_silent_dead()) mpi::fib::idle();
       continue;
     }
-    // Wait (real time) until any head request completes, without
-    // consuming it: the rescan via try_read_block does the consuming so
-    // per-peer FIFO order and clock accounting stay in one place. The
-    // stream-owned WaitSet is detached from any still-posted receive at
-    // close/destruction (disarm_receives), so late completions can never
-    // notify a dead stream. The wait is bounded: every kDeadPoll we
-    // re-check for writers that died without a goodbye.
+    // Wait until any head request completes, without consuming it: the
+    // rescan via try_read_block does the consuming so per-peer FIFO order
+    // and clock accounting stay in one place. The stream-owned WaitSet is
+    // detached from any still-posted receive at close/destruction
+    // (disarm_receives), so late completions can never notify a dead
+    // stream. The wait is idle: when nothing else can run we re-check for
+    // writers that died without a goodbye.
     const std::uint64_t ticket = waitset_.snapshot();
     bool ready = false;
     for (auto& h : heads)
       if (h->arm_waitset(&waitset_)) ready = true;
-    if (!ready && !waitset_.wait_change_for(ticket, kDeadPoll))
-      scan_silent_dead();
+    if (!ready && !waitset_.wait_change_or_idle(ticket)) scan_silent_dead();
   }
   return got;
 }
@@ -1059,16 +1089,22 @@ int Stream::read_some(std::vector<BufferRef>& out, int max_blocks,
     throw std::logic_error("Stream::read_some: max_blocks must be > 0");
   int got = 0;
   while (got < max_blocks) {
-    // Pool-backed: the block travels dispatcher → unpacker as-is, event
-    // runs alias it zero-copy, and when the last knowledge source's view
-    // is released the block returns here for the next read. A steady-state
-    // read allocates only the BufferRef's control block, never block bytes.
-    auto block = mem::acquire_block(cfg_.block_size);
-    const int r = read(block->data(), 1, got == 0 ? flags : kNonblock);
+    // Handoff: the block is a view of the slot it arrived in, so reading
+    // copies nothing. It travels dispatcher → unpacker as-is, event runs
+    // alias it zero-copy, and when the last knowledge source's view is
+    // released the slot's pool block returns for a later repost.
+    BufferRef block;
+    const int r =
+        read_counted(nullptr, &block, 1, got == 0 ? flags : kNonblock);
     if (r != 1) {
       // Terminal codes (0 / kEpipe) recur on the next call; a burst that
-      // ended early just reports what it drained.
-      return got > 0 ? got : r;
+      // ended early just reports what it drained. Only a miss returned to
+      // the caller is an idle wait (see read()): the non-blocking probes
+      // after the first block never idle, or a reader with data in hand
+      // would wait for every other rank before handing it on.
+      if (got > 0) return got;
+      if (r == kEagain) mpi::fib::idle();
+      return r;
     }
     out.push_back(std::move(block));
     ++got;

@@ -27,7 +27,7 @@
 /// read endpoint detects corrupted blocks (CRC mismatch) and lost blocks
 /// (sequence gaps) instead of feeding garbage to analysis. A writer that
 /// dies without sending end-of-stream is detected — via the runtime's
-/// crash sweep or, for a silently-vanished writer, a real-time poll — and
+/// crash sweep or, for a silently-vanished writer, an idle poll — and
 /// surfaces as kEpipe rather than a hang; declaring a peer dead charges
 /// 1 ms of virtual time, modelling the reader's timeout.
 /// There is one wire format: every block and every end-of-stream marker
@@ -36,12 +36,15 @@
 ///
 /// A block's bytes are touched twice on the host: the writer frames and
 /// checksums it while copying it into an output buffer, and the reader
-/// checks the CRC while copying it out of its slot. In between nothing
+/// checks the CRC — while copying it out of its slot (read), or in place
+/// before handing the slot itself over (read_some). In between nothing
 /// copies it: the writer sends the output buffer by reference and the
 /// reader posts its slots by reference, so simmpi swaps the two buffers'
 /// storage at match time (Comm::pisend). Output buffers and slots are
 /// therefore both (block_size + 24)-byte pool blocks, and neither side
-/// touches one while its request is pending.
+/// touches one while its request is pending. The copying CRC passes are
+/// pure byte work and run on helper threads while the rank is busy
+/// (simmpi/fiber.hpp); no simulation step waits on how fast they run.
 ///
 /// Streams run on the universe communicator's PMPI layer in a reserved tag
 /// space, so instrumentation (which rides the tool chain) never sees its
@@ -178,19 +181,24 @@ class Stream {
   /// The contents of `buf` are unspecified unless the call returns n > 0,
   /// and then only the first n blocks are defined: a block's CRC is checked
   /// while it is copied in, so a rejected block may leave its bytes behind
-  /// (it is counted and never returned).
+  /// (it is counted and never returned). A kEagain return is an idle wait
+  /// for the scheduler (simmpi/fiber.hpp): the call resumes only when no
+  /// other rank can run, so a polling loop never starves the writers.
   int read(void* buf, int nblocks, int flags = 0);
 
-  /// Batched read: up to `max_blocks` blocks, each into its own pooled
-  /// ref-counted buffer appended to `out` (ready to move onto
-  /// the blackboard without a copy). The first block honours the blocking
-  /// mode in `flags`; further blocks are taken opportunistically
-  /// (non-blocking), so a burst of queued blocks drains in one call but
-  /// the call never waits for more than one. Returns the number of blocks
-  /// appended (> 0), or read()'s terminal codes (0 / kEagain / kEpipe)
-  /// when — and only when — nothing was appended: a call that drained at
-  /// least one block always reports the positive count and leaves the
-  /// terminal condition for the next call. Throws std::logic_error when
+  /// Batched read without a copy: up to `max_blocks` blocks, each handed
+  /// over as a read-only view of exactly its payload, appended to `out`
+  /// (ready to move onto the blackboard). The CRC is checked in place and
+  /// the slot is reposted with a fresh pooled block; virtual time is
+  /// charged as for read(). The first block honours the blocking mode in
+  /// `flags`; further blocks are taken opportunistically (non-blocking),
+  /// so a burst of queued blocks drains in one call but the call never
+  /// waits for more than one; a kEagain return is an idle wait, as for
+  /// read(), but the probes after the first block never idle. Returns the
+  /// number of blocks appended (> 0), or read()'s terminal codes (0 /
+  /// kEagain / kEpipe) when — and only when — nothing was appended: a
+  /// call that drained at least one block always reports the positive
+  /// count and leaves the terminal condition for the next call. Throws std::logic_error when
   /// `max_blocks <= 0` (a non-positive budget would otherwise return 0,
   /// indistinguishable from a clean end-of-stream).
   int read_some(std::vector<BufferRef>& out, int max_blocks, int flags = 0);
@@ -264,7 +272,10 @@ class Stream {
 
   int next_target();
   int acquire_out_buf();
-  int read_impl(void* buf, int nblocks, int flags);
+  /// read() without the idle on kEagain; with `out`, hands the block over
+  /// (nblocks must be 1) instead of copying into `buf`.
+  int read_counted(void* buf, BufferRef* out, int nblocks, int flags);
+  int read_impl(void* buf, BufferRef* out, int nblocks, int flags);
   /// Writer: declare readers whose lease expired dead and re-route their
   /// endpoints. Called on entry to write_partial() and close().
   void check_reader_leases();
@@ -297,9 +308,10 @@ class Stream {
   /// Reader: true once no failover join can ever arrive again (every
   /// potential writer rank finished and no handshake is queued).
   bool failover_grace_over();
-  /// Try to consume one completed block; -2 when nothing ready, 0 when
-  /// every peer closed cleanly, -3 when done with >= 1 dead peer.
-  int try_read_block(void* buf);
+  /// Try to consume one completed block, copied into `buf` or, with
+  /// `out`, handed over as a view of its slot; -2 when nothing ready, 0
+  /// when every peer closed cleanly, -3 when done with >= 1 dead peer.
+  int try_read_block(void* buf, BufferRef* out);
   void mark_peer_dead(InPeer& ip);
   /// Declare writers that finished without end-of-stream dead. Returns
   /// true when at least one peer changed state.

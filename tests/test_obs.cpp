@@ -98,14 +98,16 @@ TEST(ObsMetrics, StreamEagainCounterAgreesWithStreamStats) {
   const std::uint64_t before = obs::counter("stream.eagain_returns").value();
   obs::set_enabled(true, false);
   std::atomic<std::uint64_t> stream_eagains{0};
-  std::atomic<bool> polled{false};
+  constexpr int kPolledTag = 7;
   std::vector<mpi::ProgramSpec> progs;
   progs.push_back({"w", 1, [&](mpi::ProcEnv& env) {
                      vmpi::Stream st(
                          {1024, 2, vmpi::BalancePolicy::None});
                      st.open_peer(env, 1, "w");
-                     while (!polled.load()) {
-                     }
+                     // Hold back until the reader has polled: the receive
+                     // parks this rank, so the reader's misses are certain.
+                     int token = 0;
+                     env.universe.recv(&token, sizeof token, 1, kPolledTag);
                      std::vector<std::byte> block(1024);
                      st.write(block.data(), 1);
                      st.close();
@@ -121,7 +123,8 @@ TEST(ObsMetrics, StreamEagainCounterAgreesWithStreamStats) {
                      for (int i = 0; i < 3; ++i)
                        EXPECT_EQ(st.read(block.data(), 1, vmpi::kNonblock),
                                  vmpi::kEagain);
-                     polled.store(true);
+                     int token = 1;
+                     env.universe.send(&token, sizeof token, 0, kPolledTag);
                      int r;
                      do {
                        r = st.read(block.data(), 1, vmpi::kNonblock);

@@ -9,12 +9,21 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/buffer.hpp"
+#include "core/session.hpp"
+#include "nas/workloads.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "simmpi/fiber.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace esp::mpi {
@@ -166,7 +175,7 @@ TEST(SimMpi, IprobeSeesPendingMessage) {
     } else {
       env.world.barrier();  // after this, the eager message is queued
       Status st;
-      // Poll: the matching engine is asynchronous in real time.
+      // Poll as MPI programs do; a miss is an idle wait.
       while (!env.world.iprobe(0, 3, &st)) {
       }
       EXPECT_EQ(st.source, 0);
@@ -578,6 +587,147 @@ TEST(SimMpiSizeOnly, RealSendIntoNullReceiveIsDiscarded) {
     EXPECT_EQ(o.bytes_copied, 0u);
     EXPECT_EQ(o.clocks, run_size_only(n, false, false).clocks);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The deterministic scheduler
+// ---------------------------------------------------------------------------
+
+/// What a same-seed run must reproduce exactly: every partition's virtual
+/// walltime, bit for bit, and every byte of the report directory.
+struct RunPrint {
+  std::vector<std::uint64_t> walltime_bits;
+  std::string report;
+  bool operator==(const RunPrint&) const = default;
+};
+
+/// A 16-rank SP.C skeleton under online coupling: its instrumentation
+/// streams 8 KB packs to two analyzer ranks, so one run exercises
+/// matching, shared-resource booking, stream framing and analysis.
+RunPrint run_sp_session(const std::string& dir) {
+  namespace fs = std::filesystem;
+  fs::remove_all(dir);
+  SessionConfig cfg;
+  cfg.output_dir = dir;
+  cfg.runtime.seed = 13;
+  cfg.instrument.block_size = 8 * 1024;
+  Session session(cfg);
+  session.add_application(
+      "sp", 16,
+      nas::make_workload({nas::Benchmark::SP, nas::ProblemClass::C, 20}));
+  session.run();
+  RunPrint p;
+  const Runtime& rt = session.runtime();
+  for (const auto& part : rt.partitions()) {
+    const double w = rt.partition_walltime(part.id);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &w, sizeof bits);
+    p.walltime_bits.push_back(bits);
+  }
+  std::set<fs::path> files;
+  for (const auto& e : fs::recursive_directory_iterator(dir))
+    if (e.is_regular_file()) files.insert(e.path());
+  for (const auto& f : files) {
+    std::ifstream in(f, std::ios::binary);
+    p.report += f.filename().string() + '\n';
+    p.report.append(std::istreambuf_iterator<char>(in), {});
+  }
+  return p;
+}
+
+TEST(Scheduler, SameSeedRunsAreBitIdenticalWithHelpersOrInline) {
+  const RunPrint first = run_sp_session("sched_same_seed_a");
+  ASSERT_FALSE(first.report.empty());
+  ASSERT_EQ(first.walltime_bits.size(), 2u);
+  EXPECT_EQ(run_sp_session("sched_same_seed_b"), first)
+      << "two same-seed runs differ";
+  // The same pure byte work run inline on the carrier: how fast (or
+  // where) it runs must not change a single simulation step.
+  fib::set_inline_pure_for_testing(true);
+  const RunPrint inline_run = run_sp_session("sched_same_seed_c");
+  fib::set_inline_pure_for_testing(false);
+  EXPECT_EQ(inline_run, first) << "inline byte work changed the run";
+  for (const char* d :
+       {"sched_same_seed_a", "sched_same_seed_b", "sched_same_seed_c"})
+    std::filesystem::remove_all(d);
+}
+
+TEST(SchedulerDeathTest, DeadlockAbortsWithPerRankDump) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Both ranks receive first: nothing can ever run again.
+  auto deadlock = [] {
+    run_spmd(2, [](ProcEnv& env) {
+      int v = 0;
+      env.world.recv(&v, sizeof v, 1 - env.world_rank, 4);
+      env.world.send(&v, sizeof v, 1 - env.world_rank, 4);
+    });
+  };
+  EXPECT_DEATH(deadlock(),
+               "scheduler deadlock: 2 rank\\(s\\) parked(.|\n)*"
+               "rank 0 \\(test/0\\): clock=.* waits on MPI_Irecv peer 1(.|\n)*"
+               "rank 1 \\(test/1\\): clock=.* waits on MPI_Irecv peer 0");
+}
+
+TEST(Scheduler, TestPollingLoopLetsThePeerRun) {
+  // A rank that polls test() never blocks, so a miss must let the other
+  // ranks run, or the one that completes the request never would.
+  run_spmd(2, [](ProcEnv& env) {
+    int v = 0;
+    if (env.world_rank == 0) {
+      Request q = env.world.irecv(&v, sizeof v, 1, 2);
+      int polls = 0;
+      while (!test(q, nullptr)) ++polls;
+      EXPECT_GT(polls, 0);
+      EXPECT_EQ(v, 42);
+    } else {
+      compute(1e-3);
+      v = 42;
+      env.world.send(&v, sizeof v, 0, 2);
+    }
+  });
+}
+
+TEST(Scheduler, IprobePollingLoopLetsAnIdlePeerRun) {
+  // Rank 0's test() miss is an idle wait; rank 1 then spins on iprobe()
+  // for the message rank 0 sends after that miss.
+  run_spmd(2, [](ProcEnv& env) {
+    int v = 0;
+    if (env.world_rank == 0) {
+      Request q = env.world.irecv(&v, sizeof v, 1, 2);
+      EXPECT_FALSE(test(q, nullptr));
+      int out = 7;
+      env.world.send(&out, sizeof out, 1, 3);
+      wait(q);
+      EXPECT_EQ(v, 8);
+    } else {
+      Status st;
+      while (!env.world.iprobe(0, 3, &st)) {
+      }
+      env.world.recv(&v, sizeof v, 0, 3);
+      ++v;
+      env.world.send(&v, sizeof v, 0, 2);
+    }
+  });
+}
+
+TEST(Scheduler, EveryRankStartsBeforeAnyPassesItsFirstCall) {
+  // Rank r records how many ranks had entered main when it returned from
+  // its first p-layer call, an eager send that never waits: all of them,
+  // for every rank.
+  constexpr int kRanks = 6;
+  std::atomic<int> entered{0};
+  std::vector<int> seen(kRanks, -1);
+  run_spmd(kRanks, [&](ProcEnv& env) {
+    entered.fetch_add(1);
+    const int r = env.world_rank;
+    int v = r;
+    Request q = env.world.isend(&v, sizeof v, (r + 1) % kRanks, 1);
+    seen[static_cast<std::size_t>(r)] = entered.load();
+    env.world.recv(&v, sizeof v, (r + kRanks - 1) % kRanks, 1);
+    wait(q);
+  });
+  for (int r = 0; r < kRanks; ++r)
+    EXPECT_EQ(seen[static_cast<std::size_t>(r)], kRanks) << "rank " << r;
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "simmpi/fiber.hpp"
 #include "vmpi/stream.hpp"
 
 namespace esp::vmpi {
@@ -193,16 +194,28 @@ TEST(VmpiStream, BlockingReadDrainsEverything) {
   EXPECT_EQ(got.load(), 14);
 }
 
+/// Tag of the test-level handshakes below: ranks sequence themselves
+/// through messages, which park the waiting rank until its peer sends.
+constexpr int kSyncTag = 7;
+
+void send_token(ProcEnv& env, int universe_rank) {
+  int token = 1;
+  env.universe.send(&token, sizeof token, universe_rank, kSyncTag);
+}
+
+void recv_token(ProcEnv& env, int universe_rank) {
+  int token = 0;
+  env.universe.recv(&token, sizeof token, universe_rank, kSyncTag);
+}
+
 TEST(VmpiStream, NonblockingReadReturnsEagainBeforeData) {
   // Reader opens and immediately polls; the writer holds back until the
   // reader has observed at least one EAGAIN.
-  std::atomic<bool> saw_eagain{false};
   std::vector<ProgramSpec> progs;
   progs.push_back({"w", 1, [&](ProcEnv& env) {
                      Stream st({1024, 2, BalancePolicy::None});
                      st.open_peer(env, 1, "w");
-                     while (!saw_eagain.load()) {
-                     }
+                     recv_token(env, 1);
                      std::vector<std::byte> block(1024);
                      fill_block(block, 0, 0);
                      st.write(block.data(), 1);
@@ -214,7 +227,7 @@ TEST(VmpiStream, NonblockingReadReturnsEagainBeforeData) {
                      std::vector<std::byte> block(1024);
                      int ret = st.read(block.data(), 1, kNonblock);
                      EXPECT_EQ(ret, kEagain);
-                     saw_eagain.store(true);
+                     send_token(env, 0);
                      do {
                        ret = st.read(block.data(), 1, kNonblock);
                      } while (ret == kEagain);
@@ -226,16 +239,44 @@ TEST(VmpiStream, NonblockingReadReturnsEagainBeforeData) {
   rt.run();
 }
 
+TEST(VmpiStream, IprobePollingReaderLetsABusyWriterRun) {
+  // The writer goes busy flushing its block (the CRC copy runs off the
+  // scheduler) while the reader spins on iprobe() for the writer's next
+  // message: the miss must let the busy writer rejoin and send it.
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", 1, [&](ProcEnv& env) {
+                     Stream st({1024, 2, BalancePolicy::None});
+                     st.open_peer(env, 1, "w");
+                     std::vector<std::byte> block(1024);
+                     fill_block(block, 0, 0);
+                     st.write(block.data(), 1);
+                     send_token(env, 1);
+                     st.close();
+                   }});
+  progs.push_back({"r", 1, [&](ProcEnv& env) {
+                     Stream st({1024, 2, BalancePolicy::None});
+                     st.open_peer(env, 0, "r");
+                     mpi::Status status;
+                     while (!env.universe.iprobe(0, kSyncTag, &status)) {
+                     }
+                     recv_token(env, 0);
+                     std::vector<std::byte> block(1024);
+                     ASSERT_EQ(st.read(block.data(), 1), 1);
+                     EXPECT_TRUE(check_block(block));
+                     EXPECT_EQ(st.read(block.data(), 1), 0);
+                   }});
+  Runtime rt(RuntimeConfig{}, std::move(progs));
+  rt.run();
+}
+
 TEST(VmpiStream, ReaderPostsTheWritersSlotDepth) {
   // The writer announces n_async = 1 in its open handshake; the reader,
   // configured with 3, posts exactly one receive on the link.
-  std::atomic<bool> counted{false};
   std::vector<ProgramSpec> progs;
   progs.push_back({"w", 1, [&](ProcEnv& env) {
                      Stream st({1024, 1, BalancePolicy::None});
                      st.open_peer(env, 1, "w");
-                     while (!counted.load()) {
-                     }
+                     recv_token(env, 1);
                      std::vector<std::byte> block(1024);
                      for (int b = 0; b < 3; ++b) {
                        fill_block(block, 0, b);
@@ -249,7 +290,7 @@ TEST(VmpiStream, ReaderPostsTheWritersSlotDepth) {
                      EXPECT_EQ(env.runtime->mailbox(env.universe_rank)
                                    .pending_recvs(),
                                1u);
-                     counted.store(true);
+                     send_token(env, 0);
                      std::vector<std::byte> block(1024);
                      for (int b = 0; b < 3; ++b) {
                        ASSERT_EQ(st.read(block.data(), 1), 1);
@@ -343,8 +384,8 @@ TEST(VmpiStream, OutOfOrderWriterClosesWithNonblockReads) {
   // EOS contract: a reader sees 0 only after EVERY writer closed, no
   // matter the close order; meanwhile kNonblock reads return kEagain and
   // blocks from still-open writers keep flowing. Writer closes are forced
-  // into a fixed out-of-order sequence: w2 (no data), then w0, then w1.
-  std::atomic<int> stage{0};
+  // into a fixed out-of-order sequence: w2 (no data), then w0, then w1,
+  // each handing the turn on by message.
   std::atomic<int> got{0};
   std::atomic<bool> saw_zero_early{false};
   std::vector<ProgramSpec> progs;
@@ -359,19 +400,17 @@ TEST(VmpiStream, OutOfOrderWriterClosesWithNonblockReads) {
                      const int r = env.world_rank;
                      if (r == 2) {
                        st.close();  // closes first, wrote nothing
-                       stage.store(1);
+                       send_token(env, 0);
                      } else if (r == 0) {
-                       while (stage.load() < 1) {
-                       }
+                       recv_token(env, 2);
                        for (int b = 0; b < 2; ++b) {
                          fill_block(block, env.universe_rank, b);
                          st.write(block.data(), 1);
                        }
                        st.close();
-                       stage.store(2);
+                       send_token(env, 1);
                      } else {
-                       while (stage.load() < 2) {
-                       }
+                       recv_token(env, 0);
                        fill_block(block, env.universe_rank, 0);
                        st.write(block.data(), 1);
                        st.close();
@@ -512,12 +551,10 @@ TEST(VmpiStreamReadSome, PositiveCountWinsOverTerminalCodes) {
 
 TEST(VmpiStreamReadSome, EagainOnlyWhenNothingAppended) {
   std::vector<ProgramSpec> progs;
-  std::atomic<bool> reader_polled{false};
   progs.push_back({"w", 1, [&](ProcEnv& env) {
                      Stream st({1024, 2, BalancePolicy::None});
                      st.open_peer(env, 1, "w");
-                     while (!reader_polled.load()) {
-                     }
+                     recv_token(env, 1);
                      std::vector<std::byte> block(1024);
                      fill_block(block, 0, 0);
                      st.write(block.data(), 1);
@@ -530,7 +567,7 @@ TEST(VmpiStreamReadSome, EagainOnlyWhenNothingAppended) {
                      EXPECT_EQ(st.read_some(out, 8, kNonblock), kEagain);
                      EXPECT_TRUE(out.empty());
                      EXPECT_GE(st.stats().eagain_returns, 1u);
-                     reader_polled.store(true);
+                     send_token(env, 0);
                      int r;
                      do {
                        r = st.read_some(out, 8, kNonblock);
@@ -717,6 +754,166 @@ TEST(VmpiStream, CorruptionOfAHandedOffBlockIsCaught) {
                    }});
   Runtime rt(std::move(cfg), std::move(progs));
   rt.run();
+}
+
+TEST(VmpiStreamReadSome, HandsOverExactlyThePayloadAndRepostsTheSlot) {
+  static constexpr std::uint64_t kBlock = 4096;
+  static constexpr std::uint64_t kShort = 300;
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", 1, [](ProcEnv& env) {
+                     Stream st({kBlock, 2, BalancePolicy::None});
+                     st.open_peer(env, 1, "w");
+                     std::vector<std::byte> block(kBlock);
+                     fill_block(block, 0, 0);
+                     st.write_partial(block.data(), kShort);
+                     fill_block(block, 0, 1);
+                     st.write(block.data(), 1);
+                     send_token(env, 1);  // both blocks sit in their slots
+                     recv_token(env, 1);
+                     st.close();
+                   }});
+  progs.push_back({"r", 1, [](ProcEnv& env) {
+                     Stream st({kBlock, 2, BalancePolicy::None});
+                     st.open_peer(env, 0, "r");
+                     recv_token(env, 0);
+                     std::vector<BufferRef> out;
+                     ASSERT_EQ(st.read_some(out, 8, kNonblock), 2);
+                     // A view of exactly the payload: the short block is
+                     // 300 bytes, not a block_size buffer with a tail.
+                     ASSERT_EQ(out.size(), 2u);
+                     EXPECT_TRUE(out[0]->is_view());
+                     ASSERT_EQ(out[0]->size(), kShort);
+                     std::vector<std::byte> sent(kBlock);
+                     fill_block(sent, 0, 0);
+                     EXPECT_EQ(std::memcmp(out[0]->data(), sent.data(), kShort),
+                               0);
+                     ASSERT_EQ(out[1]->size(), kBlock);
+                     EXPECT_TRUE(check_block(std::vector<std::byte>(
+                         out[1]->data(), out[1]->data() + kBlock)));
+                     // Both slots were reposted with fresh blocks.
+                     EXPECT_EQ(env.runtime->mailbox(env.universe_rank)
+                                   .pending_recvs(),
+                               2u);
+                     EXPECT_EQ(st.stats().bytes_read, kShort + kBlock);
+                     send_token(env, 0);
+                     EXPECT_EQ(st.read_some(out, 8), 0);
+                     // The handed-over blocks outlive the stream's slots.
+                     EXPECT_TRUE(check_block(std::vector<std::byte>(
+                         out[1]->data(), out[1]->data() + kBlock)));
+                   }});
+  Runtime rt(RuntimeConfig{}, std::move(progs));
+  rt.run();
+}
+
+TEST(VmpiStreamReadSome, CorruptBlockIsCountedAndNeverHandedOver) {
+  constexpr int kBlocks = 3;
+  RuntimeConfig cfg;
+  cfg.faults.links.push_back({.corrupt_probability = 1.0});
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", 1, [](ProcEnv& env) {
+                     Stream st({4096, 2, BalancePolicy::None});
+                     st.open_peer(env, 1, "w");
+                     std::vector<std::byte> block(4096);
+                     for (int b = 0; b < kBlocks; ++b) {
+                       fill_block(block, 0, b);
+                       st.write(block.data(), 1);
+                     }
+                     st.close();
+                   }});
+  progs.push_back({"r", 1, [](ProcEnv& env) {
+                     Stream st({4096, 2, BalancePolicy::None});
+                     st.open_peer(env, 0, "r");
+                     std::vector<BufferRef> out;
+                     int r = 0;
+                     while ((r = st.read_some(out, 8)) > 0) {
+                     }
+                     // The end-of-stream header is corrupted too, so the
+                     // link ends as a dead writer.
+                     EXPECT_EQ(r, kEpipe);
+                     EXPECT_TRUE(out.empty());
+                     const auto s = st.stats();
+                     EXPECT_EQ(s.blocks_read, 0u);
+                     EXPECT_EQ(s.blocks_corrupted,
+                               static_cast<std::uint64_t>(kBlocks + 1));
+                   }});
+  Runtime rt(std::move(cfg), std::move(progs));
+  rt.run();
+}
+
+/// What a same-seed stream run must reproduce: both partitions' virtual
+/// walltimes (bits) and the order in which every reader took its blocks.
+struct StreamPrint {
+  std::vector<std::uint64_t> walltime_bits;
+  std::vector<std::vector<std::uint64_t>> arrivals;
+  bool operator==(const StreamPrint&) const = default;
+};
+
+StreamPrint run_stream_job() {
+  constexpr int kWriters = 8;
+  constexpr int kReaders = 2;
+  constexpr int kBlocks = 6;
+  constexpr std::uint64_t kBlock = 64 * 1024;
+  StreamPrint p;
+  p.arrivals.resize(kReaders);
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", kWriters, [](ProcEnv& env) {
+                     Map m;
+                     m.map_partitions(
+                         env, env.runtime->partition_by_name("r")->id,
+                         MapPolicy::RoundRobin);
+                     Stream st({kBlock, 3, BalancePolicy::RoundRobin});
+                     st.open_map(env, m, "w");
+                     std::vector<std::byte> block(kBlock);
+                     for (int b = 0; b < kBlocks; ++b) {
+                       fill_block(block, env.universe_rank, b);
+                       st.write(block.data(), 1);
+                       mpi::compute(1e-5 * (env.world_rank % 3));
+                     }
+                     st.close();
+                   }});
+  progs.push_back(
+      {"r", kReaders, [&p](ProcEnv& env) {
+         Map m;
+         m.map_partitions(env, env.runtime->partition_by_name("w")->id,
+                          MapPolicy::RoundRobin);
+         Stream st({kBlock, 3, BalancePolicy::RoundRobin});
+         st.open_map(env, m, "r");
+         auto& order = p.arrivals[static_cast<std::size_t>(env.world_rank)];
+         auto note = [&](const std::byte* data) {
+           std::uint64_t id[2];
+           std::memcpy(id, data, sizeof id);
+           order.push_back(id[0] << 32 | id[1]);
+         };
+         if (env.world_rank == 0) {  // copying reads
+           std::vector<std::byte> block(kBlock);
+           while (st.read(block.data(), 1) == 1) note(block.data());
+         } else {  // handoff reads
+           std::vector<BufferRef> out;
+           while (st.read_some(out, 4) > 0) {
+             for (const auto& b : out) note(b->data());
+             out.clear();
+           }
+         }
+       }});
+  Runtime rt(RuntimeConfig{}, std::move(progs));
+  rt.run();
+  for (int part = 0; part < 2; ++part) {
+    const double w = rt.partition_walltime(part);
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &w, sizeof bits);
+    p.walltime_bits.push_back(bits);
+  }
+  return p;
+}
+
+TEST(VmpiStream, SameSeedRunsAreIdenticalWithHelpersOrInline) {
+  const StreamPrint first = run_stream_job();
+  EXPECT_EQ(first.arrivals[0].size() + first.arrivals[1].size(), 48u);
+  EXPECT_EQ(run_stream_job(), first) << "two same-seed runs differ";
+  mpi::fib::set_inline_pure_for_testing(true);
+  const StreamPrint inline_run = run_stream_job();
+  mpi::fib::set_inline_pure_for_testing(false);
+  EXPECT_EQ(inline_run, first) << "inline byte work changed the run";
 }
 
 }  // namespace

@@ -41,7 +41,9 @@ from pathlib import Path
 #                 a faster run never fails the gate)
 # `default_mode` is the gate strictness when --mode is not given: noisy
 # wall-clock benches warn on shared runners, deterministic virtual-metric
-# benches fail.
+# benches fail. Every virtual metric is exact: ranks run on one
+# deterministic scheduler (src/simmpi/fiber.hpp), so a same-seed run
+# reproduces each one bit for bit.
 SPECS = {
     "blackboard": {
         "key": ("workers", "producers", "batch"),
@@ -56,20 +58,20 @@ SPECS = {
             "events_shipped": (0.0, "exact"),
             "weighted_events": (0.0, "exact"),
             "windows_degraded": (0.0, "exact"),
-            "app_walltime": (0.15, "rel"),
+            "app_walltime": (0.0, "exact"),
         },
         "default_mode": "fail",
     },
     "tenancy": {
         "key": ("scenario",),
         "metrics": {
-            "victim_p50": (0.25, "rel"),
-            "victim_p99": (0.25, "rel"),
-            "victim_events": (0.005, "rel"),
-            "victim_walltime": (0.25, "rel"),
-            "flooder_shed": (0.005, "rel"),
+            "victim_p50": (0.0, "exact"),
+            "victim_p99": (0.0, "exact"),
+            "victim_events": (0.0, "exact"),
+            "victim_walltime": (0.0, "exact"),
+            "flooder_shed": (0.0, "exact"),
         },
-        "default_mode": "warn",
+        "default_mode": "fail",
     },
     "hotpath": {
         "key": ("mode",),
@@ -84,19 +86,16 @@ SPECS = {
         "default_mode": "warn",
     },
     "stream": {
-        # Virtual coupling walltimes. These scenarios saturate the
-        # resources on purpose, which is exactly where the fluid model's
-        # host-arrival-order tolerance bites (observed run-to-run spread
-        # up to ~15%): drift warns, and the hard load-balancing invariant
-        # stays inside the binary where it gates a ~4x margin.
+        # Virtual coupling walltimes of saturated couplings; the hard
+        # load-balancing invariant also stays inside the binary, where it
+        # gates a ~4x margin.
         "key": ("case",),
-        "metrics": {"app_walltime": (0.20, "rel")},
-        "default_mode": "warn",
+        "metrics": {"app_walltime": (0.0, "exact")},
+        "default_mode": "fail",
     },
     "elastic": {
         # Membership transitions are planned, not reactive: every counter
-        # is a pure function of (seed, schedule) and gates exactly. The
-        # app walltime inherits the fluid model's host-order jitter.
+        # is a pure function of (seed, schedule).
         "key": ("scenario",),
         "metrics": {
             "epochs": (0.0, "exact"),
@@ -107,7 +106,7 @@ SPECS = {
             "stream_blocks": (0.0, "exact"),
             "blocks_lost": (0.0, "exact"),
             "total_events": (0.0, "exact"),
-            "app_walltime": (0.15, "rel"),
+            "app_walltime": (0.0, "exact"),
         },
         "default_mode": "fail",
     },
