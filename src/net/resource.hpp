@@ -27,18 +27,21 @@
 /// drained and contention is physical rather than a scheduling artifact.
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace esp::net {
 
 /// A bandwidth-capacity resource: service time = bytes / per-lane rate,
 /// or a duration given directly (serve(); a one-lane resource used that
-/// way is a plain FIFO server, e.g. a metadata server). Thread-safe.
+/// way is a plain FIFO server, e.g. a metadata server). Bookings come only
+/// from the rank scheduler's carrier thread (simmpi/fiber.hpp), so it has
+/// no lock.
 ///
 /// `lanes` splits the capacity into parallel FIFO channels (a fat tree's
 /// bisection is many physical uplinks, not one serial pipe). A transfer
-/// takes the lane whose frontier is earliest.
+/// takes the lane whose frontier is earliest, the lowest-numbered one on
+/// a tie: the top of a min-heap of lanes ordered by (frontier, index), so
+/// a booking costs O(log lanes).
 ///
 /// Causality tolerance: requests arrive in scheduler order, which can
 /// differ from virtual-time order when rank clocks drift. A request whose
@@ -51,7 +54,10 @@ class BandwidthResource {
  public:
   explicit BandwidthResource(double bytes_per_sec = 1.0, int lanes = 1)
       : lanes_(static_cast<std::size_t>(lanes < 1 ? 1 : lanes)),
-        bytes_per_sec_(bytes_per_sec) {}
+        heap_(lanes_.size()),
+        bytes_per_sec_(bytes_per_sec) {
+    reset();
+  }
 
   /// Reserve a transfer of `bytes` starting no earlier than `start`;
   /// returns completion time.
@@ -64,11 +70,7 @@ class BandwidthResource {
   /// Reserve a lane for `duration` seconds starting no earlier than
   /// `start`; returns completion time.
   double serve(double start, double duration) {
-    std::lock_guard lock(mu_);
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < lanes_.size(); ++i)
-      if (lanes_[i].frontier < lanes_[best].frontier) best = i;
-    auto& lane = lanes_[best];
+    auto& lane = lanes_[heap_.front()];
     ++requests_;
     busy_ += duration;
     if (start < lane.frontier && lane.idle_credit >= duration) {
@@ -80,22 +82,19 @@ class BandwidthResource {
     const double begin = start > lane.frontier ? start : lane.frontier;
     lane.idle_credit += begin - lane.frontier;  // a real idle gap opened
     lane.frontier = begin + duration;
+    sift_down_top();
     return lane.frontier;
   }
 
   double rate() const noexcept { return bytes_per_sec_; }
   void set_rate(double bytes_per_sec) noexcept { bytes_per_sec_ = bytes_per_sec; }
-  std::uint64_t requests() const {
-    std::lock_guard lock(mu_);
-    return requests_;
-  }
-  double busy_time() const {
-    std::lock_guard lock(mu_);
-    return busy_;
-  }
+  std::uint64_t requests() const noexcept { return requests_; }
+  double busy_time() const noexcept { return busy_; }
   void reset() {
-    std::lock_guard lock(mu_);
-    for (auto& l : lanes_) l = Lane{};
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      lanes_[i] = Lane{};
+      heap_[i] = static_cast<std::uint32_t>(i);  // all tied: index order
+    }
     requests_ = 0;
     busy_ = 0.0;
   }
@@ -105,8 +104,28 @@ class BandwidthResource {
     double frontier = 0.0;
     double idle_credit = 0.0;
   };
-  mutable std::mutex mu_;
+
+  bool before(std::uint32_t a, std::uint32_t b) const noexcept {
+    const double fa = lanes_[a].frontier, fb = lanes_[b].frontier;
+    return fa < fb || (fa == fb && a < b);
+  }
+  /// Restore the heap after the top lane's frontier grew (it never
+  /// shrinks).
+  void sift_down_top() noexcept {
+    const std::size_t n = heap_.size();
+    const std::uint32_t top = heap_[0];
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n && before(heap_[c + 1], heap_[c])) ++c;
+      if (!before(heap_[c], top)) break;
+      heap_[i] = heap_[c];
+      i = c;
+    }
+    heap_[i] = top;
+  }
+
   std::vector<Lane> lanes_;
+  std::vector<std::uint32_t> heap_;  ///< Lane indices, min-heap by before().
   double bytes_per_sec_;
   std::uint64_t requests_ = 0;
   double busy_ = 0.0;

@@ -55,10 +55,7 @@ double SimFs::write(int core, std::uint64_t bytes, double start) {
   // completion is the slower of the two serialized queues.
   const double t_ost = ost_.acquire(start, bytes);
   const double t_nic = machine_.nic_send(core, bytes, start);
-  {
-    std::lock_guard lock(stat_mu_);
-    bytes_written_ += bytes;
-  }
+  bytes_written_ += bytes;
   return std::max(t_ost, t_nic);
 }
 
@@ -68,15 +65,9 @@ double SimFs::read(int core, std::uint64_t bytes, double start) {
   return std::max(t_ost, t_nic);
 }
 
-std::uint64_t SimFs::bytes_written() const {
-  std::lock_guard lock(stat_mu_);
-  return bytes_written_;
-}
-
 void SimFs::reset() {
   mds_.reset();
   ost_.reset();
-  std::lock_guard lock(stat_mu_);
   bytes_written_ = 0;
 }
 

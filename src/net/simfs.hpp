@@ -13,7 +13,6 @@
 /// through the owning Machine.
 
 #include <cstdint>
-#include <mutex>
 
 #include "net/machine.hpp"
 #include "net/resource.hpp"
@@ -46,7 +45,7 @@ class SimFs {
   double read(int core, std::uint64_t bytes, double start);
 
   double ost_bandwidth() const noexcept { return ost_.rate(); }
-  std::uint64_t bytes_written() const;
+  std::uint64_t bytes_written() const noexcept { return bytes_written_; }
   std::uint64_t metadata_ops() const { return mds_.requests(); }
   void reset();
 
@@ -55,7 +54,6 @@ class SimFs {
   SimFsConfig cfg_;
   BandwidthResource mds_;  ///< One lane: a FIFO metadata server.
   BandwidthResource ost_;
-  mutable std::mutex stat_mu_;
   std::uint64_t bytes_written_ = 0;
 };
 

@@ -61,8 +61,9 @@ bool can_hand_off(const detail::SendItem& s, const detail::RecvItem& r,
 
 /// Close a matched (send, recv) pair: deliver the payload (copy, or
 /// storage handoff), compute the virtual transfer timing, and wake both
-/// sides. Runs outside mailbox locks on whichever rank completed the
-/// match. A size-only end (null buffer) moves no host byte: a real send
+/// sides. Runs on whichever rank completed the match, without yielding,
+/// so no crash sweep can run while a copy touches either rank's buffers.
+/// A size-only end (null buffer) moves no host byte: a real send
 /// into a null receive is discarded, a null send leaves a real receive
 /// buffer untouched, and an injected corrupt bit has nothing to flip.
 void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
@@ -103,8 +104,6 @@ void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
   st.bytes = n;
   r.req->complete(finish, st);
   if (s.req) s.req->complete(finish, st);
-  // The copy retired: a crashing endpoint may now unwind (see PinTable).
-  rt.pins().unpin(s.src_world, s.dst_world);
 }
 
 /// Base isend: stages eagerly below the threshold (request completes at
@@ -118,20 +117,20 @@ Request isend_impl(Runtime& rt, RankContext& rc,
   rc.check_crash();
   rc.advance(kCallOverhead);
   fib::yield_point();  // staging, wire booking and matching are ordered
-  auto item = std::make_shared<detail::SendItem>();
-  item->src_world = rc.world_rank;
-  item->dst_world = dst_world;
-  item->ctx = ctx;
-  item->tag = tag;
-  item->bytes = bytes;
-  item->seq = rc.send_seq++;
+  detail::SendItem item;
+  item.src_world = rc.world_rank;
+  item.dst_world = dst_world;
+  item.ctx = ctx;
+  item.tag = tag;
+  item.bytes = bytes;
+  item.seq = rc.send_seq++;
 
   net::FaultInjector::Decision fault;
   if (rt.injector().has_link_faults())
-    fault = rt.injector().on_message(rc.world_rank, dst_world, tag, item->seq,
+    fault = rt.injector().on_message(rc.world_rank, dst_world, tag, item.seq,
                                      bytes);
 
-  auto req = std::make_shared<RequestState>();
+  Request req = make_request();
   req->kind = CallKind::Isend;
   req->ctx = ctx;
   req->peer_world = dst_world;
@@ -139,24 +138,24 @@ Request isend_impl(Runtime& rt, RankContext& rc,
   req->comm = cd;
 
   const bool eager = bytes <= rt.config().eager_threshold;
-  item->eager_mode = eager;
+  item.eager_mode = eager;
   if (eager) {
     if (buf != nullptr)
-      item->eager = Buffer::copy_of(buf, physical_bytes(rt, tag, bytes));
+      item.eager = Buffer::copy_of(buf, physical_bytes(rt, tag, bytes));
     const double staged =
         rt.machine().local_copy(rt.core_of(rc.world_rank), bytes, rc.clock);
     rc.clock = staged;
-    item->t_ready = staged;
+    item.t_ready = staged;
     Status st;
     st.source = rc.world_rank;
     st.tag = tag;
     st.bytes = bytes;
     req->complete(staged, st);  // sender-side completion only
   } else {
-    item->src_buf = static_cast<const std::byte*>(buf);
-    item->src_ref = std::move(src_ref);
-    item->t_ready = rc.clock;
-    item->req = req;
+    item.src_buf = static_cast<const std::byte*>(buf);
+    item.src_ref = std::move(src_ref);
+    item.t_ready = rc.clock;
+    item.req = req;
   }
 
   if (fault.drop) {
@@ -169,12 +168,12 @@ Request isend_impl(Runtime& rt, RankContext& rc,
       st.source = rc.world_rank;
       st.tag = tag;
       st.bytes = bytes;
-      req->complete(item->t_ready, st);
+      req->complete(item.t_ready, st);
     }
     return req;
   }
-  item->t_ready += fault.delay;
-  item->corrupt_bit = fault.corrupt_bit;
+  item.t_ready += fault.delay;
+  item.corrupt_bit = fault.corrupt_bit;
 
   // Crash-oracle wire booking. When the destination has a *scheduled*
   // virtual-time crash, whether a message reaches it before death must not
@@ -190,19 +189,18 @@ Request isend_impl(Runtime& rt, RankContext& rc,
   if (rt.injector().enabled()) {
     const double dst_crash = rt.injector().crash_time(dst_world);
     if (dst_crash != std::numeric_limits<double>::infinity()) {
-      item->wire_booked = true;
-      item->wire_finish =
-          item->t_ready < dst_crash
+      item.wire_booked = true;
+      item.wire_finish =
+          item.t_ready < dst_crash
               ? rt.machine().transfer(rt.core_of(rc.world_rank),
                                       rt.core_of(dst_world), bytes,
-                                      item->t_ready)
-              : item->t_ready;
+                                      item.t_ready)
+              : item.t_ready;
     }
   }
 
-  if (auto r = rt.mailbox(dst_world).post_send(item)) {
-    complete_match(rt, *item, *r);
-  }
+  if (auto r = rt.mailbox(dst_world).post_send(item))
+    complete_match(rt, item, *r);
   return req;
 }
 
@@ -213,26 +211,25 @@ Request irecv_impl(Runtime& rt, RankContext& rc,
   rc.check_crash();
   rc.advance(kCallOverhead);
   fib::yield_point();  // matching is ordered
-  auto item = std::make_shared<detail::RecvItem>();
-  item->dst_buf = static_cast<std::byte*>(buf);
-  item->keepalive = std::move(keepalive);
-  item->max_bytes = bytes;
-  item->ctx = ctx;
-  item->src_world = src_world;
-  item->tag = tag;
-  item->t_ready = rc.clock;
-
-  auto req = std::make_shared<RequestState>();
+  Request req = make_request();
   req->kind = CallKind::Irecv;
   req->ctx = ctx;
   req->peer_world = src_world;
   req->bytes = bytes;
   req->comm = cd;
-  item->req = req;
 
-  if (auto s = rt.mailbox(rc.world_rank).post_recv(item)) {
-    complete_match(rt, *s, *item);
-  }
+  detail::RecvItem item;
+  item.dst_buf = static_cast<std::byte*>(buf);
+  item.keepalive = std::move(keepalive);
+  item.max_bytes = bytes;
+  item.ctx = ctx;
+  item.src_world = src_world;
+  item.tag = tag;
+  item.t_ready = rc.clock;
+  item.req = req;
+
+  if (auto s = rt.mailbox(rc.world_rank).post_recv(item))
+    complete_match(rt, *s, item);
   return req;
 }
 
@@ -243,11 +240,18 @@ std::shared_ptr<CommData> CommData::make(Runtime* rt, std::uint64_t ctx,
   auto cd = std::make_shared<CommData>();
   cd->rt = rt;
   cd->ctx = ctx;
-  cd->world_to_comm.reserve(world_ranks.size());
+  cd->world_to_comm.assign(static_cast<std::size_t>(rt->world_size()), -1);
   for (std::size_t i = 0; i < world_ranks.size(); ++i)
-    cd->world_to_comm.emplace(world_ranks[i], static_cast<int>(i));
+    cd->world_to_comm[static_cast<std::size_t>(world_ranks[i])] =
+        static_cast<int>(i);
   cd->world_ranks = std::move(world_ranks);
   return cd;
+}
+
+int CommData::comm_rank_of(int world) const noexcept {
+  return world >= 0 && static_cast<std::size_t>(world) < world_to_comm.size()
+             ? world_to_comm[static_cast<std::size_t>(world)]
+             : -1;
 }
 
 int Comm::rank() const {
@@ -255,8 +259,7 @@ int Comm::rank() const {
 }
 
 int Comm::comm_rank_of_world(int world) const {
-  auto it = data_->world_to_comm.find(world);
-  return it == data_->world_to_comm.end() ? -1 : it->second;
+  return data_->comm_rank_of(world);
 }
 
 Status Comm::translate(Status st) const {
@@ -340,10 +343,7 @@ Status pwait(Request& r) {
   const double finish = r->block();
   rc.clock = std::max(rc.clock, finish);
   Status st = r->status;
-  if (st.source >= 0 && r->comm) {
-    auto it = r->comm->world_to_comm.find(st.source);
-    st.source = it == r->comm->world_to_comm.end() ? -1 : it->second;
-  }
+  if (st.source >= 0 && r->comm) st.source = r->comm->comm_rank_of(st.source);
   return st;
 }
 
@@ -810,8 +810,7 @@ Status wait(Request& r) {
   ci.tag = st.tag;
   if (r->comm) {
     ci.comm_size = static_cast<int>(r->comm->world_ranks.size());
-    auto it = r->comm->world_to_comm.find(rc.world_rank);
-    ci.comm_rank = it == r->comm->world_to_comm.end() ? -1 : it->second;
+    ci.comm_rank = r->comm->comm_rank_of(rc.world_rank);
   }
   rc.rt->dispatch_tools(rc, ci);
   return st;
@@ -830,8 +829,7 @@ void waitall(std::span<Request> rs) {
     if (ci.ctx == 0) ci.ctx = r->ctx;
     if (r->comm && ci.comm_size == 0) {
       ci.comm_size = static_cast<int>(r->comm->world_ranks.size());
-      auto it = r->comm->world_to_comm.find(rc.world_rank);
-      ci.comm_rank = it == r->comm->world_to_comm.end() ? -1 : it->second;
+      ci.comm_rank = r->comm->comm_rank_of(rc.world_rank);
     }
   }
   ci.t_end = rc.clock;

@@ -19,7 +19,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/buffer.hpp"
@@ -34,11 +33,14 @@ class Runtime;
 struct CommData {
   std::uint64_t ctx = 0;         ///< Unique context id (message namespace).
   std::vector<int> world_ranks;  ///< comm rank -> world rank.
-  std::unordered_map<int, int> world_to_comm;
+  /// world rank -> comm rank, -1 for non-members.
+  std::vector<int> world_to_comm;
   Runtime* rt = nullptr;
 
   static std::shared_ptr<CommData> make(Runtime* rt, std::uint64_t ctx,
                                         std::vector<int> world_ranks);
+  /// Comm rank of a world rank, or -1 when not a member.
+  int comm_rank_of(int world) const noexcept;
 };
 
 class Comm {

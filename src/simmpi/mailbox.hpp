@@ -4,66 +4,29 @@
 ///
 /// One Mailbox per world rank. Senders post SendItems into the destination
 /// mailbox; receivers post RecvItems into their own. Whichever side closes
-/// a match removes both items under the lock and completes the pair outside
-/// it (payload copy or storage handoff + virtual-time transfer
-/// computation). A size-only message (null send or receive buffer, see
-/// comm.hpp) is matched and timed the same way but moves no bytes.
+/// a match takes the other item out of the queue and completes the pair
+/// (payload copy or storage handoff + virtual-time transfer computation)
+/// before any other rank runs. Mailboxes, like requests, are touched only
+/// on the carrier (fiber.hpp): they have no lock, and a crash sweep can
+/// never meet a copy in flight. The queues own their items by value, in
+/// nodes recycled through the thread's free list. A size-only message
+/// (null send or receive buffer, see comm.hpp) is matched and timed the
+/// same way but moves no bytes.
 /// Matching preserves MPI ordering: queues are scanned front-to-back, and
 /// items from one sender arrive in program order.
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
+#include <limits>
+#include <list>
+#include <optional>
 #include <unordered_set>
-#include <vector>
 
 #include "common/buffer.hpp"
+#include "common/free_list.hpp"
 #include "simmpi/request.hpp"
 
 namespace esp::mpi::detail {
-
-/// Tracks matched message pairs whose payload copy is still in flight.
-///
-/// A match is removed from the mailbox queues under the mailbox lock, but
-/// the copy (complete_match) runs outside it — into the receiver's buffer,
-/// and for rendezvous out of the sender's pinned buffer. A rank crash
-/// unwinds the rank's stack and frees those buffers, so the crash sweep
-/// must wait until every copy touching the dying rank has retired. Pins
-/// are taken under the same mailbox lock that removes the match (no
-/// window between removal and pin) and released by complete_match.
-class PinTable {
- public:
-  explicit PinTable(int world_size)
-      : pins_(static_cast<std::size_t>(world_size), 0) {}
-
-  void pin(int src_world, int dst_world) {
-    std::lock_guard lock(mu_);
-    ++pins_[static_cast<std::size_t>(src_world)];
-    ++pins_[static_cast<std::size_t>(dst_world)];
-  }
-
-  void unpin(int src_world, int dst_world) {
-    std::lock_guard lock(mu_);
-    --pins_[static_cast<std::size_t>(src_world)];
-    --pins_[static_cast<std::size_t>(dst_world)];
-    cv_.notify_all();
-  }
-
-  /// Block until no in-flight copy touches `world_rank`'s buffers.
-  void wait_idle(int world_rank) {
-    std::unique_lock lock(mu_);
-    cv_.wait(lock,
-             [&] { return pins_[static_cast<std::size_t>(world_rank)] == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<int> pins_;
-};
 
 struct SendItem {
   int src_world = -1;
@@ -71,8 +34,8 @@ struct SendItem {
   std::uint64_t ctx = 0;
   int tag = 0;
   std::uint64_t bytes = 0;
-  /// Rendezvous: pointer into the (pinned) sender buffer; null for eager
-  /// and for size-only sends.
+  /// Rendezvous: pointer into the sender's buffer, which the sender keeps
+  /// until its request completes; null for eager and for size-only sends.
   /// When `src_ref` owns it, complete_match may hand the storage itself
   /// to a by-reference receive instead of copying (see RecvItem).
   const std::byte* src_buf = nullptr;
@@ -126,61 +89,37 @@ inline bool matches(const SendItem& s, const RecvItem& r) noexcept {
 
 class Mailbox {
  public:
-  explicit Mailbox(PinTable* pins = nullptr) : pins_(pins) {}
-
-  /// Post a send; if a posted receive matches, returns it (removed).
+  /// Post a send; if a posted receive matches, returns it (removed) and
+  /// leaves `s` with the caller, else moves `s` into the queue.
   /// When the owning rank has crashed, the send is refused: a rendezvous
   /// sender is completed with kErrPeerDead (eager sends were already
   /// locally complete) and nothing is queued — otherwise writers block
   /// forever on a receiver that will never post again.
-  std::shared_ptr<RecvItem> post_send(std::shared_ptr<SendItem> s) {
-    {
-      std::lock_guard lock(mu_);
-      if (!dead_) {
-        for (auto it = recvs_.begin(); it != recvs_.end(); ++it) {
-          if (matches(*s, **it)) {
-            auto r = *it;
-            recvs_.erase(it);
-            if (pins_ != nullptr) pins_->pin(s->src_world, s->dst_world);
-            return r;
-          }
-        }
-        sends_.push_back(std::move(s));
-        return nullptr;
-      }
+  std::optional<RecvItem> post_send(SendItem& s) {
+    if (dead_) {
+      fail(s, s.t_ready);
+      return std::nullopt;
     }
-    if (s->req) {
-      Status st;
-      st.source = s->src_world;
-      st.tag = s->tag;
-      st.error = kErrPeerDead;
-      s->req->complete(s->t_ready, st);
-    }
-    return nullptr;
+    auto r = take_first(
+        recvs_, [&](const RecvItem& posted) { return matches(s, posted); });
+    if (!r) sends_.push_back(std::move(s));
+    return r;
   }
 
-  /// Post a receive; if a queued send matches, returns it (removed).
+  /// Post a receive; if a queued send matches, returns it (removed) and
+  /// leaves `r` with the caller, else moves `r` into the queue.
   /// A specific-source receive from a rank already known dead (and with
   /// no matching in-flight send) is failed immediately with kErrPeerDead
   /// instead of being queued, so readers never wait on a ghost.
-  std::shared_ptr<SendItem> post_recv(std::shared_ptr<RecvItem> r) {
-    {
-      std::lock_guard lock(mu_);
-      for (auto it = sends_.begin(); it != sends_.end(); ++it) {
-        if (matches(**it, *r)) {
-          auto s = *it;
-          sends_.erase(it);
-          if (pins_ != nullptr) pins_->pin(s->src_world, s->dst_world);
-          return s;
-        }
-      }
-      if (r->src_world == kAnySource || !dead_srcs_.contains(r->src_world)) {
-        recvs_.push_back(std::move(r));
-        return nullptr;
-      }
-    }
-    fail_recv(*r, r->t_ready);
-    return nullptr;
+  std::optional<SendItem> post_recv(RecvItem& r) {
+    auto s = take_first(
+        sends_, [&](const SendItem& queued) { return matches(queued, r); });
+    if (s) return s;
+    if (r.src_world == kAnySource || !dead_srcs_.contains(r.src_world))
+      recvs_.push_back(std::move(r));
+    else
+      fail(r, r.t_ready);
+    return std::nullopt;
   }
 
   /// Crash sweep, receiver side: `src_world` died at virtual time `t`.
@@ -192,37 +131,12 @@ class Mailbox {
   /// match would copy from freed memory. Eager sends own a staged copy
   /// and stay deliverable — they were already on the wire.
   void fail_source(int src_world, double t) {
-    std::vector<std::shared_ptr<RecvItem>> failed;
-    std::vector<std::shared_ptr<SendItem>> purged;
-    {
-      std::lock_guard lock(mu_);
-      dead_srcs_.insert(src_world);
-      for (auto it = recvs_.begin(); it != recvs_.end();) {
-        if ((*it)->src_world == src_world) {
-          failed.push_back(*it);
-          it = recvs_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (auto it = sends_.begin(); it != sends_.end();) {
-        if ((*it)->src_world == src_world && !(*it)->eager_mode) {
-          purged.push_back(*it);
-          it = sends_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    for (auto& r : failed) fail_recv(*r, std::max(t, r->t_ready));
-    for (auto& s : purged) {
-      if (!s->req) continue;
-      Status st;
-      st.source = s->src_world;
-      st.tag = s->tag;
-      st.error = kErrPeerDead;
-      s->req->complete(std::max(t, s->t_ready), st);
-    }
+    dead_srcs_.insert(src_world);
+    fail_if(recvs_, t,
+            [&](const RecvItem& r) { return r.src_world == src_world; });
+    fail_if(sends_, t, [&](const SendItem& s) {
+      return s.src_world == src_world && !s.eager_mode;
+    });
   }
 
   /// Crash sweep, owner side: the rank owning this mailbox died at `t`.
@@ -230,38 +144,23 @@ class Mailbox {
   /// state is discarded so no later sender can match a receive whose
   /// buffer lives in the dead rank's unwound stack.
   void kill_destination(double t) {
-    std::deque<std::shared_ptr<SendItem>> sends;
-    std::deque<std::shared_ptr<RecvItem>> recvs;
-    {
-      std::lock_guard lock(mu_);
-      dead_ = true;
-      sends.swap(sends_);
-      recvs.swap(recvs_);
-    }
-    for (auto& s : sends) {
-      if (!s->req) continue;
-      Status st;
-      st.source = s->src_world;
-      st.tag = s->tag;
-      st.error = kErrPeerDead;
-      s->req->complete(std::max(t, s->t_ready), st);
-    }
-    for (auto& r : recvs) fail_recv(*r, std::max(t, r->t_ready));
+    dead_ = true;
+    fail_if(sends_, t, [](const SendItem&) { return true; });
+    fail_if(recvs_, t, [](const RecvItem&) { return true; });
   }
 
   /// Non-destructive probe for a matching queued send.
   bool probe(std::uint64_t ctx, int src_world, int tag, std::uint64_t* bytes,
-             int* src_out, int* tag_out) {
-    std::lock_guard lock(mu_);
+             int* src_out, int* tag_out) const {
     RecvItem pattern;
     pattern.ctx = ctx;
     pattern.src_world = src_world;
     pattern.tag = tag;
     for (const auto& s : sends_) {
-      if (matches(*s, pattern)) {
-        if (bytes != nullptr) *bytes = s->bytes;
-        if (src_out != nullptr) *src_out = s->src_world;
-        if (tag_out != nullptr) *tag_out = s->tag;
+      if (matches(s, pattern)) {
+        if (bytes != nullptr) *bytes = s.bytes;
+        if (src_out != nullptr) *src_out = s.src_world;
+        if (tag_out != nullptr) *tag_out = s.tag;
         return true;
       }
     }
@@ -276,41 +175,54 @@ class Mailbox {
   /// (via probe) that no queued send could still match, or that send
   /// would be orphaned. Returns the number of receives cancelled.
   int cancel_recvs(std::uint64_t ctx, int src_world, int tag) {
-    std::vector<std::shared_ptr<RecvItem>> cancelled;
-    {
-      std::lock_guard lock(mu_);
-      for (auto it = recvs_.begin(); it != recvs_.end();) {
-        if ((*it)->ctx == ctx && (*it)->src_world == src_world &&
-            (*it)->tag == tag) {
-          cancelled.push_back(*it);
-          it = recvs_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    for (auto& r : cancelled) fail_recv(*r, r->t_ready);
-    return static_cast<int>(cancelled.size());
+    constexpr double kOwnTime = -std::numeric_limits<double>::infinity();
+    return fail_if(recvs_, kOwnTime, [&](const RecvItem& r) {
+      return r.ctx == ctx && r.src_world == src_world && r.tag == tag;
+    });
   }
 
-  std::size_t pending_recvs() {
-    std::lock_guard lock(mu_);
-    return recvs_.size();
-  }
+  std::size_t pending_recvs() const noexcept { return recvs_.size(); }
 
  private:
-  static void fail_recv(RecvItem& r, double t) {
-    Status st;
-    st.source = r.src_world;
-    st.tag = r.tag;
-    st.error = kErrPeerDead;
-    r.req->complete(t, st);
+  template <class Item>
+  using Queue = std::list<Item, FreeListAllocator<Item>>;
+
+  /// Remove and return the first item `pred` accepts, in posting order.
+  template <class Item, class Pred>
+  static std::optional<Item> take_first(Queue<Item>& q, Pred pred) {
+    for (auto it = q.begin(); it != q.end(); ++it) {
+      if (!pred(*it)) continue;
+      std::optional<Item> out(std::move(*it));
+      q.erase(it);
+      return out;
+    }
+    return std::nullopt;
   }
 
-  std::mutex mu_;
-  PinTable* pins_ = nullptr;
-  std::deque<std::shared_ptr<SendItem>> sends_;
-  std::deque<std::shared_ptr<RecvItem>> recvs_;
+  /// Complete every item `pred` accepts with kErrPeerDead at max(t, its
+  /// t_ready), in posting order, and drop it. Returns how many.
+  template <class Item, class Pred>
+  static int fail_if(Queue<Item>& q, double t, Pred pred) {
+    return static_cast<int>(std::erase_if(q, [&](const Item& item) {
+      if (!pred(item)) return false;
+      fail(item, std::max(t, item.t_ready));
+      return true;
+    }));
+  }
+
+  /// Complete an item's request (if any) with kErrPeerDead at `t`.
+  template <class Item>
+  static void fail(const Item& item, double t) {
+    if (!item.req) return;
+    Status st;
+    st.source = item.src_world;
+    st.tag = item.tag;
+    st.error = kErrPeerDead;
+    item.req->complete(t, st);
+  }
+
+  Queue<SendItem> sends_;
+  Queue<RecvItem> recvs_;
   std::unordered_set<int> dead_srcs_;
   bool dead_ = false;
 };

@@ -3,9 +3,9 @@
 /// \brief Nonblocking-operation handles.
 
 #include <memory>
-#include <mutex>
 #include <utility>
 
+#include "common/free_list.hpp"
 #include "simmpi/fiber.hpp"
 #include "simmpi/types.hpp"
 
@@ -15,45 +15,34 @@ struct CommData;
 
 /// A multiplexed completion target: several requests can be armed to
 /// notify one WaitSet, giving wait-any semantics without a global
-/// broadcast. At most one rank waits on a WaitSet at a time.
+/// broadcast. At most one rank waits on a WaitSet at a time. Like every
+/// request, it is touched only on the carrier (fiber.hpp), so it has no
+/// lock.
 struct WaitSet {
-  std::mutex mu;
   std::uint64_t ticket = 0;
   fib::Fiber* waiter = nullptr;  ///< The rank parked in a wait, if any.
 
   /// A completion at virtual time `t` changed the set: wake the waiter,
   /// keyed at max(its clock, t).
   void notify(double t) {
-    std::unique_lock lock(mu);
     ++ticket;
-    fib::Fiber* w = std::exchange(waiter, nullptr);
-    lock.unlock();
-    if (w != nullptr) fib::wake(w, t);
+    if (fib::Fiber* w = std::exchange(waiter, nullptr)) fib::wake(w, t);
   }
-  std::uint64_t snapshot() {
-    std::lock_guard lock(mu);
-    return ticket;
-  }
+  std::uint64_t snapshot() const noexcept { return ticket; }
   /// Park until notify() has been called after `seen` was snapshotted.
   void wait_change(std::uint64_t seen) {
-    std::unique_lock lock(mu);
     while (ticket == seen) {
       waiter = fib::current();
-      lock.unlock();
       fib::park("waitany", -1);
-      lock.lock();
     }
   }
   /// Like wait_change(), but an idle wait: gives up when nothing else can
   /// run (fiber.hpp). Returns false then — used by readers that must
   /// re-check whether a silently-dead writer will ever notify them.
   bool wait_change_or_idle(std::uint64_t seen) {
-    std::unique_lock lock(mu);
     if (ticket != seen) return true;
     waiter = fib::current();
-    lock.unlock();
     fib::idle(true);
-    lock.lock();
     waiter = nullptr;
     return ticket != seen;
   }
@@ -61,9 +50,9 @@ struct WaitSet {
 
 /// Shared completion state of a nonblocking operation. Matching happens on
 /// whichever rank closes the (send, recv) pair; the initiating rank
-/// observes completion through wait()/test().
+/// observes completion through wait()/test(). Carrier-only, so unlocked;
+/// make_request() takes it from a free list.
 struct RequestState {
-  std::mutex mu;
   bool done = false;
 
   /// Virtual time at which the *owning* rank may consider the operation
@@ -86,26 +75,20 @@ struct RequestState {
   /// The rank parked in block(), if any.
   fib::Fiber* waiter = nullptr;
 
+  /// Once disarm_waitset() returned, no completion touches the WaitSet
+  /// again, so a stack- or stream-owned WaitSet may be destroyed right
+  /// after disarming.
   void complete(double t, Status st) {
-    std::unique_lock lock(mu);
     done = true;
     finish = t;
     status = st;
-    // Notify while still holding the request lock: once disarm_waitset()
-    // (same lock) returns, no completion can touch the WaitSet again, so
-    // a stack- or stream-owned WaitSet may be destroyed right after
-    // disarming. Safe order-wise: nothing locks a request while holding a
-    // WaitSet's mutex.
     if (waitset != nullptr) waitset->notify(t);
-    fib::Fiber* w = std::exchange(waiter, nullptr);
-    lock.unlock();
-    if (w != nullptr) fib::wake(w, t);
+    if (fib::Fiber* w = std::exchange(waiter, nullptr)) fib::wake(w, t);
   }
 
   /// Register `ws` for completion notification. Returns true when the
   /// request is already done (no arming happened).
   bool arm_waitset(WaitSet* ws) {
-    std::lock_guard lock(mu);
     if (done) return true;
     waitset = ws;
     return false;
@@ -113,23 +96,16 @@ struct RequestState {
   /// Remove an armed wait-set (required before a stack-owned WaitSet goes
   /// out of scope while the request may still complete).
   void disarm_waitset(WaitSet* ws) {
-    std::lock_guard lock(mu);
     if (waitset == ws) waitset = nullptr;
   }
 
-  bool is_done() {
-    std::lock_guard lock(mu);
-    return done;
-  }
+  bool is_done() const noexcept { return done; }
 
   /// Park the calling rank until done; returns the virtual finish time.
   double block() {
-    std::unique_lock lock(mu);
     while (!done) {
       waiter = fib::current();
-      lock.unlock();
       fib::park(call_kind_name(kind), peer_world);
-      lock.lock();
     }
     return finish;
   }
@@ -137,5 +113,12 @@ struct RequestState {
 
 /// A request handle; copyable, null-testable.
 using Request = std::shared_ptr<RequestState>;
+
+/// A fresh request. Its block comes from the calling thread's free list,
+/// so a steady stream of messages allocates none; the handle may outlive
+/// the Runtime and be dropped on any thread (common/free_list.hpp).
+inline Request make_request() {
+  return std::allocate_shared<RequestState>(FreeListAllocator<RequestState>{});
+}
 
 }  // namespace esp::mpi

@@ -75,10 +75,7 @@ Runtime::Runtime(RuntimeConfig cfg, std::vector<ProgramSpec> programs)
   }
   world_size_ = next;
 
-  mailboxes_.reserve(static_cast<std::size_t>(world_size_));
-  pins_ = std::make_unique<detail::PinTable>(world_size_);
-  for (int r = 0; r < world_size_; ++r)
-    mailboxes_.push_back(std::make_unique<detail::Mailbox>(pins_.get()));
+  mailboxes_.resize(static_cast<std::size_t>(world_size_));
   final_clock_.assign(static_cast<std::size_t>(world_size_), 0.0);
 
   injector_.configure(cfg_.faults, cfg_.seed);
@@ -174,19 +171,13 @@ void Runtime::on_rank_crashed(const RankContext& rc, std::uint64_t calls) {
       true, std::memory_order_release);
   // Release everyone the dead rank could still block: receivers waiting on
   // it (specific-source recvs in *their* mailboxes) and senders queued or
-  // about to queue into *its* mailbox.
+  // about to queue into *its* mailbox. No copy can be in flight into the
+  // buffers the unwind frees: complete_match never yields.
   for (int r = 0; r < world_size_; ++r) {
     if (r == rc.world_rank) continue;
-    mailboxes_[static_cast<std::size_t>(r)]->fail_source(rc.world_rank,
-                                                         rc.clock);
+    mailbox(r).fail_source(rc.world_rank, rc.clock);
   }
-  mailboxes_[static_cast<std::size_t>(rc.world_rank)]->kill_destination(
-      rc.clock);
-  // Matches removed from the queues before the sweep may still be copying
-  // into (or out of) this rank's buffers on other threads. Unwinding the
-  // rank's stack frees those buffers, so wait for every in-flight copy
-  // touching this rank to retire first.
-  pins_->wait_idle(rc.world_rank);
+  mailbox(rc.world_rank).kill_destination(rc.clock);
 }
 
 void Runtime::dispatch_tools(RankContext& rc, const CallInfo& ci) {

@@ -201,10 +201,8 @@ class Runtime {
   net::Machine& machine() noexcept { return machine_; }
   const RuntimeConfig& config() const noexcept { return cfg_; }
   detail::Mailbox& mailbox(int world_rank) {
-    return *mailboxes_[static_cast<std::size_t>(world_rank)];
+    return mailboxes_[static_cast<std::size_t>(world_rank)];
   }
-  /// In-flight matched-copy registry (crash/unwind synchronization).
-  detail::PinTable& pins() noexcept { return *pins_; }
   /// Block mapping: world rank r runs on global core r.
   int core_of(int world_rank) const noexcept { return world_rank; }
   /// Allocate a fresh context id (used by split/dup).
@@ -276,8 +274,7 @@ class Runtime {
   int world_size_ = 0;
   net::Machine machine_;
   ToolChain tools_;
-  std::unique_ptr<detail::PinTable> pins_;
-  std::vector<std::unique_ptr<detail::Mailbox>> mailboxes_;
+  std::vector<detail::Mailbox> mailboxes_;
   std::vector<double> final_clock_;
   std::shared_ptr<CommData> universe_data_;
   std::vector<std::shared_ptr<CommData>> partition_data_;

@@ -1,8 +1,9 @@
 /// \file test_pool.cpp
 /// \brief The stream-block pool: buffer reuse, bounded retention,
 /// concurrent accounting, views pinning pooled blocks, pooled blocks
-/// surviving KS quarantine, and a warm acquire/release cycle costing no
-/// block bytes (under the malloc-interposition probe).
+/// surviving KS quarantine, a warm acquire/release cycle costing no block
+/// bytes, and steady simmpi messages costing no allocation (the last two
+/// under the malloc-interposition probe).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "blackboard/blackboard.hpp"
 #include "core/pool.hpp"
 #include "obs/alloc_probe.hpp"
+#include "simmpi/runtime.hpp"
 
 namespace esp {
 namespace {
@@ -190,6 +192,50 @@ TEST(PoolTest, QuarantinedKsReleasesPooledViewEntries) {
   // Destructor joined the workers; every pooled block came home even
   // though some jobs unwound and some were skipped post-quarantine.
   EXPECT_EQ(pool.stats().released - released0, 6u);
+}
+
+TEST(RequestPool, SteadySizeOnlyMessagesAllocateNothing) {
+  // Two ranks exchange size-only isend/irecv pairs, eager and rendezvous
+  // sizes alternating. After a warm-up, request states and mailbox queue
+  // nodes come from the carrier's free lists, so the message path makes
+  // no global allocation (before those lists it made at least 4 per
+  // message: two request states and two queue items).
+  ASSERT_TRUE(obs::alloc_probe_active());
+  constexpr int kWarmup = 256;
+  constexpr int kMessages = 10000;
+  obs::AllocCounts before, after;
+  mpi::Request kept;
+  std::vector<mpi::ProgramSpec> progs;
+  progs.push_back({"pair", 2, [&](mpi::ProcEnv& env) {
+                     auto exchange = [&](int i) {
+                       const std::uint64_t bytes = i % 2 ? 64 : 64 << 10;
+                       mpi::Request r =
+                           env.world_rank == 0
+                               ? env.world.isend(nullptr, bytes, 1, 3)
+                               : env.world.irecv(nullptr, bytes, 0, 3);
+                       mpi::wait(r);
+                       kept = r;
+                     };
+                     for (int i = 0; i < kWarmup; ++i) exchange(i);
+                     if (env.world_rank == 0) before = obs::alloc_counts();
+                     for (int i = 0; i < kMessages; ++i) exchange(i);
+                     if (env.world_rank == 0) after = obs::alloc_counts();
+                   }});
+  {
+    mpi::Runtime rt(mpi::RuntimeConfig{}, std::move(progs));
+    rt.run();
+  }
+  // A request outlives its runtime and is dropped on another thread: its
+  // block joins that thread's free list, emptied when the thread exits.
+  std::thread([r = std::move(kept)]() mutable {
+    EXPECT_TRUE(r->is_done());
+    r.reset();
+  }).join();
+  const double per_message =
+      static_cast<double>(after.allocs - before.allocs) / kMessages;
+  EXPECT_LT(per_message, 1.0) << (after.allocs - before.allocs)
+                              << " allocations over " << kMessages
+                              << " messages";
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 /// \file test_simmpi.cpp
 /// \brief Unit tests for the esp::mpi runtime: point-to-point semantics,
 /// wildcards, nonblocking completion, virtual-clock behaviour, the tool
-/// chain, the by-reference storage handoff with its copy fallbacks, and
-/// size-only (null-buffer) messages.
+/// chain, rank translation on split communicators, the by-reference
+/// storage handoff with its copy fallbacks, and size-only (null-buffer)
+/// messages.
 
 #include <gtest/gtest.h>
 
@@ -263,6 +264,61 @@ TEST(SimMpi, UniverseSpansPartitionsAndWorldIsVirtualized) {
                    }});
   Runtime rt(small_config(), std::move(progs));
   rt.run();
+}
+
+TEST(SimMpi, SplitCommTranslatesNonContiguousRanks) {
+  // Six ranks split by parity, keyed by descending world rank: the odd
+  // comm is world {5, 3, 1}, the even one {4, 2, 0}.
+  struct WaitRecorder : Tool {
+    std::vector<std::pair<int, int>> seen;  ///< (world rank, comm_rank)
+    void on_call(RankContext& rc, const CallInfo& ci) override {
+      if (ci.kind == CallKind::Wait || ci.kind == CallKind::Waitall)
+        seen.emplace_back(rc.world_rank, ci.comm_rank);
+    }
+  };
+  auto rec = std::make_shared<WaitRecorder>();
+  auto split_rank = [](int w) { return ((w % 2 == 0 ? 4 : 5) - w) / 2; };
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"test", 6, [&](ProcEnv& env) {
+                     const int w = env.world_rank;
+                     Comm sub = env.world.split(w % 2, -w);
+                     ASSERT_EQ(sub.size(), 3);
+                     const int me = sub.rank();
+                     EXPECT_EQ(me, split_rank(w));
+                     for (int o = 0; o < 6; ++o)
+                       EXPECT_EQ(sub.comm_rank_of_world(o),
+                                 o % 2 == w % 2 ? split_rank(o) : -1);
+                     EXPECT_EQ(sub.comm_rank_of_world(-1), -1);
+                     EXPECT_EQ(sub.comm_rank_of_world(6), -1);
+                     EXPECT_EQ(sub.comm_rank_of_world(1000), -1);
+                     // A wildcard receive reports the sender's split rank.
+                     if (me == 0) {
+                       for (int i = 1; i < sub.size(); ++i) {
+                         int v = -1;
+                         const Status st =
+                             sub.recv(&v, sizeof v, kAnySource, 5);
+                         EXPECT_EQ(st.source, v);
+                       }
+                     } else {
+                       sub.send(&me, sizeof me, 0, 5);
+                     }
+                     // A ring through wait/waitall: both report the
+                     // caller's split rank to the tools.
+                     int got = -1;
+                     Request rr = sub.irecv(&got, sizeof got, kAnySource, 9);
+                     Request sends[1] = {
+                         sub.isend(&me, sizeof me, (me + 1) % 3, 9)};
+                     waitall(sends);
+                     const Status st = wait(rr);
+                     EXPECT_EQ(st.source, (me + 2) % 3);
+                     EXPECT_EQ(got, st.source);
+                   }});
+  Runtime rt(small_config(), std::move(progs));
+  rt.tools().attach(rec);
+  rt.run();
+  ASSERT_EQ(rec->seen.size(), 12u);
+  for (auto [w, comm_rank] : rec->seen)
+    EXPECT_EQ(comm_rank, split_rank(w)) << "world rank " << w;
 }
 
 TEST(SimMpi, EagerSendDoesNotBlockWithoutReceiver) {
