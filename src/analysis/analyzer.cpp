@@ -328,7 +328,7 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
 
   // Fabric teardown: once every one of a tenant's links has closed or
   // died, drain the board (the tenant's last jobs retire into its
-  // ledger), remove its knowledge sources, and release its stream slots —
+  // ledger), remove its knowledge sources, and cancel its stream receives —
   // all without touching the survivors. The sweep's host-time placement
   // is nondeterministic but observation-invariant: every counter it folds
   // is already final once the tenant's links are terminal.

@@ -79,18 +79,6 @@ class Buffer {
     bytes_.resize(n);
   }
 
-  /// Exchange the byte storage of two owning buffers in O(1): no
-  /// allocation, no copy, and both Buffer objects stay where they are.
-  /// Owning buffers only — a view's bytes belong to its parent — and
-  /// neither buffer may have live views, whose raw pointers would follow
-  /// the storage to its new owner. simmpi hands a matched rendezvous
-  /// message to its receiver this way (DESIGN.md "Hot path memory model").
-  void swap_storage(Buffer& other) {
-    if (parent_ || other.parent_)
-      throw std::logic_error("Buffer::swap_storage on a view");
-    bytes_.swap(other.bytes_);
-  }
-
   std::span<std::byte> span() noexcept { return {data(), size()}; }
   std::span<const std::byte> span() const noexcept { return {data(), size()}; }
 

@@ -2,12 +2,12 @@
 /// \file pool.hpp
 /// \brief Fixed-size byte-buffer pool for stream blocks.
 ///
-/// Stream slots, resend-ring copies, read_some blocks and the instrument's
-/// pack staging are all `block_size`-byte buffers. Minting one zeroes a
-/// fresh megabyte, and a stream open or a tenant attach mints a slot ring
-/// of them at once. One pool per buffer size keeps those blocks resident
-/// across stream reopen and tenant attach/detach cycles (DESIGN.md "Hot
-/// path memory model" has the measured setup cost without it).
+/// Framed stream blocks, resend-ring copies and the instrument's pack
+/// staging are all `block_size`-byte buffers. Minting one zeroes a fresh
+/// megabyte, and every stream write takes one while every read drops one.
+/// One pool per buffer size keeps those blocks resident across writes,
+/// stream reopen and tenant attach/detach cycles (DESIGN.md "Hot path
+/// memory model" has the measured cost without it).
 ///
 /// A pooled BufferRef is an ordinary `shared_ptr(ptr, deleter)`; the
 /// deleter returns the buffer to its pool from any thread. Blocks move at
@@ -34,9 +34,10 @@ namespace esp::mem {
 
 /// Buffers a pool keeps idle in its free list; returns beyond it are
 /// heap-freed so one burst cannot pin memory forever. Sized above the
-/// framed blocks a 64-writer → 8-reader fan-in holds at once (3 output
-/// buffers per writer plus 3 slots per link, 384 in all), so reopening
-/// such a stream reuses them instead of zero-filling fresh megabytes.
+/// framed blocks a 64-writer → 8-reader fan-in with copying readers has
+/// alive at its peak (384: 3 unread deliveries per link plus 3 sends
+/// queued behind them per writer), so a rerun of such a stream reuses
+/// them instead of zero-filling fresh megabytes.
 inline constexpr std::size_t kRetainCap = 512;
 
 struct PoolStats {

@@ -45,48 +45,39 @@ CommObs& cobs() {
   return o;
 }
 
-/// True when a matched pair can exchange buffer storage instead of
-/// copying: a rendezvous send and a receive (src_ref is set on rendezvous
-/// items only), both posted by reference on owning buffers of equal size
-/// (so each buffer keeps its pool size class), with the whole message
-/// physically delivered. Everything else — raw pointers, eager staging,
-/// views, truncation, capped payloads — takes the copy.
-bool can_hand_off(const detail::SendItem& s, const detail::RecvItem& r,
-                  std::uint64_t physical) {
-  return s.src_ref && r.keepalive &&
-         !s.src_ref->is_view() && !r.keepalive->is_view() &&
-         s.src_buf == s.src_ref->data() && r.dst_buf == r.keepalive->data() &&
-         s.src_ref->size() == r.keepalive->size() && physical == s.bytes;
-}
-
-/// Close a matched (send, recv) pair: deliver the payload (copy, or
-/// storage handoff), compute the virtual transfer timing, and wake both
-/// sides. Runs on whichever rank completed the match, without yielding,
-/// so no crash sweep can run while a copy touches either rank's buffers.
-/// A size-only end (null buffer) moves no host byte: a real send
-/// into a null receive is discarded, a null send leaves a real receive
-/// buffer untouched, and an injected corrupt bit has nothing to flip.
+/// Close a matched (send, recv) pair: deliver the payload (copy, or block
+/// handover), compute the virtual transfer timing, and wake both sides.
+/// Runs on whichever rank completed the match, without yielding, so no
+/// crash sweep can run while a copy touches either rank's buffers.
+/// A block receive takes the sender's very block when a by-reference
+/// rendezvous send is delivered whole; every other send reaches it as a
+/// fresh copy of its physical bytes. A size-only end (null buffer) moves
+/// no host byte: a real send into a null receive is discarded, a null
+/// send leaves a real receive buffer untouched (and a block receive
+/// without a block), and an injected corrupt bit has nothing to flip.
 void complete_match(Runtime& rt, detail::SendItem& s, detail::RecvItem& r) {
   const std::uint64_t n = std::min(s.bytes, r.max_bytes);
   const std::byte* src = s.eager_mode && s.eager ? s.eager->data() : s.src_buf;
   const std::uint64_t physical =
-      src && r.dst_buf ? physical_bytes(rt, s.tag, n) : 0;
+      src && (r.dst_buf || r.block) ? physical_bytes(rt, s.tag, n) : 0;
   if (physical != 0) {
-    std::byte* delivered = r.dst_buf;
-    if (can_hand_off(s, r, physical)) {
-      r.keepalive->swap_storage(*s.src_ref);
-      delivered = r.keepalive->data();
+    if (r.block && s.src_ref && physical == s.bytes) {
+      r.req->delivered = std::move(s.src_ref);
       if (obs::enabled()) cobs().handoffs.add(1);
     } else {
-      std::memcpy(delivered, src, physical);
+      if (r.block)
+        r.req->delivered = Buffer::copy_of(src, physical);
+      else
+        std::memcpy(r.dst_buf, src, physical);
       if (obs::enabled()) cobs().bytes_copied.add(physical);
     }
     if (s.corrupt_bit >= 0) {
       // Injected in-flight corruption: flip one bit of the delivered
-      // bytes, which the receiver owns (never the sender's). Only bits
-      // inside the physically delivered region can flip; stream data is
-      // delivered whole, so every flip on a stream block lands where its
-      // CRC covers it.
+      // bytes, which the receiver owns (a handed-over block too: it
+      // belongs to the receiver now). Only bits inside the physically
+      // delivered region can flip; stream data is delivered whole, so
+      // every flip on a stream block lands where its CRC covers it.
+      std::byte* delivered = r.block ? r.req->delivered->data() : r.dst_buf;
       const auto byte_i = static_cast<std::uint64_t>(s.corrupt_bit) / 8;
       if (byte_i < physical)
         delivered[byte_i] ^= static_cast<std::byte>(1u << (s.corrupt_bit % 8));
@@ -207,7 +198,7 @@ Request isend_impl(Runtime& rt, RankContext& rc,
 Request irecv_impl(Runtime& rt, RankContext& rc,
                    const std::shared_ptr<const CommData>& cd,
                    std::uint64_t ctx, void* buf, std::uint64_t bytes,
-                   int src_world, int tag, BufferRef keepalive = {}) {
+                   int src_world, int tag, bool block = false) {
   rc.check_crash();
   rc.advance(kCallOverhead);
   fib::yield_point();  // matching is ordered
@@ -220,7 +211,7 @@ Request irecv_impl(Runtime& rt, RankContext& rc,
 
   detail::RecvItem item;
   item.dst_buf = static_cast<std::byte*>(buf);
-  item.keepalive = std::move(keepalive);
+  item.block = block;
   item.max_bytes = bytes;
   item.ctx = ctx;
   item.src_world = src_world;
@@ -311,12 +302,11 @@ Request Comm::pirecv(void* buf, std::uint64_t bytes, int src, int tag) const {
                     tag);
 }
 
-Request Comm::pirecv(const BufferRef& buf, std::uint64_t bytes, int src,
-                     int tag) const {
+Request Comm::pirecv_block(std::uint64_t max_bytes, int src, int tag) const {
   auto& rc = Runtime::self();
   const int src_world = src == kAnySource ? kAnySource : world_rank(src);
-  return irecv_impl(*data_->rt, rc, data_, data_->ctx, buf->data(), bytes,
-                    src_world, tag, buf);
+  return irecv_impl(*data_->rt, rc, data_, data_->ctx, nullptr, max_bytes,
+                    src_world, tag, true);
 }
 
 bool Comm::piprobe(int src, int tag, Status* st) const {

@@ -81,22 +81,22 @@ class Comm {
   Status precv(void* buf, std::uint64_t bytes, int src, int tag) const;
   Request pisend(const void* buf, std::uint64_t bytes, int dst, int tag) const;
   Request pirecv(void* buf, std::uint64_t bytes, int src, int tag) const;
-  /// By-reference point-to-point. The posted item co-owns the buffer, so
-  /// a match after the caller was destroyed still touches live memory.
-  /// When a rendezvous pisend of a whole buffer meets a pirecv of an
-  /// owning buffer of the same size(), the match swaps the two buffers'
-  /// storage instead of copying the message (Buffer::swap_storage); every
-  /// other pairing copies as the raw-pointer calls do.
-  ///
-  /// Ownership rule: a buffer sent or posted by reference is neither read
-  /// nor written by its owner until its request completes, and afterwards
-  /// it may hold different bytes — a receive buffer holds the message
-  /// (plus the sender's stale bytes past it), a send buffer holds the
-  /// receiver's old bytes. Neither buffer may have views while posted.
+  /// By-reference send: the posted item co-owns the buffer, so a match
+  /// after the caller dropped its reference still reads live memory.
   Request pisend(const BufferRef& buf, std::uint64_t bytes, int dst,
                  int tag) const;
-  Request pirecv(const BufferRef& buf, std::uint64_t bytes, int src,
-                 int tag) const;
+  /// Block receive: posts no storage. At match, a rendezvous send posted
+  /// by reference and delivered whole hands over its very buffer; any
+  /// other send (raw pointer, eager, truncated, capped) arrives as a fresh
+  /// buffer holding a copy of its physically delivered bytes. The buffer
+  /// lands in the request (RequestState::delivered), which the receiver takes
+  /// after the wait; a size-only send or a failed receive leaves it null.
+  ///
+  /// Ownership rule (the paper's "writable iff unique"): a buffer sent by
+  /// reference belongs to the receiver from the send on. Its sender never
+  /// reads or writes it again and may drop its reference at once; an
+  /// injected corrupt bit flips inside it, as inside any delivered bytes.
+  Request pirecv_block(std::uint64_t max_bytes, int src, int tag) const;
   /// Non-blocking probe for a matching incoming message. A miss returns
   /// at once, so a loop that polls until a message arrives must use
   /// iprobe(), whose miss lets the other ranks run.

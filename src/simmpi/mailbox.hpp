@@ -5,7 +5,7 @@
 /// One Mailbox per world rank. Senders post SendItems into the destination
 /// mailbox; receivers post RecvItems into their own. Whichever side closes
 /// a match takes the other item out of the queue and completes the pair
-/// (payload copy or storage handoff + virtual-time transfer computation)
+/// (payload copy or block handover + virtual-time transfer computation)
 /// before any other rank runs. Mailboxes, like requests, are touched only
 /// on the carrier (fiber.hpp): they have no lock, and a crash sweep can
 /// never meet a copy in flight. The queues own their items by value, in
@@ -36,13 +36,11 @@ struct SendItem {
   std::uint64_t bytes = 0;
   /// Rendezvous: pointer into the sender's buffer, which the sender keeps
   /// until its request completes; null for eager and for size-only sends.
-  /// When `src_ref` owns it, complete_match may hand the storage itself
-  /// to a by-reference receive instead of copying (see RecvItem).
   const std::byte* src_buf = nullptr;
   /// Rendezvous sent by reference (Comm::pisend(const BufferRef&)):
   /// co-owns the sender's buffer until the item is dropped, so a match
-  /// can swap its storage with the receiver's. Null for raw-pointer sends
-  /// and for eager sends (those deliver from `eager`).
+  /// can hand the buffer itself to a block receive. Null for raw-pointer
+  /// sends and for eager sends (those deliver from `eager`).
   BufferRef src_ref;
   /// Eager: staged copy owned by the item; null for a size-only send.
   BufferRef eager;
@@ -61,16 +59,10 @@ struct SendItem {
 };
 
 struct RecvItem {
-  std::byte* dst_buf = nullptr;  ///< Null for a size-only receive.
-  /// Keeps dst_buf's backing storage alive until the item is dropped. A
-  /// stream reader can be destroyed (normal exit after kEpipe, failover
-  /// grace expiry) while slot receives are still posted; a sender that
-  /// matches one of those later must never copy into freed memory.
-  /// When a by-reference rendezvous send of a buffer the same size
-  /// matches, complete_match swaps the two buffers' storage instead of
-  /// copying: this buffer then holds the message, and the sender's
-  /// buffer holds whatever bytes this one had.
-  BufferRef keepalive;
+  std::byte* dst_buf = nullptr;  ///< Null for size-only and block receives.
+  /// Block receive (Comm::pirecv_block): holds no storage; the match
+  /// delivers a buffer into `req->delivered` instead of copying to dst_buf.
+  bool block = false;
   std::uint64_t max_bytes = 0;
   std::uint64_t ctx = 0;
   int src_world = kAnySource;  ///< Matching world rank, or kAnySource.
@@ -169,11 +161,11 @@ class Mailbox {
 
   /// Cancel every posted receive matching (ctx, src_world, tag): the
   /// items are removed from the queue and their requests completed with
-  /// kErrPeerDead at each item's own t_ready, which also drops the
-  /// keepalive buffer refs. Used by a long-lived stream reader to release
-  /// the slot buffers of a departed writer; the caller must first verify
-  /// (via probe) that no queued send could still match, or that send
-  /// would be orphaned. Returns the number of receives cancelled.
+  /// kErrPeerDead at each item's own t_ready. Used by a long-lived stream
+  /// reader to drop the receives of a departed writer, which every later
+  /// send to this rank would otherwise scan past; the caller must first
+  /// verify (via probe) that no queued send could still match, or that
+  /// send would be orphaned. Returns the number of receives cancelled.
   int cancel_recvs(std::uint64_t ctx, int src_world, int tag) {
     constexpr double kOwnTime = -std::numeric_limits<double>::infinity();
     return fail_if(recvs_, kOwnTime, [&](const RecvItem& r) {

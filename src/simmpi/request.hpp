@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/buffer.hpp"
 #include "common/free_list.hpp"
 #include "simmpi/fiber.hpp"
 #include "simmpi/types.hpp"
@@ -61,6 +62,9 @@ struct RequestState {
   double finish = 0.0;
   Status status;  ///< status.source holds the sender's *world* rank until
                   ///< the owning Comm translates it.
+  /// A completed block receive's delivered buffer (Comm::pirecv_block),
+  /// for the receiver to take; null otherwise.
+  BufferRef delivered;
 
   // Bookkeeping for tool-chain reporting and source translation at wait
   // time.

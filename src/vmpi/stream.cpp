@@ -147,13 +147,12 @@ Stream::~Stream() {
 void Stream::disarm_receives() {
   for (auto& ip : in_peers_)
     for (auto& slot : ip.slots)
-      if (slot.req) slot.req->disarm_waitset(&waitset_);
+      if (slot) slot->disarm_waitset(&waitset_);
 }
 
-std::uint64_t Stream::reclaim_closed_slots() {
-  if (writer_ || !open_) return 0;
+void Stream::reclaim_closed_slots() {
+  if (writer_ || !open_) return;
   auto& rc = mpi::Runtime::self();
-  std::uint64_t freed = 0;
   for (auto& ip : in_peers_) {
     if (!(ip.closed || ip.dead) || ip.slots.empty()) continue;
     // A queued send on the link (a straggler block no posted receive has
@@ -163,23 +162,16 @@ std::uint64_t Stream::reclaim_closed_slots() {
             .probe(universe_.context(), ip.universe_rank, ip.tag, nullptr,
                    nullptr, nullptr))
       continue;
-    // A still-posted slot belongs to simmpi until its receive completes
-    // (the ownership rule in simmpi/comm.hpp), so its size is not read
-    // here: every slot is a (block + frame)-byte pool block.
-    for (auto& s : ip.slots) {
-      if (s.req) s.req->disarm_waitset(&waitset_);
-      if (s.data) freed += cfg_.block_size + kFrameBytes;
-    }
-    // Completing the posted receives drops the mailbox's keepalive refs;
-    // clearing the slots drops ours. Per-link counters stay for the loss
-    // ledger (the InPeer itself survives, just slotless).
+    for (auto& s : ip.slots)
+      if (s) s->disarm_waitset(&waitset_);
+    // Per-link counters stay for the loss ledger (the InPeer itself
+    // survives, just slotless).
     rt_->mailbox(rc.world_rank)
         .cancel_recvs(universe_.context(), ip.universe_rank, ip.tag);
     ip.slots.clear();
     ip.slots.shrink_to_fit();
     ip.head = 0;
   }
-  return freed;
 }
 
 void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
@@ -236,11 +228,6 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
     for (int peer : peers_)
       universe_.psend(&ctl, sizeof ctl, peer, kStreamCtlTag);
     out_.resize(static_cast<std::size_t>(cfg_.n_async));
-    // Pool-backed slot buffers: streams are reopened per tenant session,
-    // and the pool keyed by (block + frame) size hands the same blocks
-    // back instead of reallocating a megabyte per slot per open.
-    for (auto& b : out_)
-      b.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
     out_seq_.assign(peers_.size(), 0);
     // Failover engages only when this run can actually lose a reader:
     // fault injection on and a crash scheduled for at least one endpoint.
@@ -275,7 +262,7 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   }
 
   // Reader: one handshake per expected incoming stream, then pre-post the
-  // N_A receive buffers per peer so arrivals always land in a buffer.
+  // N_A block receives per peer so arrivals always find a receive.
   //
   // An elastic member ignores the static map and enumerates its writers
   // by the epoch-0 route — the same pure function the writers applied to
@@ -323,11 +310,8 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
     ip.universe_rank = peer;
     ip.tag = ctl.tag;
     ip.slots.resize(static_cast<std::size_t>(ctl.n_async));
-    for (auto& s : ip.slots) {
-      s.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
-      s.req = universe_.pirecv(s.data, cfg_.block_size + kFrameBytes, peer,
-                               ip.tag);
-    }
+    for (auto& s : ip.slots)
+      s = universe_.pirecv_block(cfg_.block_size + kFrameBytes, peer, ip.tag);
     in_peers_.push_back(std::move(ip));
   }
   if (in_peers_.empty() && !elastic_reader_)
@@ -380,7 +364,7 @@ int Stream::next_target() {
 
 int Stream::acquire_out_buf() {
   for (std::size_t i = 0; i < out_.size(); ++i)
-    if (!out_[i].req) return static_cast<int>(i);
+    if (!out_[i]) return static_cast<int>(i);
   // All buffers in flight: reclaim the oldest — strict FIFO, because
   // matches on one link complete in post order, and because reclaiming
   // whichever send happened to finish first in *real* time would feed
@@ -390,8 +374,8 @@ int Stream::acquire_out_buf() {
   // rather than of which thread got there first on the host.
   const std::size_t oldest = blocks_written_ % out_.size();
   const double t0 = mpi::Runtime::self().clock;
-  if (mpi::pwait(out_[oldest].req).error != 0) ++writes_failed_;
-  out_[oldest].req.reset();
+  if (mpi::pwait(out_[oldest]).error != 0) ++writes_failed_;
+  out_[oldest].reset();
   if (mpi::Runtime::self().clock > t0) {
     ++backpressure_waits_;
     if (obs::enabled()) {
@@ -431,7 +415,6 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
     return 1;
   }
   const int slot = acquire_out_buf();
-  auto& ob = out_[static_cast<std::size_t>(slot)];
   BlockHeader h;
   h.magic = kBlockMagic;
   h.seq = out_seq_[ti]++;
@@ -439,27 +422,28 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
   mpi::fib::yield_point();  // the node's memory lane is booked in rank order
   rc.clock =
       rt_->machine().local_copy(rt_->core_of(rc.world_rank), bytes, rc.clock);
-  // Keep a framed copy for replay after a failover; blocks evicted from
-  // the ring are unreplayable and will surface as seq-gap loss. Taken
-  // before the send: a match hands ob.data's storage to the reader, so
-  // afterwards it no longer holds this frame. The ring itself is replayed
-  // through raw-pointer sends and never changes hands, so a chained
-  // failover can replay the same copies again. Pooled and sized to the
-  // framed payload: evicted ring entries (and replayed ones at teardown)
-  // go straight back to the block pool.
+  // The frame goes into a pooled block sized to it; the send hands that
+  // block to the reader. Keep a framed copy for replay after a failover;
+  // blocks evicted from the ring are unreplayable and will surface as
+  // seq-gap loss. Taken before the send: from the send on, the block
+  // belongs to the reader. The ring itself is replayed through
+  // raw-pointer sends and never changes hands, so a chained failover can
+  // replay the same copies again. Evicted ring entries (and replayed ones
+  // at teardown) go straight back to the block pool.
+  const std::uint64_t framed = bytes + kFrameBytes;
+  BufferRef block = mem::acquire_block(cfg_.block_size + kFrameBytes, framed);
   BufferRef copy;
   if ((failover_armed_ || elastic_armed_) && cfg_.resend_window > 0)
-    copy =
-        mem::acquire_block(cfg_.block_size + kFrameBytes, bytes + kFrameBytes);
+    copy = mem::acquire_block(cfg_.block_size + kFrameBytes, framed);
   // One pass frames the block: the payload is checksummed as it is copied.
   // Pure byte work on buffers only this rank holds (the caller's block,
-  // an output buffer whose send retired, the fresh ring copy), so it runs
-  // on a helper thread while other ranks proceed.
-  std::byte* frame = ob.data->data();
+  // the fresh frame and ring copy), so it runs on a helper thread while
+  // other ranks proceed.
+  std::byte* frame = block->data();
   mpi::fib::run_pure([&] {
     h.crc = crc32_copy(frame + kFrameBytes, buf, bytes, header_crc(h));
     std::memcpy(frame, &h, sizeof h);
-    if (copy) std::memcpy(copy->data(), frame, bytes + kFrameBytes);
+    if (copy) std::memcpy(copy->data(), frame, framed);
   });
   if (copy) {
     auto& ring = resend_[ti];
@@ -467,10 +451,10 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
     if (ring.size() > static_cast<std::size_t>(cfg_.resend_window))
       ring.pop_front();
   }
-  // By reference: the reader's posted slot receives this buffer's storage
-  // in exchange for its own (Comm::pisend), so ob.data is not touched
-  // again until ob.req completes.
-  ob.req = universe_.pisend(ob.data, bytes + kFrameBytes, peer, data_tag_);
+  // By reference: the reader's block receive takes this very block
+  // (Comm::pirecv_block), and the writer keeps only the request.
+  out_[static_cast<std::size_t>(slot)] =
+      universe_.pisend(block, framed, peer, data_tag_);
   ++blocks_written_;
   bytes_written_ += bytes;
   if (obs::enabled()) {
@@ -478,8 +462,8 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
     o.blocks_written.add(1);
     o.bytes_written.add(bytes);
     std::uint64_t in_flight = 0;
-    for (const auto& b : out_)
-      if (b.req && !b.req->is_done()) ++in_flight;
+    for (const auto& req : out_)
+      if (req && !req->is_done()) ++in_flight;
     o.out_depth.observe(in_flight);
     obs::trace_span("stream", "stream.write", t_begin, rc.clock, bytes,
                     "bytes");
@@ -775,11 +759,9 @@ bool Stream::adopt_join(const FailoverHello& hello) {
   if (ip.slots.empty()) {
     ip.head = 0;
     ip.slots.resize(static_cast<std::size_t>(std::max(1, hello.n_async)));
-    for (auto& s : ip.slots) {
-      s.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
-      s.req = universe_.pirecv(s.data, cfg_.block_size + kFrameBytes,
-                               hello.src, ip.tag);
-    }
+    for (auto& s : ip.slots)
+      s = universe_.pirecv_block(cfg_.block_size + kFrameBytes, hello.src,
+                                 ip.tag);
   } else {
     // Reopen of a cleanly-closed incarnation: every slot except the one
     // that consumed the end-of-stream is still posted. Re-arm that slot
@@ -787,10 +769,9 @@ bool Stream::adopt_join(const FailoverHello& hello) {
     // per-link post order (FIFO matching would otherwise wedge the head
     // behind n_async-1 older receives).
     auto& s = ip.slots[ip.head];
-    if (!s.req) {
-      if (!s.data) s.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
-      s.req = universe_.pirecv(s.data, cfg_.block_size + kFrameBytes,
-                               hello.src, ip.tag);
+    if (!s) {
+      s = universe_.pirecv_block(cfg_.block_size + kFrameBytes, hello.src,
+                                 ip.tag);
       ip.head = (ip.head + 1) % ip.slots.size();
     }
   }
@@ -844,7 +825,7 @@ bool Stream::scan_silent_dead() {
     if (!rt_->rank_finished(ip.universe_rank)) continue;
     if (!ip.slots.empty()) {
       auto& head = ip.slots[ip.head];
-      if (head.req && head.req->is_done()) continue;  // data to consume
+      if (head && head->is_done()) continue;  // data to consume
       if (rt_->mailbox(rc.world_rank)
               .probe(universe_.context(), ip.universe_rank, ip.tag, nullptr,
                      nullptr, nullptr))
@@ -875,29 +856,32 @@ int Stream::try_read_block(void* buf, BufferRef* out) {
     auto& ip = in_peers_[(start + k) % n];
     while (!ip.closed && !ip.dead) {
       auto& slot = ip.slots[ip.head];
-      if (!slot.req || !slot.req->is_done()) break;
-      mpi::Status st = mpi::pwait(slot.req);
-      slot.req.reset();
+      if (!slot || !slot->is_done()) break;
+      mpi::Status st = mpi::pwait(slot);
+      BufferRef block = std::move(slot->delivered);
+      slot.reset();
       if (st.error != 0) {
         // The writer crashed; the runtime's sweep failed this receive.
         mark_peer_dead(ip);
         break;
       }
       // The header is checked first: a matching size and magic bound the
-      // payload by the receive buffer, so by block_size. A copying read
+      // payload by the receive size, so by block_size. A copying read
       // checks the CRC during the copy into `buf` — pure byte work, on a
       // helper thread — and a block that fails it may leave its bytes
       // there, but it is never returned. Short blocks (a writer's final
       // partial pack) copy and cost only their actual size; the tail of
       // the caller's buffer is untouched. A handoff read checks the CRC in
-      // place and hands the slot itself over (below).
+      // place and hands the block itself over (below); a copying read
+      // drops it, back to its pool.
       BlockHeader h;
-      const bool sized = st.bytes >= sizeof h;
-      if (sized) std::memcpy(&h, slot.data->data(), sizeof h);
+      const bool sized =
+          block && st.bytes >= sizeof h && block->size() >= st.bytes;
+      if (sized) std::memcpy(&h, block->data(), sizeof h);
       bool intact =
           sized && h.magic == kBlockMagic && h.payload + sizeof h == st.bytes;
       if (intact) {
-        const std::byte* payload = slot.data->data() + sizeof h;
+        const std::byte* payload = block->data() + sizeof h;
         if (out != nullptr) {
           intact = h.crc == crc32(payload, h.payload, header_crc(h));
         } else {
@@ -921,8 +905,8 @@ int Stream::try_read_block(void* buf, BufferRef* out) {
         }
         ++ip.retried;
         if (obs::enabled()) sobs().retried.add(1);
-        slot.req = universe_.pirecv(slot.data, cfg_.block_size + kFrameBytes,
-                                    ip.universe_rank, ip.tag);
+        slot = universe_.pirecv_block(cfg_.block_size + kFrameBytes,
+                                      ip.universe_rank, ip.tag);
         ip.head = (ip.head + 1) % ip.slots.size();
         continue;
       }
@@ -942,16 +926,13 @@ int Stream::try_read_block(void* buf, BufferRef* out) {
       mpi::fib::yield_point();  // the node's memory lane is booked in rank order
       rc.clock = rt_->machine().local_copy(rt_->core_of(rc.world_rank),
                                            h.payload, rc.clock);
-      if (out != nullptr) {
-        // Handoff: the caller gets a view of the slot's payload, and the
-        // slot is reposted with a fresh pooled block. The viewed block is
-        // never posted again, so no match can swap storage under the view.
-        *out = Buffer::view_of(std::move(slot.data), kFrameBytes, h.payload);
-        slot.data = mem::acquire_block(cfg_.block_size + kFrameBytes);
-      }
-      // Re-post the buffer immediately: a receive slot is always armed.
-      slot.req = universe_.pirecv(slot.data, cfg_.block_size + kFrameBytes,
-                                  ip.universe_rank, ip.tag);
+      // Handoff: the caller gets a view of the block's payload, which
+      // holds the block until the last view drops.
+      if (out != nullptr)
+        *out = Buffer::view_of(std::move(block), kFrameBytes, h.payload);
+      // Re-post the receive immediately: a receive slot is always armed.
+      slot = universe_.pirecv_block(cfg_.block_size + kFrameBytes,
+                                    ip.universe_rank, ip.tag);
       ip.head = (ip.head + 1) % ip.slots.size();
       ++ip.blocks;
       ip.bytes += h.payload;
@@ -1054,9 +1035,8 @@ int Stream::read_impl(void* buf, BufferRef* out, int nblocks, int flags) {
     std::vector<mpi::Request> heads;
     heads.reserve(in_peers_.size());
     for (auto& ip : in_peers_) {
-      if (!ip.closed && !ip.dead && !ip.slots.empty() &&
-          ip.slots[ip.head].req)
-        heads.push_back(ip.slots[ip.head].req);
+      if (!ip.closed && !ip.dead && !ip.slots.empty() && ip.slots[ip.head])
+        heads.push_back(ip.slots[ip.head]);
     }
     if (heads.empty()) {
       // Nothing armed on any live peer: only the silent-dead scan can
@@ -1089,10 +1069,10 @@ int Stream::read_some(std::vector<BufferRef>& out, int max_blocks,
     throw std::logic_error("Stream::read_some: max_blocks must be > 0");
   int got = 0;
   while (got < max_blocks) {
-    // Handoff: the block is a view of the slot it arrived in, so reading
+    // Handoff: the block is a view of the writer's block, so reading
     // copies nothing. It travels dispatcher → unpacker as-is, event runs
     // alias it zero-copy, and when the last knowledge source's view is
-    // released the slot's pool block returns for a later repost.
+    // released the pool block returns for a later write.
     BufferRef block;
     const int r =
         read_counted(nullptr, &block, 1, got == 0 ? flags : kNonblock);
@@ -1120,10 +1100,10 @@ void Stream::close() {
     // *before* end-of-stream so the EOS (and the replayed tail) reach the
     // survivor instead of vanishing into a dead mailbox.
     check_reader_leases();
-    for (auto& ob : out_) {
-      if (!ob.req) continue;
-      if (mpi::pwait(ob.req).error != 0) ++writes_failed_;
-      ob.req.reset();
+    for (auto& req : out_) {
+      if (!req) continue;
+      if (mpi::pwait(req).error != 0) ++writes_failed_;
+      req.reset();
     }
     // Header-only end-of-stream per endpoint; seq carries the final
     // per-link block count so trailing drops are still accounted.
@@ -1135,8 +1115,8 @@ void Stream::close() {
   } else {
     // Drain and cancel nothing: posted receives for already-closed peers
     // were never reposted; outstanding ones are simply dropped with the
-    // stream (their buffers are owned by the slots). Detach them from
-    // waitset_ now so a late writer completion cannot notify a stream
+    // stream (a late delivery's block dies with its request). Detach them
+    // from waitset_ now so a late writer completion cannot notify a stream
     // that is logically gone.
     disarm_receives();
   }

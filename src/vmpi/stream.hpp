@@ -11,7 +11,7 @@
 ///    endpoints (to bound memory when blocks are ~1 MB);
 ///  - the read endpoint posts `n_async` receive buffers PER incoming
 ///    stream so an arriving block always finds a buffer (no unexpected
-///    message: the transport writes directly into the posted buffer);
+///    message: the transport hands the block to the posted receive);
 ///    each writer announces its block size and `n_async` when it opens,
 ///    and the reader adopts both per link;
 ///  - a stream connected to multiple endpoints distributes blocks using a
@@ -35,16 +35,17 @@
 /// runtime's payload copy cap says, so the header always arrives.
 ///
 /// A block's bytes are touched twice on the host: the writer frames and
-/// checksums it while copying it into an output buffer, and the reader
-/// checks the CRC — while copying it out of its slot (read), or in place
-/// before handing the slot itself over (read_some). In between nothing
-/// copies it: the writer sends the output buffer by reference and the
-/// reader posts its slots by reference, so simmpi swaps the two buffers'
-/// storage at match time (Comm::pisend). Output buffers and slots are
-/// therefore both (block_size + 24)-byte pool blocks, and neither side
-/// touches one while its request is pending. The copying CRC passes are
-/// pure byte work and run on helper threads while the rank is busy
-/// (simmpi/fiber.hpp); no simulation step waits on how fast they run.
+/// checksums it while copying it into a pooled (block_size + 24)-byte
+/// block, and the reader checks the CRC — while copying it out (read), or
+/// in place before handing the block itself over (read_some). In between
+/// nothing copies it: the writer sends the block by reference and drops
+/// its own reference, and the reader's posted block receive takes that
+/// very block at match time (Comm::pirecv_block). Writer output buffers
+/// and reader slots are therefore credits, not storage: a stream open
+/// mints no block, and a block exists only while it carries data. The
+/// copying CRC passes are pure byte work and run on helper threads while
+/// the rank is busy (simmpi/fiber.hpp); no simulation step waits on how
+/// fast they run.
 ///
 /// Streams run on the universe communicator's PMPI layer in a reserved tag
 /// space, so instrumentation (which rides the tool chain) never sees its
@@ -188,9 +189,10 @@ class Stream {
 
   /// Batched read without a copy: up to `max_blocks` blocks, each handed
   /// over as a read-only view of exactly its payload, appended to `out`
-  /// (ready to move onto the blackboard). The CRC is checked in place and
-  /// the slot is reposted with a fresh pooled block; virtual time is
-  /// charged as for read(). The first block honours the blocking mode in
+  /// (ready to move onto the blackboard). The CRC is checked in place in
+  /// the delivered block, whose pool block returns when the last view
+  /// drops, and the slot's receive is reposted; virtual time is charged
+  /// as for read(). The first block honours the blocking mode in
   /// `flags`; further blocks are taken opportunistically (non-blocking),
   /// so a burst of queued blocks drains in one call but the call never
   /// waits for more than one; a kEagain return is an idle wait, as for
@@ -217,28 +219,22 @@ class Stream {
   /// Per-incoming-link health (read endpoint; empty on writers).
   std::vector<StreamPeerStats> peer_stats() const;
 
-  /// Reader: release the posted receive buffers of links whose writer has
-  /// closed cleanly or died — the long-lived fabric reader would otherwise
-  /// pin n_async blocks per departed tenant forever. Cancels the still-
-  /// posted receives (their buffers are also held by the mailbox as
-  /// keepalives) and frees the slots; a link with an undrained queued send
-  /// is skipped until the next call. Per-link accounting (StreamPeerStats)
-  /// survives. Returns payload bytes released. No-op on writers.
-  std::uint64_t reclaim_closed_slots();
+  /// Reader: cancel the still-posted receives of links whose writer has
+  /// closed cleanly or died, so the mailbox of a long-lived fabric reader
+  /// does not keep n_async receives per departed tenant forever. A link
+  /// with an undrained queued send is skipped until the next call. The
+  /// receives hold no storage; per-link accounting (StreamPeerStats)
+  /// survives. No-op on writers.
+  void reclaim_closed_slots();
 
  private:
-  struct OutBuf {
-    BufferRef data;
-    mpi::Request req;  ///< In-flight send, or null when free.
-  };
-  struct InSlot {
-    BufferRef data;
-    mpi::Request req;  ///< Posted receive.
-  };
   struct InPeer {
     int universe_rank = -1;
     int tag = 0;
-    std::vector<InSlot> slots;
+    /// The N_A receive credits: each a posted block receive (no storage
+    /// until a block arrives in its request), or null once consumed and
+    /// not reposted (a closed link).
+    std::vector<mpi::Request> slots;
     std::size_t head = 0;  ///< Completion order is FIFO per peer.
     bool closed = false;
     bool dead = false;
@@ -309,7 +305,7 @@ class Stream {
   /// potential writer rank finished and no handshake is queued).
   bool failover_grace_over();
   /// Try to consume one completed block, copied into `buf` or, with
-  /// `out`, handed over as a view of its slot; -2 when nothing ready, 0
+  /// `out`, handed over as a view of its block; -2 when nothing ready, 0
   /// when every peer closed cleanly, -3 when done with >= 1 dead peer.
   int try_read_block(void* buf, BufferRef* out);
   void mark_peer_dead(InPeer& ip);
@@ -330,7 +326,9 @@ class Stream {
   // Writer side.
   std::vector<int> peers_;  ///< Reader universe ranks (-1: dead end).
   int data_tag_ = 0;
-  std::vector<OutBuf> out_;
+  /// The N_A output credits: each an in-flight send, or null when free.
+  /// The block itself travels with the send and belongs to the reader.
+  std::vector<mpi::Request> out_;
   std::vector<std::uint64_t> out_seq_;  ///< Per-endpoint block sequence.
   std::size_t rr_next_ = 0;
   std::uint64_t writes_failed_ = 0;

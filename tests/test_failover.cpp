@@ -220,11 +220,13 @@ TEST(Failover, CascadingAnalyzerDeathsChainToTheLastSurvivor) {
 }
 
 TEST(Failover, ReplayAfterStorageHandoffDeliversTheWrittenFrames) {
-  // Rendezvous-size blocks change hands by storage swap: after a match
-  // the writer's output buffer holds the reader's old bytes, so the
-  // resend ring must have copied each frame before its send. A ring
-  // filled afterwards would replay stale frames onto the survivor, and
-  // they would surface as corrupt blocks or as events analysed twice.
+  // Rendezvous-size blocks are handed to the reader by reference: from
+  // the send on, the framed block belongs to the reader (which may flip an
+  // injected bit in it or recycle it through the pool once read), and the
+  // writer keeps no reference. So the resend ring must have copied each
+  // frame before its send. A ring filled from the block afterwards would
+  // replay frames the writer no longer owns onto the survivor, and they
+  // would surface as corrupt blocks or as events analysed twice.
   const std::string dir = testing::TempDir() + "esp_failover_handoff";
   SessionConfig cfg = failover_config();
   cfg.instrument.block_size = 32768;  // above the 16 KB eager threshold

@@ -2,7 +2,7 @@
 /// \brief Unit tests for the esp::mpi runtime: point-to-point semantics,
 /// wildcards, nonblocking completion, virtual-clock behaviour, the tool
 /// chain, rank translation on split communicators, the by-reference
-/// storage handoff with its copy fallbacks, and size-only (null-buffer)
+/// block handover with its copy fallbacks, and size-only (null-buffer)
 /// messages.
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "common/buffer.hpp"
 #include "core/session.hpp"
 #include "nas/workloads.hpp"
+#include "net/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "simmpi/fiber.hpp"
@@ -343,14 +344,15 @@ TEST(SimMpi, EagerSendDoesNotBlockWithoutReceiver) {
 }
 
 // ---------------------------------------------------------------------------
-// By-reference point-to-point: a matched rendezvous pair of equal-size
-// owning buffers swaps storage; every other shape copies.
+// By-reference point-to-point: a block receive takes the very buffer of a
+// rendezvous send posted by reference and delivered whole; every other
+// send reaches it as an exact copy of its physical bytes.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t k64K = 64 * 1024;
 constexpr int kDataTag = 7;
 constexpr int kGoTag = 8;
-/// Where a view receive sits inside its parent buffer.
+/// Where a sent view sits inside its parent buffer.
 constexpr std::size_t kViewOffset = 4096;
 constexpr std::byte kRecvFill{0xee};
 
@@ -358,17 +360,18 @@ std::byte sent_byte(std::size_t i) {
   return static_cast<std::byte>((i * 131 + 17) & 0xff);
 }
 
-/// One rank-0 -> rank-1 message; each endpoint is a raw pointer or a
-/// BufferRef. A 1-byte eager "go" message orders the two posts, so either
-/// side can be the one that closes the match.
+/// One rank-0 -> rank-1 message; the send is a raw pointer or a
+/// BufferRef, the receive a block receive or a raw buffer. A 1-byte eager
+/// "go" message orders the two posts, so either side can be the one that
+/// closes the match.
 struct RefShape {
   std::size_t send_buf = k64K;    ///< Sender buffer size.
   std::size_t send_bytes = k64K;  ///< Message size.
-  std::size_t recv_buf = k64K;    ///< Receiver buffer size.
   std::size_t recv_bytes = k64K;  ///< Posted receive capacity.
   bool send_ref = true;
-  bool recv_ref = true;
-  bool recv_view = false;  ///< Post a view into a larger parent buffer.
+  bool send_view = false;   ///< Send a view into a larger parent buffer.
+  bool recv_block = true;   ///< Comm::pirecv_block; else a raw buffer.
+  int tag = kDataTag;
   /// Receive posted first, so the sender closes the match; otherwise the
   /// send is queued first and the receiver closes it.
   bool recv_first = true;
@@ -378,8 +381,10 @@ struct RefOutcome {
   std::uint64_t handoffs = 0;      ///< simmpi.payload_handoffs delta.
   std::uint64_t bytes_copied = 0;  ///< Data-message payload bytes copied.
   Status status;                   ///< Receiver's completion.
+  const Buffer* sent = nullptr;    ///< The Buffer object the sender sent.
+  BufferRef delivered;             ///< A block receive's delivered buffer.
   std::vector<std::byte> sender_after;  ///< Sender buffer after completion.
-  /// Receiver buffer after completion (a view's whole parent).
+  /// What the receiver holds: the delivered block, or its raw buffer.
   std::vector<std::byte> receiver_after;
 };
 
@@ -397,32 +402,37 @@ RefOutcome run_ref_message(const RefShape& sh,
         const Comm& c = env.world;
         char go = 1;
         if (env.world_rank == 0) {
-          auto buf = Buffer::make(sh.send_buf);
+          auto owner =
+              Buffer::make(sh.send_buf + (sh.send_view ? kViewOffset : 0));
+          BufferRef buf = sh.send_view
+                              ? Buffer::view_of(owner, kViewOffset, sh.send_buf)
+                              : owner;
           for (std::size_t i = 0; i < buf->size(); ++i)
             buf->data()[i] = sent_byte(i);
+          out.sent = buf.get();
           if (sh.recv_first) c.precv(&go, 1, 1, kGoTag);
           Request req = sh.send_ref
-                            ? c.pisend(buf, sh.send_bytes, 1, kDataTag)
-                            : c.pisend(buf->data(), sh.send_bytes, 1, kDataTag);
+                            ? c.pisend(buf, sh.send_bytes, 1, sh.tag)
+                            : c.pisend(buf->data(), sh.send_bytes, 1, sh.tag);
           if (!sh.recv_first) c.psend(&go, 1, 1, kGoTag);
           pwait(req);
           out.sender_after.assign(buf->data(), buf->data() + buf->size());
         } else {
-          auto owner =
-              Buffer::make(sh.recv_buf + (sh.recv_view ? kViewOffset : 0));
-          std::fill(owner->data(), owner->data() + owner->size(), kRecvFill);
-          BufferRef target =
-              sh.recv_view ? Buffer::view_of(owner, kViewOffset, sh.recv_buf)
-                           : owner;
+          std::vector<std::byte> raw(sh.recv_bytes, kRecvFill);
           if (!sh.recv_first) c.precv(&go, 1, 0, kGoTag);
           Request req =
-              sh.recv_ref
-                  ? c.pirecv(target, sh.recv_bytes, 0, kDataTag)
-                  : c.pirecv(target->data(), sh.recv_bytes, 0, kDataTag);
+              sh.recv_block
+                  ? c.pirecv_block(sh.recv_bytes, 0, sh.tag)
+                  : c.pirecv(raw.data(), sh.recv_bytes, 0, sh.tag);
           if (sh.recv_first) c.psend(&go, 1, 0, kGoTag);
           out.status = pwait(req);
-          out.receiver_after.assign(owner->data(),
-                                    owner->data() + owner->size());
+          out.delivered = std::move(req->delivered);
+          if (sh.recv_block && out.delivered)
+            out.receiver_after.assign(
+                out.delivered->data(),
+                out.delivered->data() + out.delivered->size());
+          else if (!sh.recv_block)
+            out.receiver_after = raw;
         }
       },
       std::move(cfg));
@@ -447,27 +457,52 @@ void expect_untouched(const std::vector<std::byte>& got, std::size_t from,
     ASSERT_EQ(got[i], kRecvFill) << "byte " << i;
 }
 
-TEST(SimMpiHandoff, MatchedBufferRefsSwapStorageWhicheverSideCloses) {
+/// A shape the block receive must take by handover: the sender's very
+/// Buffer, no byte copied.
+RefOutcome expect_handed_over(const RefShape& sh) {
+  RefOutcome o = run_ref_message(sh);
+  EXPECT_EQ(o.handoffs, 1u);
+  EXPECT_EQ(o.bytes_copied, 0u);
+  EXPECT_EQ(o.status.bytes, sh.send_bytes);
+  EXPECT_EQ(o.delivered.get(), o.sent);
+  return o;
+}
+
+TEST(SimMpiHandoff,
+     MatchedBlockReceiveTakesTheSendersBufferWhicheverSideCloses) {
   for (const bool recv_first : {true, false}) {
     SCOPED_TRACE(recv_first ? "sender closes the match"
                             : "receiver closes the match");
     RefShape sh;
     sh.recv_first = recv_first;
-    const RefOutcome o = run_ref_message(sh);
-    EXPECT_EQ(o.handoffs, 1u);
-    EXPECT_EQ(o.bytes_copied, 0u);
-    EXPECT_EQ(o.status.bytes, k64K);
+    const RefOutcome o = expect_handed_over(sh);
     EXPECT_EQ(o.receiver_after.size(), k64K);
-    EXPECT_EQ(o.sender_after.size(), k64K);
     expect_delivered(o.receiver_after, 0, k64K);
-    // The storage changed hands: the sender's buffer now holds the
-    // receiver's old bytes.
-    expect_untouched(o.sender_after, 0, k64K);
   }
 }
 
+TEST(SimMpiHandoff, PartialSendOfALargerBufferIsHandedOver) {
+  // The block keeps its size; Status.bytes says how much of it is the
+  // message.
+  RefShape sh;
+  sh.send_buf = 2 * k64K;
+  sh.recv_bytes = 2 * k64K;
+  const RefOutcome o = expect_handed_over(sh);
+  EXPECT_EQ(o.receiver_after.size(), 2 * k64K);
+  expect_delivered(o.receiver_after, 0, k64K);
+}
+
+TEST(SimMpiHandoff, ViewSendIsHandedOverWithItsParent) {
+  RefShape sh;
+  sh.send_view = true;
+  const RefOutcome o = expect_handed_over(sh);
+  EXPECT_TRUE(o.delivered->is_view());
+  expect_delivered(o.receiver_after, 0, k64K);
+}
+
 /// A shape that must fall back to the copy: no handoff, the copied bytes
-/// counted, the sender's buffer left as it was.
+/// counted, the sender's buffer left as it was, and a block receive given
+/// a fresh buffer of exactly the copied bytes.
 RefOutcome expect_copied(const RefShape& sh, std::uint64_t copied,
                          RuntimeConfig cfg = small_config()) {
   RefOutcome o = run_ref_message(sh, std::move(cfg));
@@ -475,13 +510,17 @@ RefOutcome expect_copied(const RefShape& sh, std::uint64_t copied,
   EXPECT_EQ(o.bytes_copied, copied);
   EXPECT_EQ(o.sender_after.size(), sh.send_buf);
   expect_delivered(o.sender_after, 0, sh.send_buf);
+  if (sh.recv_block) {
+    EXPECT_NE(o.delivered.get(), o.sent);
+    EXPECT_EQ(o.receiver_after.size(), copied);
+  }
   return o;
 }
 
 TEST(SimMpiHandoff, RawReceiveFromBufferRefSendCopies) {
   for (const bool recv_first : {true, false}) {
     RefShape sh;
-    sh.recv_ref = false;
+    sh.recv_block = false;
     sh.recv_first = recv_first;
     const RefOutcome o = expect_copied(sh, k64K);
     expect_delivered(o.receiver_after, 0, k64K);
@@ -494,48 +533,25 @@ TEST(SimMpiHandoff, BufferRefReceiveFromRawSendCopies) {
     sh.send_ref = false;
     sh.recv_first = recv_first;
     const RefOutcome o = expect_copied(sh, k64K);
-    EXPECT_EQ(o.receiver_after.size(), k64K);
     expect_delivered(o.receiver_after, 0, k64K);
   }
 }
 
 TEST(SimMpiHandoff, TruncatedReceiveCopiesOnlyWhatFits) {
-  // Equal buffers, but the receive was posted for half the message.
+  // The block receive was posted for half the message.
   RefShape sh;
   sh.recv_bytes = k64K / 2;
   const RefOutcome o = expect_copied(sh, k64K / 2);
   EXPECT_EQ(o.status.bytes, k64K / 2);
   expect_delivered(o.receiver_after, 0, k64K / 2);
-  expect_untouched(o.receiver_after, k64K / 2, k64K);
-}
-
-TEST(SimMpiHandoff, UnequalBufferSizesCopy) {
-  // Swapping would move a 64 KB vector into a 128 KB buffer's pool class.
-  RefShape sh;
-  sh.recv_buf = 2 * k64K;
-  sh.recv_bytes = 2 * k64K;
-  const RefOutcome o = expect_copied(sh, k64K);
-  EXPECT_EQ(o.status.bytes, k64K);
-  EXPECT_EQ(o.receiver_after.size(), 2 * k64K);
-  expect_delivered(o.receiver_after, 0, k64K);
-  expect_untouched(o.receiver_after, k64K, 2 * k64K);
 }
 
 TEST(SimMpiHandoff, EagerBufferRefSendCopies) {
   RefShape sh;
   sh.send_buf = sh.send_bytes = 8 * 1024;  // <= the 16 KB eager threshold
-  sh.recv_buf = sh.recv_bytes = 8 * 1024;
+  sh.recv_bytes = 8 * 1024;
   const RefOutcome o = expect_copied(sh, 8 * 1024);
   expect_delivered(o.receiver_after, 0, 8 * 1024);
-}
-
-TEST(SimMpiHandoff, ViewReceiveCopiesIntoItsParent) {
-  RefShape sh;
-  sh.recv_view = true;
-  const RefOutcome o = expect_copied(sh, k64K);
-  EXPECT_EQ(o.receiver_after.size(), kViewOffset + k64K);
-  expect_untouched(o.receiver_after, 0, kViewOffset);
-  expect_delivered(o.receiver_after, kViewOffset, k64K);
 }
 
 TEST(SimMpiHandoff, CappedSkeletonPayloadCopiesTheCap) {
@@ -546,7 +562,61 @@ TEST(SimMpiHandoff, CappedSkeletonPayloadCopiesTheCap) {
   const RefOutcome o = expect_copied(RefShape{}, 1024, std::move(cfg));
   EXPECT_EQ(o.status.bytes, k64K);
   expect_delivered(o.receiver_after, 0, 1024);
-  expect_untouched(o.receiver_after, 1024, k64K);
+}
+
+/// Positions where `got` differs from the sent pattern, as bit indices.
+std::vector<std::size_t> flipped_bits(const std::vector<std::byte>& got) {
+  std::vector<std::size_t> bits;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto diff = static_cast<unsigned>(got[i] ^ sent_byte(i));
+    for (unsigned b = 0; b < 8; ++b)
+      if (diff & (1u << b)) bits.push_back(i * 8 + b);
+  }
+  return bits;
+}
+
+TEST(SimMpiHandoff, CorruptBitFlipsOnlyInsideTheDeliveredBlock) {
+  // Link faults touch stream data only, so the message rides a stream
+  // data tag. A handed-over block takes the flip itself; a copy takes it
+  // in the receiver's fresh buffer and leaves the sender's intact.
+  for (const bool send_ref : {true, false}) {
+    SCOPED_TRACE(send_ref ? "handed over" : "copied");
+    RuntimeConfig cfg = small_config();
+    cfg.faults.links.push_back({.corrupt_probability = 1.0});
+    RefShape sh;
+    sh.send_ref = send_ref;
+    sh.tag = net::kStreamDataTagBase;
+    const RefOutcome o = run_ref_message(sh, std::move(cfg));
+    EXPECT_EQ(o.handoffs, send_ref ? 1u : 0u);
+    ASSERT_TRUE(o.delivered);
+    EXPECT_EQ(o.delivered.get() == o.sent, send_ref);
+    EXPECT_EQ(flipped_bits(o.receiver_after).size(), 1u);
+    if (!send_ref) expect_delivered(o.sender_after, 0, k64K);
+  }
+}
+
+TEST(SimMpiHandoff, CrashFailsAPostedBlockReceiveWithNoBlock) {
+  RuntimeConfig cfg = small_config();
+  cfg.faults.crashes.push_back({.world_rank = 0, .at_time = 1e-3});
+  Status st;
+  bool had_block = true;
+  run_spmd(
+      2,
+      [&](ProcEnv& env) {
+        const Comm& c = env.world;
+        if (env.world_rank == 0) {
+          compute(2e-3);
+          Request req = c.pisend(Buffer::make(k64K), k64K, 1, kDataTag);
+          pwait(req);  // not reached: the send's entry check crashes rank 0
+        } else {
+          Request req = c.pirecv_block(k64K, 0, kDataTag);
+          st = pwait(req);
+          had_block = req->delivered != nullptr;
+        }
+      },
+      std::move(cfg));
+  EXPECT_EQ(st.error, kErrPeerDead);
+  EXPECT_FALSE(had_block);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "core/pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "simmpi/fiber.hpp"
@@ -675,10 +676,10 @@ TEST(VmpiStream, ByteCountersTrackPayload) {
 }
 
 TEST(VmpiStream, FullBlocksChangeHandsWithoutACopy) {
-  // Rendezvous-size blocks: the writer sends its output buffer by
-  // reference into the reader's posted slot, and simmpi swaps the two
-  // buffers' storage. Only the control messages are copied: the open
-  // handshake and the end-of-stream header, 24 bytes each.
+  // Rendezvous-size blocks: the writer sends each framed block by
+  // reference, and the reader's posted block receive takes that very
+  // block. Only the control messages are copied: the open handshake and
+  // the end-of-stream header, 24 bytes each.
   constexpr std::uint64_t kBlock = 32 * 1024;
   constexpr int kBlocks = 6;
   constexpr std::uint64_t kControlBytes = 2 * 24;
@@ -718,9 +719,8 @@ TEST(VmpiStream, FullBlocksChangeHandsWithoutACopy) {
 }
 
 TEST(VmpiStream, CorruptionOfAHandedOffBlockIsCaught) {
-  // The injected bit flip must land in the storage the reader owns after
-  // the swap; flipping through the receive's stale pointer would hit the
-  // writer's recycled buffer and let every corrupt block pass as clean.
+  // The injected bit flip must land in the block the reader was handed;
+  // flipping anywhere else would let every corrupt block pass as clean.
   constexpr std::uint64_t kBlock = 32 * 1024;
   constexpr int kBlocks = 4;  // under the 8-retry quarantine threshold
   RuntimeConfig cfg;
@@ -754,6 +754,72 @@ TEST(VmpiStream, CorruptionOfAHandedOffBlockIsCaught) {
                    }});
   Runtime rt(std::move(cfg), std::move(progs));
   rt.run();
+}
+
+TEST(VmpiStream, OpenMintsNoBlockAndSlotsHoldNoStorage) {
+  // Output buffers and reader slots are credits: opening 4 writers -> 1
+  // reader mints no pool block (pre-minted credits would be writers x
+  // n_async + links x n_async = 16), and a reader that keeps up bounds the
+  // blocks ever minted by those in flight at once. A block handed over by
+  // read_some returns to its pool when its last view drops.
+  static constexpr std::uint64_t kBlock = 40 * 1024 + 8;  // rendezvous
+  static constexpr int kWriters = 4;
+  static constexpr int kAsync = 2;
+  static constexpr int kBlocks = 12;
+  static constexpr int kGoTag = 11;
+  mem::BufferPool& pool = mem::pool_for(kBlock + 24);
+  const std::uint64_t m0 = pool.stats().misses;
+  std::uint64_t minted_at_open = ~0ull;
+  int blocks_read = 0;
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", kWriters, [](ProcEnv& env) {
+                     Stream st({kBlock, kAsync, BalancePolicy::None});
+                     st.open_peer(env, kWriters, "w");
+                     send_token(env, kWriters);
+                     int go = 0;
+                     env.universe.recv(&go, sizeof go, kWriters, kGoTag);
+                     std::vector<std::byte> block(kBlock);
+                     for (int b = 0; b < kBlocks; ++b) {
+                       fill_block(block, env.universe_rank, b);
+                       st.write(block.data(), 1);
+                     }
+                     st.close();
+                   }});
+  progs.push_back({"r", 1, [&](ProcEnv& env) {
+                     Map map;
+                     for (int w = 0; w < kWriters; ++w) map.append_peer(w);
+                     Stream st({kBlock, kAsync, BalancePolicy::RoundRobin});
+                     st.open_map(env, map, "r");
+                     for (int w = 0; w < kWriters; ++w) recv_token(env, w);
+                     minted_at_open = pool.stats().misses - m0;
+                     for (int w = 0; w < kWriters; ++w) {
+                       int go = 1;
+                       env.universe.send(&go, sizeof go, w, kGoTag);
+                     }
+                     std::vector<BufferRef> out;
+                     int r = 0;
+                     while ((r = st.read_some(out, 4)) > 0) {
+                       blocks_read += r;
+                       for (const auto& v : out)
+                         EXPECT_TRUE(check_block(std::vector<std::byte>(
+                             v->data(), v->data() + kBlock)));
+                       // Each handed-over block returns to its pool
+                       // when its last view drops.
+                       const std::uint64_t released = pool.stats().released;
+                       out.clear();
+                       EXPECT_EQ(pool.stats().released,
+                                 released + static_cast<std::uint64_t>(r));
+                     }
+                     EXPECT_EQ(r, 0);
+                   }});
+  Runtime rt(RuntimeConfig{}, std::move(progs));
+  rt.run();
+  EXPECT_EQ(minted_at_open, 0u);
+  EXPECT_EQ(blocks_read, kWriters * kBlocks);
+  // The reader keeps up and holds no block past its read_some, so no
+  // writer ever has more blocks alive than its kAsync credits.
+  EXPECT_LE(pool.stats().misses - m0,
+            static_cast<std::uint64_t>(kWriters * kAsync));
 }
 
 TEST(VmpiStreamReadSome, HandsOverExactlyThePayloadAndRepostsTheSlot) {
@@ -790,7 +856,7 @@ TEST(VmpiStreamReadSome, HandsOverExactlyThePayloadAndRepostsTheSlot) {
                      ASSERT_EQ(out[1]->size(), kBlock);
                      EXPECT_TRUE(check_block(std::vector<std::byte>(
                          out[1]->data(), out[1]->data() + kBlock)));
-                     // Both slots were reposted with fresh blocks.
+                     // Both slots' receives were reposted.
                      EXPECT_EQ(env.runtime->mailbox(env.universe_rank)
                                    .pending_recvs(),
                                2u);
