@@ -329,9 +329,11 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
   // Fabric teardown: once every one of a tenant's links has closed or
   // died, drain the board (the tenant's last jobs retire into its
   // ledger), remove its knowledge sources, and cancel its stream receives —
-  // all without touching the survivors. The sweep's host-time placement
-  // is nondeterministic but observation-invariant: every counter it folds
-  // is already final once the tenant's links are terminal.
+  // all without touching the survivors. Where the sweep runs is
+  // observation-invariant: every counter it folds is already final once
+  // the tenant's links are terminal. Only every 64th pass sweeps, so a
+  // teardown is a change for the scheduler's wedge detector: the quiet
+  // passes before it did not show that it was due.
   auto teardown_sweep = [&] {
     if (!fabric) return;
     for (const auto& lvl : levels) {
@@ -354,6 +356,7 @@ void run_analyzer(mpi::ProcEnv& env, const AnalyzerConfig& cfg) {
       board.remove_tenant(lvl.app_id);
       stream.reclaim_closed_slots();
       torn_down.push_back(lvl.app_id);
+      mpi::fib::progressed();
     }
   };
 

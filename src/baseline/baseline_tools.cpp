@@ -46,7 +46,7 @@ void BaselineTool::flush_trace(mpi::RankContext& rc, RankState& st) {
   rc.clock = std::max(rc.clock, fs_->metadata_op(rc.clock));
   rc.clock = std::max(
       rc.clock, fs_->write(rt_.core_of(rc.world_rank), st.buffered, rc.clock));
-  total_trace_bytes_.fetch_add(st.buffered);
+  total_trace_bytes_ += st.buffered;
   st.buffered = 0;
 }
 
@@ -113,13 +113,13 @@ void BaselineTool::on_finalize(mpi::RankContext& rc) {
     default:
       break;
   }
-  total_events_.fetch_add(st.events);
+  total_events_ += st.events;
 }
 
 BaselineTotals BaselineTool::totals() const {
   BaselineTotals t;
-  t.events = total_events_.load();
-  t.trace_bytes = total_trace_bytes_.load();
+  t.events = total_events_;
+  t.trace_bytes = total_trace_bytes_;
   t.metadata_ops = fs_->metadata_ops();
   return t;
 }

@@ -20,7 +20,6 @@
 /// traces 313 MB -> 116 GB while online coupling moves 923 MB -> 333 GB,
 /// i.e. the streamed raw events are ~2.9x larger than OTF2 records).
 
-#include <atomic>
 #include <memory>
 
 #include "net/simfs.hpp"
@@ -80,8 +79,8 @@ class BaselineTool : public mpi::Tool {
   BaselineConfig cfg_;
   std::unique_ptr<net::SimFs> fs_;
   std::vector<RankState> states_;
-  std::atomic<std::uint64_t> total_events_{0};
-  std::atomic<std::uint64_t> total_trace_bytes_{0};
+  std::uint64_t total_events_ = 0;
+  std::uint64_t total_trace_bytes_ = 0;
 };
 
 /// Attach a baseline tool to every partition (benches run the workload as

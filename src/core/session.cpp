@@ -31,11 +31,9 @@ std::shared_ptr<an::AnalysisResults> Session::run() {
   ran_ = true;
 
   // Session watchdog: the one ops-facing environment override. It only
-  // aborts a wedged run, never changes what a completed run reports.
+  // aborts a runaway run, never changes what a completed run reports.
   cfg_.runtime.watchdog_virtual_deadline = env_double(
       "ESP_SESSION_DEADLINE", cfg_.runtime.watchdog_virtual_deadline);
-  cfg_.runtime.watchdog_stall_seconds = env_double(
-      "ESP_SESSION_STALL", cfg_.runtime.watchdog_stall_seconds);
   auto& icfg = cfg_.instrument;
   const auto& tn = cfg_.tenants;
   const auto& el = cfg_.elastic;

@@ -332,14 +332,14 @@ void OnlineInstrument::on_finalize(mpi::RankContext& rc) {
   flush(rc, st);
   st.stream.close();
   st.open = false;
-  total_events_.fetch_add(st.events);
-  total_packs_.fetch_add(st.packs);
-  total_bytes_.fetch_add(st.bytes_streamed);
-  total_windows_full_.fetch_add(st.windows_full);
-  total_windows_sampled_.fetch_add(st.windows_sampled);
-  total_windows_agg_.fetch_add(st.windows_aggregated);
-  total_sampled_out_.fetch_add(st.sampled_out);
-  total_aggregated_.fetch_add(st.aggregated_calls);
+  total_events_ += st.events;
+  total_packs_ += st.packs;
+  total_bytes_ += st.bytes_streamed;
+  total_windows_full_ += st.windows_full;
+  total_windows_sampled_ += st.windows_sampled;
+  total_windows_agg_ += st.windows_aggregated;
+  total_sampled_out_ += st.sampled_out;
+  total_aggregated_ += st.aggregated_calls;
   rc.tool_state = nullptr;
   rc.tool = nullptr;
 }
@@ -375,14 +375,14 @@ void posix_io(EventKind kind, std::uint64_t bytes, double duration) {
 
 InstrumentTotals OnlineInstrument::totals() const {
   InstrumentTotals t;
-  t.events = total_events_.load();
-  t.packs = total_packs_.load();
-  t.streamed_bytes = total_bytes_.load();
-  t.windows_full = total_windows_full_.load();
-  t.windows_sampled = total_windows_sampled_.load();
-  t.windows_aggregated = total_windows_agg_.load();
-  t.calls_sampled_out = total_sampled_out_.load();
-  t.calls_aggregated = total_aggregated_.load();
+  t.events = total_events_;
+  t.packs = total_packs_;
+  t.streamed_bytes = total_bytes_;
+  t.windows_full = total_windows_full_;
+  t.windows_sampled = total_windows_sampled_;
+  t.windows_aggregated = total_windows_agg_;
+  t.calls_sampled_out = total_sampled_out_;
+  t.calls_aggregated = total_aggregated_;
   return t;
 }
 

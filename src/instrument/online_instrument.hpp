@@ -13,7 +13,6 @@
 ///    catch up (backpressure) — this is where the Bi-vs-bandwidth
 ///    correlation of the paper's Fig. 15 comes from.
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -111,14 +110,14 @@ class OnlineInstrument : public mpi::Tool {
   mpi::Runtime& rt_;
   InstrumentConfig cfg_;
   std::vector<std::unique_ptr<RankState>> states_;  ///< Indexed by world rank.
-  std::atomic<std::uint64_t> total_events_{0};
-  std::atomic<std::uint64_t> total_packs_{0};
-  std::atomic<std::uint64_t> total_bytes_{0};
-  std::atomic<std::uint64_t> total_windows_full_{0};
-  std::atomic<std::uint64_t> total_windows_sampled_{0};
-  std::atomic<std::uint64_t> total_windows_agg_{0};
-  std::atomic<std::uint64_t> total_sampled_out_{0};
-  std::atomic<std::uint64_t> total_aggregated_{0};
+  std::uint64_t total_events_ = 0;
+  std::uint64_t total_packs_ = 0;
+  std::uint64_t total_bytes_ = 0;
+  std::uint64_t total_windows_full_ = 0;
+  std::uint64_t total_windows_sampled_ = 0;
+  std::uint64_t total_windows_agg_ = 0;
+  std::uint64_t total_sampled_out_ = 0;
+  std::uint64_t total_aggregated_ = 0;
 };
 
 /// Attach online instrumentation to every partition except the analyzer.

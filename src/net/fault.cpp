@@ -51,7 +51,7 @@ FaultInjector::Decision FaultInjector::on_message(int src_world, int dst_world,
         hash01(seed_, src_world, dst_world, tag, seq, salt) <
             f.drop_probability) {
       d.drop = true;
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      ++dropped_;
       return d;  // a dropped message cannot also be delayed/corrupted
     }
     if (f.corrupt_probability > 0.0 && bytes > 0 && d.corrupt_bit < 0 &&
@@ -63,13 +63,13 @@ FaultInjector::Decision FaultInjector::on_message(int src_world, int dst_world,
                                         0x1p63)) %
           (bytes * 8);
       d.corrupt_bit = static_cast<std::int64_t>(bit);
-      corrupted_.fetch_add(1, std::memory_order_relaxed);
+      ++corrupted_;
     }
     if (f.delay_probability > 0.0 && f.delay_seconds > 0.0 &&
         hash01(seed_, src_world, dst_world, tag, seq, salt + 3) <
             f.delay_probability) {
       d.delay += f.delay_seconds;
-      delayed_.fetch_add(1, std::memory_order_relaxed);
+      ++delayed_;
     }
   }
   return d;
@@ -190,9 +190,9 @@ std::uint64_t FaultInjector::crash_after_calls(int world_rank) const noexcept {
 
 FaultStats FaultInjector::stats() const {
   FaultStats s;
-  s.messages_dropped = dropped_.load(std::memory_order_relaxed);
-  s.messages_corrupted = corrupted_.load(std::memory_order_relaxed);
-  s.messages_delayed = delayed_.load(std::memory_order_relaxed);
+  s.messages_dropped = dropped_;
+  s.messages_corrupted = corrupted_;
+  s.messages_delayed = delayed_;
   return s;
 }
 

@@ -16,7 +16,6 @@
 /// identical data-loss ledger — on every run, regardless of thread
 /// interleaving.
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -216,9 +215,9 @@ class FaultInjector {
   bool enabled_ = false;
   FaultPlan plan_;
   std::uint64_t seed_ = 0;
-  mutable std::atomic<std::uint64_t> dropped_{0};
-  mutable std::atomic<std::uint64_t> corrupted_{0};
-  mutable std::atomic<std::uint64_t> delayed_{0};
+  mutable std::uint64_t dropped_ = 0;
+  mutable std::uint64_t corrupted_ = 0;
+  mutable std::uint64_t delayed_ = 0;
 };
 
 }  // namespace esp::net

@@ -214,6 +214,9 @@ struct Fiber {
   PureTask* task = nullptr;  ///< Work in flight on a helper, if any.
   const char* wait_what = nullptr;
   int wait_peer = -1;
+  /// Clock and p-layer call count at the last idle wave (wedge detector).
+  double wave_clock = -1.0;
+  std::uint64_t wave_calls = 0;
   void* mapping = nullptr;
   Ctx ctx;
 };
@@ -221,15 +224,16 @@ struct Fiber {
 namespace {
 
 thread_local Fiber* t_current = nullptr;
+thread_local Scheduler* t_sched = nullptr;  ///< The one run_fibers runs.
 
 [[noreturn]] void trampoline();
 
 class Scheduler {
  public:
   Scheduler(int n, const std::function<void(int)>& main,
-            const std::function<std::string(int)>& describe)
+            const std::function<void(const char*)>& wedged)
       : main_fn_(main),
-        describe_(describe),
+        wedged_(wedged),
         eh_(abi::__cxa_get_globals()),
         trace_(obs::trace_enabled()) {
 #ifdef ESP_FIB_ASAN
@@ -300,7 +304,7 @@ class Scheduler {
 
   void run() {
     while (Fiber* f = next_runnable()) jump(main_, f, false);
-    if (live_ > 0) deadlock();
+    if (live_ > 0) wedged();
   }
 
   [[noreturn]] void start(Fiber* self) {
@@ -315,6 +319,7 @@ class Scheduler {
     self->state = State::Done;
     self->rc = nullptr;
     --live_;
+    ++events_;
     jump(self->ctx, next_runnable(), true);
     __builtin_unreachable();
   }
@@ -331,6 +336,7 @@ class Scheduler {
     self->state = State::Parked;
     self->wait_what = what;
     self->wait_peer = peer;
+    ++events_;
     switch_out(self);
   }
 
@@ -339,6 +345,7 @@ class Scheduler {
       f->woken = true;
     else if (f->state != State::Parked)
       return;
+    ++events_;
     push_ready(f, std::max(clock_of(f), t));
   }
 
@@ -363,12 +370,33 @@ class Scheduler {
     }
     self->state = State::Busy;
     busy_.push_back(self);
+    ++events_;
     switch_out(self);
+  }
+
+  void progressed() noexcept { ++events_; }
+
+  std::string status(int r) const {
+    const Fiber& f = *fibers_[static_cast<std::size_t>(r)];
+    switch (f.state) {
+      case State::Idle: return "idle";
+      case State::Parked: {
+        std::string s = "parked, waits on ";
+        s += f.wait_what != nullptr ? f.wait_what : "?";
+        if (f.wait_peer >= 0) s += " peer " + std::to_string(f.wait_peer);
+        return s;
+      }
+      case State::Done: return "finished";
+      default: return "running";
+    }
   }
 
  private:
   static double clock_of(const Fiber* f) {
     return f->rc != nullptr ? f->rc->clock : 0.0;
+  }
+  static std::uint64_t calls_of(const Fiber* f) {
+    return f->rc != nullptr ? f->rc->calls_made : 0;
   }
   /// Strict (key, rank) order of the ready heap.
   static bool before(const Fiber* a, double key, int rank) {
@@ -387,7 +415,7 @@ class Scheduler {
 
   /// The next fiber to run, marked Running: the ready minimum; else every
   /// busy fiber rejoins at once; else every idle fiber does. Null when
-  /// nothing can ever run again.
+  /// nothing can ever run again; reports a wedge of idle fibers itself.
   Fiber* next_runnable() {
     for (;;) {
       if (!heap_.empty()) {
@@ -406,6 +434,20 @@ class Scheduler {
         busy_.clear();
         continue;
       }
+      if (idle_.empty()) return nullptr;
+      // Idle wave. A wave is quiet when nothing but idle polls happened
+      // since the last one and none of them moved its clock or call count.
+      bool quiet = events_ == wave_events_;
+      for (Fiber* f : idle_) {
+        if (f->state != State::Idle) continue;
+        quiet = quiet && f->wave_clock == clock_of(f) &&
+                f->wave_calls == calls_of(f);
+        f->wave_clock = clock_of(f);
+        f->wave_calls = calls_of(f);
+      }
+      wave_events_ = events_;
+      quiet_waves_ = quiet ? quiet_waves_ + 1 : 0;
+      if (quiet_waves_ == kQuietWaves) wedged();
       for (Fiber* f : idle_) {
         f->in_idle_list = false;
         if (f->state == State::Idle) push_ready(f, clock_of(f));
@@ -446,25 +488,24 @@ class Scheduler {
 #endif
   }
 
-  [[noreturn]] void deadlock() {
-    std::fprintf(stderr,
-                 "esperf: scheduler deadlock: %d rank(s) parked and none can "
-                 "run; what each parked rank waits on:\n",
-                 live_);
+  /// No live fiber can make progress again: every one is parked, or idle
+  /// through kQuietWaves quiet waves.
+  [[noreturn]] void wedged() {
+    int parked = 0;
+    int idle = 0;
     for (const auto& f : fibers_) {
-      if (f->state != State::Parked) continue;
-      std::fprintf(stderr, "  rank %d (%s): clock=%.9fs waits on %s", f->rank,
-                   describe_(f->rank).c_str(), clock_of(f.get()),
-                   f->wait_what != nullptr ? f->wait_what : "?");
-      if (f->wait_peer >= 0) std::fprintf(stderr, " peer %d", f->wait_peer);
-      std::fputc('\n', stderr);
+      parked += f->state == State::Parked;
+      idle += f->state == State::Idle;
     }
-    std::fflush(stderr);
+    const std::string why = "scheduler deadlock: " + std::to_string(parked) +
+                            " rank(s) parked and " + std::to_string(idle) +
+                            " idle, none can make progress";
+    wedged_(why.c_str());
     std::abort();
   }
 
   const std::function<void(int)>& main_fn_;
-  const std::function<std::string(int)>& describe_;
+  const std::function<void(const char*)>& wedged_;
   void* const eh_;  ///< The carrier's __cxa_eh_globals.
   const bool trace_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
@@ -474,6 +515,10 @@ class Scheduler {
   Ctx main_;
   int live_ = 0;
   int unstarted_ = 0;
+  /// Wakes, parks, finishes, run_pure calls and progressed() so far.
+  std::uint64_t events_ = 0;
+  std::uint64_t wave_events_ = 0;  ///< events_ at the last idle wave.
+  int quiet_waves_ = 0;            ///< Quiet idle waves in a row.
 };
 
 void trampoline() {
@@ -487,12 +532,16 @@ void trampoline() {
 }  // namespace
 
 void run_fibers(int n, const std::function<void(int)>& main,
-                const std::function<std::string(int)>& describe) {
+                const std::function<void(const char*)>& wedged) {
   if (t_current != nullptr)
     throw std::logic_error("Runtime::run called from inside a rank");
-  Scheduler sched(n, main, describe);
+  Scheduler sched(n, main, wedged);
+  t_sched = &sched;
   sched.run();
+  t_sched = nullptr;
 }
+
+std::string status(int r) { return t_sched->status(r); }
 
 Fiber* current() noexcept { return t_current; }
 
@@ -525,6 +574,10 @@ void wake(Fiber* f, double t) { f->sched->wake(f, t); }
 bool idle(bool wakeable) {
   Fiber* f = t_current;
   return f != nullptr && f->sched->idle(f, wakeable);
+}
+
+void progressed() noexcept {
+  if (Fiber* f = t_current) f->sched->progressed();
 }
 
 void run_pure(PureTask& task) {

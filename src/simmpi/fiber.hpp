@@ -18,12 +18,13 @@
 ///  - **idle** — a real-time poll (a non-blocking read that found
 ///    nothing, a dead-writer poll) resumes only when nothing else can run
 ///    at all, busy waves included; that moment is its timeout (idle).
-/// An empty heap with fibers still parked and none busy or idle is a
-/// deadlock: the scheduler prints what each parked fiber waits on and
-/// aborts. A wedge that leaves some fiber idle-polling is not detected
-/// here (its poll keeps running in idle waves); the runtime's watchdog
-/// stall trigger is what ends it. DESIGN.md "Deterministic scheduler" has
-/// the full contract.
+/// The scheduler also reports every wedge. An empty heap with fibers still
+/// parked and none busy or idle is one; so is a run of kQuietWaves idle
+/// waves in a row in which every fiber that ran went idle again with its
+/// virtual clock and p-layer call count unchanged, and no wake, park,
+/// finish, run_pure or progressed() happened. Either way the runtime's
+/// callback prints what each rank is doing and the process aborts.
+/// DESIGN.md "Deterministic scheduler" has the full contract.
 
 #include <atomic>
 #include <functional>
@@ -38,10 +39,21 @@ namespace esp::mpi::fib {
 
 struct Fiber;
 
+/// Idle waves in a row that change nothing before the run counts as
+/// wedged. One would do for the runtime's own wait loops, which repeat a
+/// quiet poll exactly; a miss returned to user code may feed a bounded
+/// poll loop, which a run of waves outlasts.
+inline constexpr int kQuietWaves = 128;
+
 /// Run `main(r)` for r in [0, n) as fibers on the calling thread until all
-/// return. `describe(r)` labels rank r in the deadlock dump.
+/// return. On a wedge, `wedged(why)` is called on the carrier to print the
+/// per-rank dump (status() describes each fiber); the process then aborts.
 void run_fibers(int n, const std::function<void(int)>& main,
-                const std::function<std::string(int)>& describe);
+                const std::function<void(const char*)>& wedged);
+
+/// What fiber `r` of the running scheduler is doing, for a wedge dump:
+/// "running", "idle", "parked, waits on X peer P" or "finished".
+std::string status(int r);
 
 /// Pure byte work handed to a helper thread: it may touch only memory its
 /// fiber owns while it is out of the ready heap.
@@ -79,6 +91,10 @@ void wake(Fiber* f, double t);
 /// resumes the fiber earlier; returns true in that case. No-op (returning
 /// false) off a fiber.
 bool idle(bool wakeable = false);
+
+/// Count a change the wedge detector cannot see in clocks and call counts,
+/// made by host state a later idle pass depends on. No-op off a fiber.
+void progressed() noexcept;
 
 /// Run `task` off the carrier while this fiber is busy (see the file
 /// comment); returns once it finished. Runs inline off a fiber.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -75,25 +74,17 @@ Runtime::Runtime(RuntimeConfig cfg, std::vector<ProgramSpec> programs)
   }
   world_size_ = next;
 
-  mailboxes_.resize(static_cast<std::size_t>(world_size_));
-  final_clock_.assign(static_cast<std::size_t>(world_size_), 0.0);
+  const auto n = static_cast<std::size_t>(world_size_);
+  mailboxes_.resize(n);
+  ranks_.resize(n);
+  fate_.assign(n, Fate::Running);
+  failure_.resize(n);
+  progress_clock_.assign(n, 0.0);
+  if (cfg_.watchdog_virtual_deadline > 0.0)
+    deadline_ = cfg_.watchdog_virtual_deadline;
 
   injector_.configure(cfg_.faults, cfg_.seed);
   elastic_ = net::ElasticSchedule(cfg_.elastic);  // throws on a bad plan
-  rank_dead_ = std::make_unique<std::atomic<bool>[]>(
-      static_cast<std::size_t>(world_size_));
-  rank_done_ = std::make_unique<std::atomic<bool>[]>(
-      static_cast<std::size_t>(world_size_));
-  death_time_ = std::make_unique<std::atomic<double>[]>(
-      static_cast<std::size_t>(world_size_));
-  progress_ = std::make_unique<RankProgress[]>(
-      static_cast<std::size_t>(world_size_));
-  for (int r = 0; r < world_size_; ++r) {
-    rank_dead_[static_cast<std::size_t>(r)].store(false);
-    rank_done_[static_cast<std::size_t>(r)].store(false);
-    death_time_[static_cast<std::size_t>(r)].store(
-        std::numeric_limits<double>::infinity());
-  }
 
   std::vector<int> all(static_cast<std::size_t>(world_size_));
   for (int r = 0; r < world_size_; ++r) all[static_cast<std::size_t>(r)] = r;
@@ -107,15 +98,6 @@ Runtime::Runtime(RuntimeConfig cfg, std::vector<ProgramSpec> programs)
     partition_data_.push_back(CommData::make(
         this, kPartitionCtxBase + static_cast<std::uint64_t>(d.id),
         std::move(ranks)));
-  }
-}
-
-Runtime::~Runtime() {
-  // Defensive: run() joins the watchdog on every path it starts it, but a
-  // Runtime destroyed without run() completing must not leak the thread.
-  if (watchdog_.joinable()) {
-    watchdog_stop_.store(true, std::memory_order_release);
-    watchdog_.join();
   }
 }
 
@@ -135,40 +117,28 @@ double Runtime::partition_walltime(int partition_id) const {
   const auto& d = partitions_[static_cast<std::size_t>(partition_id)];
   double w = 0.0;
   for (int r = d.first_world_rank; r < d.first_world_rank + d.size; ++r)
-    w = std::max(w, final_clock_[static_cast<std::size_t>(r)]);
+    w = std::max(w, final_clock(r));
   return w;
 }
 
 double Runtime::max_walltime() const {
   double w = 0.0;
-  for (double c : final_clock_) w = std::max(w, c);
+  for (const auto& rc : ranks_) w = std::max(w, rc.clock);
   return w;
 }
 
-std::vector<RankDeath> Runtime::deaths() const {
-  std::lock_guard lock(deaths_mu_);
-  return deaths_;
-}
-
 void Runtime::note_progress(const RankContext& rc) noexcept {
-  auto& p = progress_[static_cast<std::size_t>(rc.world_rank)];
-  p.clock.store(rc.clock, std::memory_order_relaxed);
-  p.calls.store(rc.calls_made, std::memory_order_relaxed);
-  double cur = max_progress_.load(std::memory_order_relaxed);
-  while (rc.clock > cur && !max_progress_.compare_exchange_weak(
-                               cur, rc.clock, std::memory_order_relaxed)) {
+  progress_clock_[static_cast<std::size_t>(rc.world_rank)] = rc.clock;
+  if (rc.clock > max_progress_) {
+    max_progress_ = rc.clock;
+    if (max_progress_ > deadline_)
+      dump_and_abort("session watchdog fired (virtual-time deadline exceeded)");
   }
 }
 
 void Runtime::on_rank_crashed(const RankContext& rc, std::uint64_t calls) {
-  {
-    std::lock_guard lock(deaths_mu_);
-    deaths_.push_back(RankDeath{rc.world_rank, rc.clock, calls});
-  }
-  death_time_[static_cast<std::size_t>(rc.world_rank)].store(
-      rc.clock, std::memory_order_release);
-  rank_dead_[static_cast<std::size_t>(rc.world_rank)].store(
-      true, std::memory_order_release);
+  deaths_.push_back(RankDeath{rc.world_rank, rc.clock, calls});
+  fate_[static_cast<std::size_t>(rc.world_rank)] = Fate::Dead;
   // Release everyone the dead rank could still block: receivers waiting on
   // it (specific-source recvs in *their* mailboxes) and senders queued or
   // about to queue into *its* mailbox. No copy can be in flight into the
@@ -189,7 +159,7 @@ void Runtime::dispatch_tools(RankContext& rc, const CallInfo& ci) {
 void Runtime::rank_main(int world_rank) {
   const PartitionDesc& part = partition_of_world(world_rank);
 
-  RankContext rc;
+  RankContext& rc = ranks_[static_cast<std::size_t>(world_rank)];
   rc.rt = this;
   rc.world_rank = world_rank;
   rc.partition_id = part.id;
@@ -225,75 +195,50 @@ void Runtime::rank_main(int world_rank) {
     // A simulated death is an *expected* outcome, not a session error:
     // sweep the mailboxes so nobody waits on this rank forever.
     on_rank_crashed(rc, rc.calls_made);
+  } catch (const std::exception& e) {
+    fail(world_rank, e.what());
   } catch (...) {
-    std::lock_guard lock(error_mu_);
-    if (!first_error_) first_error_ = std::current_exception();
+    fail(world_rank, "exception not derived from std::exception");
   }
 
-  final_clock_[static_cast<std::size_t>(world_rank)] = rc.clock;
-  rank_done_[static_cast<std::size_t>(world_rank)].store(
-      true, std::memory_order_release);
-  if (rc.trace_track) obs::bind_track(nullptr);
+  auto& ending = fate_[static_cast<std::size_t>(world_rank)];
+  if (ending == Fate::Running) ending = Fate::Finished;
+  if (rc.trace_track) {
+    obs::bind_track(nullptr);
+    rc.trace_track.reset();
+  }
   fib::set_current_rank(nullptr);
 }
 
-void Runtime::dump_progress_and_abort(const char* why) {
+void Runtime::fail(int world_rank, const char* what) {
+  if (!first_error_) first_error_ = std::current_exception();
+  fate_[static_cast<std::size_t>(world_rank)] = Fate::Failed;
+  failure_[static_cast<std::size_t>(world_rank)] = what;
+}
+
+void Runtime::dump_and_abort(const char* why) const {
   std::fprintf(stderr,
-               "esperf: session watchdog fired (%s); per-rank last progress "
-               "(virtual clock / p-layer calls / state):\n",
+               "esperf: %s; per-rank state (virtual clock / p-layer calls / "
+               "state):\n",
                why);
   for (int r = 0; r < world_size_; ++r) {
-    const auto& p = progress_[static_cast<std::size_t>(r)];
-    const char* state = rank_dead(r)       ? "dead"
-                        : rank_finished(r) ? "finished"
-                                           : "running";
+    std::string state;
+    switch (fate(r)) {
+      case Fate::Running: state = fib::status(r); break;
+      case Fate::Finished: state = "finished"; break;
+      case Fate::Dead: state = "dead"; break;
+      case Fate::Failed:
+        state = "failed: " + failure_[static_cast<std::size_t>(r)];
+        break;
+    }
     const auto& part = partition_of_world(r);
     std::fprintf(stderr, "  rank %d (%s/%d): clock=%.9fs calls=%llu %s\n", r,
-                 part.name.c_str(), r - part.first_world_rank,
-                 p.clock.load(std::memory_order_relaxed),
-                 static_cast<unsigned long long>(
-                     p.calls.load(std::memory_order_relaxed)),
-                 state);
+                 part.name.c_str(), r - part.first_world_rank, rank(r).clock,
+                 static_cast<unsigned long long>(rank(r).calls_made),
+                 state.c_str());
   }
   std::fflush(stderr);
   std::abort();
-}
-
-void Runtime::watchdog_loop() {
-  // Real-time sampling of virtual-time progress. Two triggers:
-  //  - the virtual frontier passed the configured deadline (the simulated
-  //    job ran far longer than the scenario allows — livelock);
-  //  - nothing moved for watchdog_stall_seconds of real time while ranks
-  //    are still running (deadlock / wedged wait).
-  const auto period = std::chrono::milliseconds(100);
-  auto last_change = std::chrono::steady_clock::now();
-  double last_max = -1.0;
-  std::uint64_t last_calls = 0;
-  while (!watchdog_stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(period);
-    if (watchdog_stop_.load(std::memory_order_acquire)) return;
-    bool all_done = true;
-    std::uint64_t calls = 0;
-    for (int r = 0; r < world_size_; ++r) {
-      if (!rank_finished(r)) all_done = false;
-      calls += progress_[static_cast<std::size_t>(r)].calls.load(
-          std::memory_order_relaxed);
-    }
-    if (all_done) return;
-    const double vmax = max_progress();
-    if (cfg_.watchdog_virtual_deadline > 0.0 &&
-        vmax > cfg_.watchdog_virtual_deadline)
-      dump_progress_and_abort("virtual-time deadline exceeded");
-    if (vmax != last_max || calls != last_calls) {
-      last_max = vmax;
-      last_calls = calls;
-      last_change = std::chrono::steady_clock::now();
-    } else if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             last_change)
-                   .count() > cfg_.watchdog_stall_seconds) {
-      dump_progress_and_abort("no progress (stalled)");
-    }
-  }
 }
 
 void Runtime::run() {
@@ -301,19 +246,8 @@ void Runtime::run() {
   ran_ = true;
   obs::trace_reset();  // trace.json holds this run's tracks only
 
-  if (cfg_.watchdog_virtual_deadline > 0.0)
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-
-  fib::run_fibers(
-      world_size_, [this](int r) { rank_main(r); },
-      [this](int r) {
-        const auto& part = partition_of_world(r);
-        return part.name + "/" + std::to_string(r - part.first_world_rank);
-      });
-  if (watchdog_.joinable()) {
-    watchdog_stop_.store(true, std::memory_order_release);
-    watchdog_.join();
-  }
+  fib::run_fibers(world_size_, [this](int r) { rank_main(r); },
+                  [this](const char* why) { dump_and_abort(why); });
   if (first_error_) std::rethrow_exception(first_error_);
 }
 

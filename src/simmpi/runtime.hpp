@@ -12,15 +12,12 @@
 /// communicator registry, and the tool chain through which vmpi
 /// virtualization and instrumentation attach.
 
-#include <atomic>
-#include <mutex>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -63,9 +60,9 @@ struct RankDeath {
   std::uint64_t calls = 0;     ///< p-layer calls the rank made before dying.
 };
 
-/// Per-rank execution context (one per fiber). Everything a rank keeps
-/// across calls lives here, never in a thread_local: all ranks share one
-/// thread.
+/// Per-rank execution context (one per fiber, owned by the Runtime).
+/// Everything a rank keeps across calls lives here, never in a
+/// thread_local: all ranks share one thread.
 struct RankContext {
   Runtime* rt = nullptr;
   int world_rank = -1;
@@ -95,10 +92,10 @@ struct RankContext {
   void advance(double dt) noexcept { clock += dt; }
 
   /// Crash checkpoint, invoked at every p-layer call entry. Counts the
-  /// call, publishes this rank's progress (clock + call count) for the
-  /// watchdog and for idle-crash polling, and throws RankCrashedError
-  /// exactly once when either trigger (virtual-time deadline or call
-  /// budget) has been reached. Out-of-line: it needs the full Runtime.
+  /// call, publishes this rank's progress clock (idle-crash polling, the
+  /// session's virtual deadline), and throws RankCrashedError exactly once
+  /// when either trigger (virtual-time deadline or call budget) has been
+  /// reached. Out-of-line: it needs the full Runtime.
   void check_crash();
 
   /// Idle-crash poll for blocking loops that make no p-layer calls while
@@ -107,7 +104,7 @@ struct RankContext {
   /// scheduled during its wait. When the *global* maximum progress clock
   /// has passed this rank's crash deadline the crash is fired now, with
   /// the clock advanced to the deadline — the same virtual instant every
-  /// run, regardless of how long the real-time wait took.
+  /// run, however many idle polls the wait took.
   void poll_scheduled_crash();
 };
 
@@ -143,14 +140,11 @@ struct RuntimeConfig {
   /// Deterministic fault schedule (empty = fault-free run). Decisions are
   /// derived from `seed`, so seed + plan reproduce identical failures.
   net::FaultPlan faults;
-  /// Session watchdog (0 = disabled): abort the process with a per-rank
-  /// progress dump when any virtual clock exceeds this deadline — a wedged
-  /// session fails loudly instead of hanging until the ctest timeout.
+  /// Session watchdog (0 = disabled): abort the process with the per-rank
+  /// dump when any published progress clock exceeds this deadline — a
+  /// runaway session fails loudly instead of running until the ctest
+  /// timeout. (A wedged one always aborts: the scheduler detects it.)
   double watchdog_virtual_deadline = 0.0;
-  /// Watchdog stall trigger: real seconds without *any* rank making
-  /// progress (clock or call count) before the session is declared wedged.
-  /// Only armed together with watchdog_virtual_deadline.
-  double watchdog_stall_seconds = 30.0;
   /// Planned elastic membership for the analyzer partition (resolved by
   /// the session; empty = fixed membership). The runtime validates it
   /// once into Runtime::elastic(), the schedule every module reads.
@@ -160,7 +154,6 @@ struct RuntimeConfig {
 class Runtime {
  public:
   Runtime(RuntimeConfig cfg, std::vector<ProgramSpec> programs);
-  ~Runtime();
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -170,7 +163,9 @@ class Runtime {
 
   /// Run every rank's program as a fiber on the calling thread until all
   /// return. Call once. The first exception thrown by any rank's program
-  /// (or tool) is captured and rethrown here after every rank finished.
+  /// (or tool) is captured and rethrown here after every rank finished;
+  /// if the rank that threw leaves another waiting forever, the wedge dump
+  /// names it as failed, with the exception's what(), and the run aborts.
   void run();
 
   // ---- topology / partitions -----------------------------------------
@@ -187,15 +182,12 @@ class Runtime {
 
   // ---- post-run results ----------------------------------------------
   /// Final virtual clock of one rank (valid after run()).
-  double final_clock(int world_rank) const {
-    return final_clock_[static_cast<std::size_t>(world_rank)];
-  }
+  double final_clock(int world_rank) const { return rank(world_rank).clock; }
   /// Virtual walltime of a partition = max final clock over its ranks.
   double partition_walltime(int partition_id) const;
   double max_walltime() const;
-  /// Ranks that crashed under the fault plan, in death order (post-run,
-  /// but safe to call concurrently while ranks are still running).
-  std::vector<RankDeath> deaths() const;
+  /// Ranks that crashed under the fault plan so far, in death order.
+  const std::vector<RankDeath>& deaths() const noexcept { return deaths_; }
 
   // ---- services used by Comm / tools ----------------------------------
   net::Machine& machine() noexcept { return machine_; }
@@ -206,7 +198,7 @@ class Runtime {
   /// Block mapping: world rank r runs on global core r.
   int core_of(int world_rank) const noexcept { return world_rank; }
   /// Allocate a fresh context id (used by split/dup).
-  std::uint64_t next_ctx_component() noexcept { return ctx_counter_.fetch_add(1); }
+  std::uint64_t next_ctx_component() noexcept { return ctx_counter_++; }
   void dispatch_tools(RankContext& rc, const CallInfo& ci);
 
   // ---- fault services --------------------------------------------------
@@ -217,35 +209,29 @@ class Runtime {
   const net::ElasticSchedule& elastic() const noexcept { return elastic_; }
   /// True once `world_rank` crashed under the fault plan.
   bool rank_dead(int world_rank) const noexcept {
-    return rank_dead_[static_cast<std::size_t>(world_rank)].load(
-        std::memory_order_acquire);
+    return fate(world_rank) == Fate::Dead;
   }
-  /// True once `world_rank` left its program (normally or by crash) —
-  /// after this it will never send another message.
+  /// True once `world_rank` left its program (normally, by crash or by an
+  /// exception) — after this it will never send another message.
   bool rank_finished(int world_rank) const noexcept {
-    return rank_done_[static_cast<std::size_t>(world_rank)].load(
-        std::memory_order_acquire);
+    return fate(world_rank) != Fate::Running;
   }
   /// Virtual clock at which `world_rank` died, or +inf while it lives.
-  /// Published before rank_dead() flips, so a true rank_dead() always
-  /// observes the final value.
   double death_time(int world_rank) const noexcept {
-    return death_time_[static_cast<std::size_t>(world_rank)].load(
-        std::memory_order_acquire);
+    return rank_dead(world_rank) ? rank(world_rank).clock
+                                 : std::numeric_limits<double>::infinity();
   }
-  /// Publish one rank's progress (called from check_crash).
+  /// Publish one rank's progress clock (called from check_crash); aborts
+  /// with the per-rank dump once it passes the session's virtual deadline.
   void note_progress(const RankContext& rc) noexcept;
   /// The maximum progress clock published by any rank so far — the global
-  /// virtual-time frontier used for idle-crash polling and the watchdog.
-  double max_progress() const noexcept {
-    return max_progress_.load(std::memory_order_relaxed);
-  }
-  /// Last published progress clock of one rank (relaxed; advisory). The
-  /// tenant-fabric admission root uses it as a release *lower bound*: a
-  /// rank observed past time t has provably not released before t.
+  /// virtual-time frontier used for idle-crash polling.
+  double max_progress() const noexcept { return max_progress_; }
+  /// Last published progress clock of one rank. The tenant-fabric
+  /// admission root uses it as a release *lower bound*: a rank observed
+  /// past time t has provably not released before t.
   double progress_clock(int world_rank) const noexcept {
-    return progress_[static_cast<std::size_t>(world_rank)].clock.load(
-        std::memory_order_relaxed);
+    return progress_clock_[static_cast<std::size_t>(world_rank)];
   }
   /// Crash sweep: record the death and release every operation that would
   /// otherwise wait on the dead rank forever.
@@ -257,16 +243,21 @@ class Runtime {
   static bool on_rank_thread() noexcept;
 
  private:
-  void rank_main(int world_rank);
-  void watchdog_loop();
-  void dump_progress_and_abort(const char* why);
+  /// How a rank left its program, or Running while it has not.
+  enum class Fate : std::uint8_t { Running, Finished, Dead, Failed };
 
-  /// Per-rank progress record, padded to its own cache line so the hot
-  /// check_crash store never false-shares with a neighbour rank.
-  struct alignas(64) RankProgress {
-    std::atomic<double> clock{0.0};
-    std::atomic<std::uint64_t> calls{0};
-  };
+  void rank_main(int world_rank);
+  /// Record the exception rank_main caught as `world_rank`'s failure.
+  void fail(int world_rank, const char* what);
+  /// Print every rank's partition, clock, call count and state under
+  /// `why`, then abort.
+  [[noreturn]] void dump_and_abort(const char* why) const;
+  const RankContext& rank(int world_rank) const {
+    return ranks_[static_cast<std::size_t>(world_rank)];
+  }
+  Fate fate(int world_rank) const noexcept {
+    return fate_[static_cast<std::size_t>(world_rank)];
+  }
 
   RuntimeConfig cfg_;
   std::vector<ProgramSpec> programs_;
@@ -275,27 +266,24 @@ class Runtime {
   net::Machine machine_;
   ToolChain tools_;
   std::vector<detail::Mailbox> mailboxes_;
-  std::vector<double> final_clock_;
+  /// Every rank's context; a rank's final clock stays after it finished.
+  std::vector<RankContext> ranks_;
   std::shared_ptr<CommData> universe_data_;
   std::vector<std::shared_ptr<CommData>> partition_data_;
-  std::atomic<std::uint64_t> ctx_counter_{1u << 20};
-  std::mutex error_mu_;
+  std::uint64_t ctx_counter_ = 1u << 20;
   std::exception_ptr first_error_;
   bool ran_ = false;
 
   net::FaultInjector injector_;
   net::ElasticSchedule elastic_;
-  std::unique_ptr<std::atomic<bool>[]> rank_dead_;
-  std::unique_ptr<std::atomic<bool>[]> rank_done_;
-  std::unique_ptr<std::atomic<double>[]> death_time_;
-  mutable std::mutex deaths_mu_;
+  std::vector<Fate> fate_;
+  std::vector<std::string> failure_;  ///< what() of each Failed rank.
   std::vector<RankDeath> deaths_;
 
-  // Progress publication (watchdog + idle-crash polling).
-  std::unique_ptr<RankProgress[]> progress_;
-  std::atomic<double> max_progress_{0.0};
-  std::thread watchdog_;
-  std::atomic<bool> watchdog_stop_{false};
+  // Progress publication (idle-crash polling, the virtual deadline).
+  std::vector<double> progress_clock_;
+  double max_progress_ = 0.0;
+  double deadline_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace esp::mpi

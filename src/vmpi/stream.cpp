@@ -478,7 +478,8 @@ double Stream::peer_death_time(int peer) const {
   // it keeps the failover point a pure function of the writer's own
   // deterministic clock. after_calls crashes have no such oracle; for
   // them the recorded death time is used once the crash actually fired —
-  // near-deterministic, since the call count itself is program-ordered.
+  // as deterministic as the rest of the run, since the call count is
+  // program-ordered and the scheduler orders every step by the seed.
   const auto& inj = rt_->injector();
   double t = inj.crash_time(peer);
   if (t == std::numeric_limits<double>::infinity() && rt_->rank_dead(peer))
@@ -812,12 +813,12 @@ void Stream::mark_peer_dead(InPeer& ip) {
 }
 
 bool Stream::scan_silent_dead() {
-  // A writer that finished its thread without sending end-of-stream (its
+  // A writer that finished its program without sending end-of-stream (its
   // EOF was dropped, or it died in a way the crash sweep could not reach)
-  // will never complete the head receive. rank_finished() is a release/
-  // acquire flag set *after* the writer's last send was queued, and the
-  // raw mailbox probe (no piprobe: it would charge nondeterministic clock
-  // overhead per poll) confirms nothing is left in flight.
+  // will never complete the head receive. rank_finished() turns true only
+  // after the writer's last send was queued, and the raw mailbox probe (no
+  // piprobe: it would charge clock overhead per poll) confirms nothing is
+  // left in flight.
   auto& rc = mpi::Runtime::self();
   bool changed = false;
   for (auto& ip : in_peers_) {

@@ -16,6 +16,7 @@
 #include <iterator>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -792,6 +793,44 @@ TEST(SchedulerDeathTest, DeadlockAbortsWithPerRankDump) {
                "scheduler deadlock: 2 rank\\(s\\) parked(.|\n)*"
                "rank 0 \\(test/0\\): clock=.* waits on MPI_Irecv peer 1(.|\n)*"
                "rank 1 \\(test/1\\): clock=.* waits on MPI_Irecv peer 0");
+}
+
+TEST(SchedulerDeathTest, WedgeDumpNamesTheRankThatThrew) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Rank 1 fails, so rank 0's receive can never match: the dump names the
+  // exception, not just a rank that "finished".
+  auto wedge = [] {
+    run_spmd(2, [](ProcEnv& env) {
+      if (env.world_rank == 1) throw std::runtime_error("boom");
+      int v = 0;
+      env.world.recv(&v, sizeof v, 1, 4);
+    });
+  };
+  EXPECT_DEATH(wedge(),
+               "scheduler deadlock: 1 rank\\(s\\) parked(.|\n)*"
+               "rank 0 \\(test/0\\): clock=.* waits on MPI_Irecv peer 1(.|\n)*"
+               "rank 1 .*failed.*boom");
+}
+
+TEST(Scheduler, BoundedPollLoopIsNotAWedge) {
+  // Rank 1 waits for rank 0, which first polls a fixed number of times:
+  // those idle waves change nothing the scheduler can see, but fewer than
+  // kQuietWaves of them must not be taken for a wedge.
+  run_spmd(2, [](ProcEnv& env) {
+    int v = 0;
+    if (env.world_rank == 0) {
+      Request q = env.world.irecv(&v, sizeof v, 1, 2);
+      for (int i = 0; i < fib::kQuietWaves - 1; ++i)
+        EXPECT_FALSE(test(q, nullptr));
+      env.world.send(&v, sizeof v, 1, 3);
+      wait(q);
+      EXPECT_EQ(v, 9);
+    } else {
+      env.world.recv(&v, sizeof v, 0, 3);
+      v = 9;
+      env.world.send(&v, sizeof v, 0, 2);
+    }
+  });
 }
 
 TEST(Scheduler, TestPollingLoopLetsThePeerRun) {

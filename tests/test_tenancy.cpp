@@ -361,11 +361,10 @@ TEST(TenantFabric, TenantCrashLeavesSurvivorResultsBitIdentical) {
 
 /// Two 4-rank tenants on two analyzer ranks, watchdog armed: a tenant that
 /// attaches to any rank but the admission root waits for its verdict
-/// until the watchdog aborts the run.
+/// until the scheduler reports the wedge and aborts the run.
 void expect_both_tenants_admitted(SessionConfig cfg, const std::string& dir) {
   cfg.output_dir = dir;
   cfg.runtime.watchdog_virtual_deadline = 10;
-  cfg.runtime.watchdog_stall_seconds = 5;
   Session session(cfg);
   const int a = session.add_application("a", 4, ring(200));
   const int b = session.add_application("b", 4, ring(200));

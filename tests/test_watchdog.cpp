@@ -1,22 +1,27 @@
 /// \file test_watchdog.cpp
-/// \brief Session-watchdog death tests: a wedged or runaway session must
-/// abort loudly with a per-rank progress dump instead of hanging until an
-/// outer (ctest/CI) timeout kills it silently. Covers both triggers —
-/// ESP_SESSION_DEADLINE (virtual-time deadline) and ESP_SESSION_STALL
-/// (real-time stall with no rank making progress) — and the dump
-/// contents: the firing reason and the per-rank clock/call lines.
+/// \brief Death tests for sessions that cannot finish: a runaway or wedged
+/// session must abort loudly with the per-rank dump instead of hanging
+/// until an outer (ctest/CI) timeout kills it silently. A runaway one is
+/// ended by the ESP_SESSION_DEADLINE virtual-time deadline; a wedged one
+/// by the rank scheduler, with or without the deadline armed. The dump
+/// names each rank's partition, clock, call count and state (running,
+/// parked with its wait, idle, finished, dead, or failed with the
+/// exception's text).
 ///
 /// Uses gtest's fast death-test style: the parent process never launches
-/// a Session (and so never spawns rank threads); the statement under
+/// a Session (and so never starts the helper threads); the statement under
 /// EXPECT_DEATH runs in the forked child, which inherits the environment
-/// set immediately before.
+/// set immediately before. ctest gives each test a short timeout, so a
+/// wedge that goes unreported fails fast instead of hanging CI.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <vector>
 
 #include "core/session.hpp"
+#include "simmpi/runtime.hpp"
 
 namespace esp {
 namespace {
@@ -33,7 +38,8 @@ void run_runaway_session() {
 }
 
 /// Wedged workload: rank 0 blocks on a receive no one will ever match, so
-/// neither clocks nor call counts move — the stall trigger must fire.
+/// neither clocks nor call counts move while the analyzer readers poll for
+/// its stream — the scheduler must report the wedge.
 void run_wedged_session() {
   SessionConfig cfg;
   Session session(cfg);
@@ -46,12 +52,21 @@ void run_wedged_session() {
   session.run();
 }
 
+/// Failing workload: rank 1 throws while rank 0 waits for its message.
+void run_failing_session() {
+  SessionConfig cfg;
+  Session session(cfg);
+  session.add_application("boom", 2, [](mpi::ProcEnv& env) {
+    if (env.world_rank == 1) throw std::runtime_error("boom from rank 1");
+    std::vector<std::byte> buf(64);
+    env.world.recv(buf.data(), buf.size(), 1, /*tag=*/7);
+  });
+  session.run();
+}
+
 class WatchdogDeath : public testing::Test {
  protected:
-  void TearDown() override {
-    ::unsetenv("ESP_SESSION_DEADLINE");
-    ::unsetenv("ESP_SESSION_STALL");
-  }
+  void TearDown() override { ::unsetenv("ESP_SESSION_DEADLINE"); }
 };
 
 TEST_F(WatchdogDeath, VirtualDeadlineAbortsWithReason) {
@@ -70,18 +85,54 @@ TEST_F(WatchdogDeath, VirtualDeadlineDumpListsPerRankProgress) {
 }
 
 TEST_F(WatchdogDeath, RealTimeStallAbortsWithReason) {
-  // Arm the watchdog with a far-away virtual deadline (the stall trigger
-  // is only live alongside it) and a short real-time stall window.
+  // A far-away virtual deadline never fires; the wedge is reported by the
+  // scheduler, with the reason.
   ::setenv("ESP_SESSION_DEADLINE", "1e6", 1);
-  ::setenv("ESP_SESSION_STALL", "0.5", 1);
   EXPECT_DEATH(run_wedged_session(),
-               "session watchdog fired \\(no progress \\(stalled\\)\\)");
+               "scheduler deadlock: 1 rank\\(s\\) parked and [0-9]+ idle");
 }
 
 TEST_F(WatchdogDeath, StallDumpShowsTheWedgedRank) {
   ::setenv("ESP_SESSION_DEADLINE", "1e6", 1);
-  ::setenv("ESP_SESSION_STALL", "0.5", 1);
-  EXPECT_DEATH(run_wedged_session(), "rank 0 \\(stuck/0\\): clock=");
+  EXPECT_DEATH(run_wedged_session(),
+               "rank 0 \\(stuck/0\\): clock=.* waits on MPI_Irecv peer 1");
+}
+
+TEST(WedgeDeath, IdleOnlyWedgeAbortsWithTheWatchdogOff) {
+  // No ESP_SESSION_* set: the analyzer readers idle-poll for rank 0's
+  // stream forever, and the scheduler still reports the wedge.
+  EXPECT_DEATH(run_wedged_session(),
+               "scheduler deadlock(.|\n)*"
+               "rank 0 \\(stuck/0\\): clock=.* waits on MPI_Irecv peer 1");
+}
+
+TEST(WedgeDeath, IdlePollerInABareRuntimeAbortsWithTheDump) {
+  // Rank 0 polls test() for a message rank 1 never sends: every idle wave
+  // is the same, so the scheduler reports the wedge instead of spinning.
+  auto wedge = [] {
+    std::vector<mpi::ProgramSpec> progs;
+    progs.push_back({"poll", 2, [](mpi::ProcEnv& env) {
+                       if (env.world_rank == 1) return;
+                       int v = 0;
+                       mpi::Request q = env.world.irecv(&v, sizeof v, 1, 4);
+                       while (!mpi::test(q, nullptr)) {
+                       }
+                     }});
+    mpi::Runtime rt(mpi::RuntimeConfig{}, std::move(progs));
+    rt.run();
+  };
+  EXPECT_DEATH(wedge(),
+               "scheduler deadlock: 0 rank\\(s\\) parked and 1 idle(.|\n)*"
+               "rank 0 \\(poll/0\\): clock=.* idle(.|\n)*"
+               "rank 1 \\(poll/1\\): clock=.* finished");
+}
+
+TEST(WedgeDeath, SessionDumpNamesTheRankThatThrew) {
+  // The error would be rethrown from run() once every rank finished, but
+  // rank 0 never does: the dump must carry the exception's text.
+  EXPECT_DEATH(run_failing_session(),
+               "rank 0 \\(boom/0\\): clock=.* waits on MPI_Irecv peer "
+               "1(.|\n)*rank 1 \\(boom/1\\): .*failed.*boom from rank 1");
 }
 
 TEST(Watchdog, DisabledByDefaultSessionsComplete) {
