@@ -1,6 +1,9 @@
 #include "nas/workloads.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -38,17 +41,22 @@ ClassScale scale_of(ProblemClass c) {
   return {408, 1500000.0, 2048.0 * 1024 * 1024, 4096};
 }
 
-/// Exchange `bytes` with each listed neighbour via irecv/isend/waitall.
-void halo_exchange(const mpi::Comm& w, const std::vector<int>& neighbours,
+/// Most neighbours a halo exchange has: BT/SP sweep two at a time,
+/// EulerMHD's 2D mesh has four.
+constexpr std::size_t kMaxNeighbours = 4;
+
+/// Exchange `bytes` with each listed neighbour via irecv/isend/waitall,
+/// with the requests on the stack.
+void halo_exchange(const mpi::Comm& w, std::span<const int> neighbours,
                    std::uint64_t bytes) {
   if (neighbours.empty()) return;
-  std::vector<mpi::Request> reqs;
-  reqs.reserve(neighbours.size() * 2);
-  for (int nb : neighbours)
-    reqs.push_back(w.irecv(nullptr, bytes, nb, kWorkTag));
-  for (int nb : neighbours)
-    reqs.push_back(w.isend(nullptr, bytes, nb, kWorkTag));
-  mpi::waitall(reqs);
+  if (neighbours.size() > kMaxNeighbours)
+    throw std::invalid_argument("halo exchange with more than 4 neighbours");
+  std::array<mpi::Request, 2 * kMaxNeighbours> reqs;
+  std::size_t n = 0;
+  for (int nb : neighbours) reqs[n++] = w.irecv(nullptr, bytes, nb, kWorkTag);
+  for (int nb : neighbours) reqs[n++] = w.isend(nullptr, bytes, nb, kWorkTag);
+  mpi::waitall(std::span(reqs.data(), n));
 }
 
 // -------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -209,7 +210,6 @@ struct Fiber {
   bool in_idle_list = false;
   bool wakeable = false;
   bool woken = false;
-  double key = -1.0;  ///< Unstarted fibers sort before every started one.
   RankContext* rc = nullptr;
   PureTask* task = nullptr;  ///< Work in flight on a helper, if any.
   const char* wait_what = nullptr;
@@ -286,8 +286,9 @@ class Scheduler {
 #endif
       fibers_.push_back(std::move(f));
     }
+    // Unstarted fibers sort before every started one.
     for (auto& f : fibers_) push_ready(f.get(), -1.0);
-    live_ = unstarted_ = n;
+    live_ = n;
   }
 
   ~Scheduler() {
@@ -308,7 +309,6 @@ class Scheduler {
   }
 
   [[noreturn]] void start(Fiber* self) {
-    --unstarted_;
     try {
       main_fn_(self->rank);
     } catch (...) {
@@ -324,12 +324,17 @@ class Scheduler {
     __builtin_unreachable();
   }
 
+  /// Unstarted fibers are keyed before every clock, so this switches out
+  /// while one is left. A switch puts the yielding fiber in the root's
+  /// place and sifts it down once: the same ready set, so the same pops,
+  /// as a push then a pop.
   void yield_point(Fiber* self) {
-    if (unstarted_ == 0 &&
-        (heap_.empty() || !before(heap_.front(), clock_of(self), self->rank)))
-      return;
-    push_ready(self, clock_of(self));
-    switch_out(self);
+    const Slot me{slot_key(clock_of(self), self->rank), self};
+    if (heap_.empty() || !before(heap_[0], me)) return;
+    Fiber* next = heap_[0].f;
+    self->state = State::Ready;
+    replace_root(me);
+    jump(self->ctx, take(next), false);
   }
 
   void park(Fiber* self, const char* what, int peer) {
@@ -398,19 +403,66 @@ class Scheduler {
   static std::uint64_t calls_of(const Fiber* f) {
     return f->rc != nullptr ? f->rc->calls_made : 0;
   }
-  /// Strict (key, rank) order of the ready heap.
-  static bool before(const Fiber* a, double key, int rank) {
-    return a->key < key || (a->key == key && a->rank < rank);
+  /// A ready-heap entry: the fiber's (key, rank) inline as one unsigned
+  /// integer (slot_key), so a sift reads no fiber and compares without a
+  /// branch.
+  struct Slot {
+    unsigned __int128 key;
+    Fiber* f;
+  };
+  /// The key's order-preserving bit image above the rank: integer order is
+  /// (key, rank) order. Flipping the sign bit of a non-negative double, or
+  /// every bit of a negative one, orders doubles as unsigned integers;
+  /// adding +0.0 turns -0.0 into +0.0, equal as `==` has it. Keys are
+  /// never NaN.
+  static unsigned __int128 slot_key(double key, int rank) {
+    const auto bits = std::bit_cast<std::uint64_t>(key + 0.0);
+    const auto sign = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(bits) >> 63);
+    const std::uint64_t ordered = bits ^ (sign | std::uint64_t{1} << 63);
+    return static_cast<unsigned __int128>(ordered) << 32 |
+           static_cast<std::uint32_t>(rank);
   }
-  static bool later(const Fiber* a, const Fiber* b) {
-    return before(b, a->key, a->rank);
-  }
+  /// Strict order of the ready heap. Ranks are distinct, so it is total:
+  /// the pop sequence does not depend on the heap's layout.
+  static bool before(const Slot& a, const Slot& b) { return a.key < b.key; }
 
   void push_ready(Fiber* f, double key) {
     f->state = State::Ready;
-    f->key = key;
-    heap_.push_back(f);
-    std::push_heap(heap_.begin(), heap_.end(), later);
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, {slot_key(key, f->rank), f});
+  }
+
+  /// Fill the hole at `i` with `s`, moving larger parents down.
+  void sift_up(std::size_t i, const Slot& s) {
+    while (i > 0 && before(s, heap_[(i - 1) / 2])) {
+      heap_[i] = heap_[(i - 1) / 2];
+      i = (i - 1) / 2;
+    }
+    heap_[i] = s;
+  }
+
+  /// Fill the hole at the root with `s`, moving smaller children up.
+  void replace_root(const Slot& s) {
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    for (std::size_t c; (c = 2 * i + 1) < n; i = c) {
+      if (c + 1 < n) c += before(heap_[c + 1], heap_[c]);
+      if (!before(heap_[c], s)) break;
+      heap_[i] = heap_[c];
+    }
+    heap_[i] = s;
+  }
+
+  /// Mark `f`, just taken off the heap, Running once its helper task (if
+  /// any) finished.
+  static Fiber* take(Fiber* f) {
+    if (f->task != nullptr) {
+      Helpers::get().wait(f->task);
+      f->task = nullptr;
+    }
+    f->state = State::Running;
+    return f;
   }
 
   /// The next fiber to run, marked Running: the ready minimum; else every
@@ -419,15 +471,11 @@ class Scheduler {
   Fiber* next_runnable() {
     for (;;) {
       if (!heap_.empty()) {
-        std::pop_heap(heap_.begin(), heap_.end(), later);
-        Fiber* f = heap_.back();
+        Fiber* f = heap_[0].f;
+        const Slot last = heap_.back();
         heap_.pop_back();
-        if (f->task != nullptr) {
-          Helpers::get().wait(f->task);
-          f->task = nullptr;
-        }
-        f->state = State::Running;
-        return f;
+        if (!heap_.empty()) replace_root(last);
+        return take(f);
       }
       if (!busy_.empty()) {
         for (Fiber* f : busy_) push_ready(f, clock_of(f));
@@ -509,12 +557,11 @@ class Scheduler {
   void* const eh_;  ///< The carrier's __cxa_eh_globals.
   const bool trace_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  std::vector<Fiber*> heap_;
+  std::vector<Slot> heap_;
   std::vector<Fiber*> busy_;
   std::vector<Fiber*> idle_;
   Ctx main_;
   int live_ = 0;
-  int unstarted_ = 0;
   /// Wakes, parks, finishes, run_pure calls and progressed() so far.
   std::uint64_t events_ = 0;
   std::uint64_t wave_events_ = 0;  ///< events_ at the last idle wave.

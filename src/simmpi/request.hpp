@@ -2,7 +2,10 @@
 /// \file request.hpp
 /// \brief Nonblocking-operation handles.
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <new>
 #include <utility>
 
 #include "common/buffer.hpp"
@@ -52,7 +55,7 @@ struct WaitSet {
 /// Shared completion state of a nonblocking operation. Matching happens on
 /// whichever rank closes the (send, recv) pair; the initiating rank
 /// observes completion through wait()/test(). Carrier-only, so unlocked;
-/// make_request() takes it from a free list.
+/// make_request() takes it from a free list and Request owns it.
 struct RequestState {
   bool done = false;
 
@@ -113,16 +116,61 @@ struct RequestState {
     }
     return finish;
   }
+
+ private:
+  friend class Request;
+  std::uint32_t refs_ = 1;  ///< Request handles that own this state.
 };
 
-/// A request handle; copyable, null-testable.
-using Request = std::shared_ptr<RequestState>;
+/// A request handle: a shared_ptr-like, null-testable owner of one
+/// RequestState, with a plain reference count. One thread touches a
+/// request at a time: the carrier while the runtime runs (a request lives
+/// in the mailbox items and wait loops of its ranks); any one thread once
+/// the handle has been handed over, e.g. after the runtime returned. Two
+/// threads copying or dropping handles to one state at once race.
+class Request {
+ public:
+  Request() noexcept = default;
+  Request(std::nullptr_t) noexcept {}
+  Request(const Request& o) noexcept : p_(o.p_) {
+    if (p_ != nullptr) ++p_->refs_;
+  }
+  Request(Request&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  Request& operator=(Request o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  ~Request() {
+    if (p_ != nullptr && --p_->refs_ == 0) {
+      p_->~RequestState();
+      FreeListAllocator<RequestState>{}.deallocate(p_, 1);
+    }
+  }
+
+  void reset() noexcept { Request().swap(*this); }
+  void swap(Request& o) noexcept { std::swap(p_, o.p_); }
+
+  RequestState* get() const noexcept { return p_; }
+  RequestState* operator->() const noexcept { return p_; }
+  RequestState& operator*() const noexcept { return *p_; }
+  explicit operator bool() const noexcept { return p_ != nullptr; }
+  friend bool operator==(const Request&, const Request&) = default;
+  friend bool operator==(const Request& r, std::nullptr_t) noexcept {
+    return r.p_ == nullptr;
+  }
+
+ private:
+  friend Request make_request();
+  explicit Request(RequestState* p) noexcept : p_(p) {}
+  RequestState* p_ = nullptr;
+};
 
 /// A fresh request. Its block comes from the calling thread's free list,
 /// so a steady stream of messages allocates none; the handle may outlive
-/// the Runtime and be dropped on any thread (common/free_list.hpp).
+/// the Runtime and be dropped on another thread (common/free_list.hpp).
 inline Request make_request() {
-  return std::allocate_shared<RequestState>(FreeListAllocator<RequestState>{});
+  return Request(
+      ::new (FreeListAllocator<RequestState>{}.allocate(1)) RequestState);
 }
 
 }  // namespace esp::mpi

@@ -3,16 +3,19 @@
 /// concurrent accounting, views pinning pooled blocks, pooled blocks
 /// surviving KS quarantine, a warm acquire/release cycle costing no block
 /// bytes, and steady simmpi messages costing no allocation (the last two
-/// under the malloc-interposition probe).
+/// under the malloc-interposition probe); the request handle that owns a
+/// free-list request state.
 
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "blackboard/blackboard.hpp"
 #include "core/pool.hpp"
 #include "obs/alloc_probe.hpp"
+#include "simmpi/request.hpp"
 #include "simmpi/runtime.hpp"
 
 namespace esp {
@@ -192,6 +195,60 @@ TEST(PoolTest, QuarantinedKsReleasesPooledViewEntries) {
   // Destructor joined the workers; every pooled block came home even
   // though some jobs unwound and some were skipped post-quarantine.
   EXPECT_EQ(pool.stats().released - released0, 6u);
+}
+
+TEST(RequestHandle, CopiesAndMovesShareOneState) {
+  mpi::Request a = mpi::make_request();
+  mpi::RequestState* const state = a.get();
+  ASSERT_NE(state, nullptr);
+  EXPECT_TRUE(a);
+  EXPECT_NE(a, nullptr);
+
+  mpi::Request b = a;  // copy
+  EXPECT_EQ(b, a);
+  EXPECT_EQ(&*b, state);
+  mpi::Request c = std::move(b);  // move leaves the source null
+  EXPECT_FALSE(b);
+  EXPECT_EQ(b, nullptr);
+  EXPECT_EQ(c.get(), state);
+
+  mpi::Request& alias = a;
+  a = alias;  // self-assignment keeps the state alive
+  EXPECT_EQ(a.get(), state);
+  a = std::move(alias);
+  EXPECT_EQ(a.get(), state);
+  a->finish = 2.5;
+  EXPECT_EQ(c->finish, 2.5);
+
+  c.reset();
+  EXPECT_EQ(c, nullptr);
+  EXPECT_NE(c, a);
+  mpi::Request d = nullptr;
+  EXPECT_EQ(d, c);
+  d = a;  // copy-assign over null
+  EXPECT_EQ(d->finish, 2.5);
+  a = mpi::Request{};  // move-assign null over a shared state
+  EXPECT_EQ(a, nullptr);
+  EXPECT_EQ(d.get(), state);
+}
+
+TEST(RequestHandle, LastDropDestroysTheStateAndFreesItsBlock) {
+  BufferRef payload = Buffer::make(64);
+  mpi::Request a = mpi::make_request();
+  mpi::RequestState* const block = a.get();
+  a->delivered = payload;
+  mpi::Request b = a;
+  a.reset();
+  EXPECT_EQ(payload.use_count(), 2) << "a live handle keeps the state";
+  mpi::Request other = mpi::make_request();
+  EXPECT_NE(other.get(), block) << "a block still owned was handed out";
+  b.reset();  // the last drop
+  EXPECT_EQ(payload.use_count(), 1) << "the state was not destroyed";
+  // The free list is last-in first-out: the next request reuses the block.
+  mpi::Request again = mpi::make_request();
+  EXPECT_EQ(again.get(), block);
+  EXPECT_EQ(again->delivered, nullptr) << "a reused block starts fresh";
+  EXPECT_FALSE(again->is_done());
 }
 
 TEST(RequestPool, SteadySizeOnlyMessagesAllocateNothing) {

@@ -9,18 +9,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <numeric>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/buffer.hpp"
+#include "common/hash.hpp"
 #include "core/session.hpp"
 #include "nas/workloads.hpp"
 #include "net/fault.hpp"
@@ -777,6 +781,188 @@ TEST(Scheduler, SameSeedRunsAreBitIdenticalWithHelpersOrInline) {
   for (const char* d :
        {"sched_same_seed_a", "sched_same_seed_b", "sched_same_seed_c"})
     std::filesystem::remove_all(d);
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Scheduler, SkeletonVirtualTimeBitsArePinned) {
+  // Recorded before the ready heap kept its keys inline and a yield swapped
+  // the running rank into the root. A scheduler change that keeps every
+  // simulation step in order keeps these bits; one that reorders steps on
+  // purpose updates them and says why in CHANGES.md.
+  {
+    // SP.C on 16 ranks with no tool attached.
+    RuntimeConfig cfg = small_config();
+    cfg.seed = 13;
+    std::vector<ProgramSpec> progs;
+    progs.push_back(
+        {"sp", 16,
+         nas::make_workload({nas::Benchmark::SP, nas::ProblemClass::C, 20})});
+    Runtime rt(std::move(cfg), std::move(progs));
+    rt.run();
+    EXPECT_EQ(bits_of(rt.partition_walltime(0)), 0x3fc17289be67b06cull);
+  }
+  // The same skeleton coupled online to two analyzer ranks.
+  const RunPrint online = run_sp_session("sched_pinned");
+  std::filesystem::remove_all("sched_pinned");
+  ASSERT_EQ(online.walltime_bits.size(), 2u);
+  EXPECT_EQ(online.walltime_bits[0], 0x3fc17e3687ee5395ull);
+  EXPECT_EQ(online.walltime_bits[1], 0x3fc17ef65247735dull);
+  EXPECT_EQ(fnv1a(online.report), 0xfceedf49e3ee8871ull);
+}
+
+/// Carrier-only mirror of the scheduler contract (fiber.hpp), picking the
+/// next fiber by a linear scan for the minimum (key, rank).
+class LinearScanScheduler {
+ public:
+  /// `ctx[r]` holds fiber r's clock.
+  explicit LinearScanScheduler(const std::vector<RankContext>& ctx)
+      : ctx_(ctx),
+        state_(ctx.size(), kReady),
+        key_(ctx.size(), -1.0),
+        unstarted_(static_cast<int>(ctx.size())) {}
+
+  /// The fiber that runs first.
+  int first() { return pick(); }
+  int yield(int self) {
+    if (unstarted_ == 0) {
+      const int m = min_ready();
+      if (m < 0 || !before(m, clock(self), self)) return self;
+    }
+    make_ready(self, clock(self));
+    return pick();
+  }
+  int park(int self) {
+    state_[idx(self)] = kParked;
+    return pick();
+  }
+  int busy(int self) {
+    state_[idx(self)] = kBusy;
+    busy_.push_back(self);
+    return pick();
+  }
+  int finish(int self) {
+    state_[idx(self)] = kDone;
+    return pick();
+  }
+  void wake(int f, double t) {
+    if (state_[idx(f)] == kParked) make_ready(f, std::max(clock(f), t));
+  }
+
+ private:
+  enum State { kReady, kRunning, kParked, kBusy, kDone };
+  static std::size_t idx(int r) { return static_cast<std::size_t>(r); }
+  double clock(int r) const { return ctx_[idx(r)].clock; }
+  bool before(int a, double key, int rank) const {
+    return key_[idx(a)] < key || (key_[idx(a)] == key && a < rank);
+  }
+  void make_ready(int f, double key) {
+    state_[idx(f)] = kReady;
+    key_[idx(f)] = key;
+  }
+  int min_ready() const {
+    int m = -1;
+    for (int r = 0; r < static_cast<int>(state_.size()); ++r)
+      if (state_[idx(r)] == kReady && (m < 0 || before(r, key_[idx(m)], m)))
+        m = r;
+    return m;
+  }
+  int pick() {
+    int m = min_ready();
+    if (m < 0 && !busy_.empty()) {
+      for (int f : busy_) make_ready(f, clock(f));
+      busy_.clear();
+      m = min_ready();
+    }
+    if (m < 0) return -1;
+    if (key_[idx(m)] == -1.0) --unstarted_;
+    state_[idx(m)] = kRunning;
+    return m;
+  }
+
+  const std::vector<RankContext>& ctx_;
+  std::vector<State> state_;
+  std::vector<double> key_;
+  std::vector<int> busy_;
+  int unstarted_;
+};
+
+TEST(Scheduler, SwitchOrderIsTheLinearScanOrder) {
+  // 16 fibers advance their clocks by seeded multiples of a dyadic tick
+  // (zero included, so clocks often tie and the rank decides), then yield,
+  // run pure work, or exchange a message with a seeded partner: the
+  // receiver parks until the sender wakes it, keyed at the send time.
+  // Every resume must be the one the linear-scan mirror predicts.
+  constexpr int kFibers = 16;
+  constexpr int kSteps = 300;
+  constexpr double kTick = 1.0 / (1 << 16);
+  std::vector<RankContext> ctx(kFibers);
+  std::vector<fib::Fiber*> fibers(kFibers, nullptr);
+  std::vector<int> waits_on(kFibers, -1);
+  // inbox[to * kFibers + from]: send times of messages not yet received.
+  std::vector<std::deque<double>> inbox(kFibers * kFibers);
+  LinearScanScheduler ref(ctx);
+  std::vector<int> want{ref.first()};
+  std::vector<int> got;
+  std::uint64_t yields = 0, parks = 0, ties = 0;
+
+  auto main = [&](int r) {
+    const auto u = static_cast<std::size_t>(r);
+    fib::set_current_rank(&ctx[u]);
+    fibers[u] = fib::current();
+    got.push_back(r);
+    for (int step = 0; step < kSteps; ++step) {
+      // Every fiber draws the step's operation and pairing from the same
+      // stream, so both ends of an exchange agree on it.
+      std::mt19937_64 shared(static_cast<std::uint64_t>(step) * 7919 + 1);
+      const std::uint64_t op = shared() % 4;
+      const int mask = 1 + static_cast<int>(shared() % (kFibers - 1));
+      std::mt19937_64 own(static_cast<std::uint64_t>(step * kFibers + r));
+      ctx[u].clock += static_cast<double>(own() % 3) * kTick;
+      for (int o = 0; o < kFibers; ++o)
+        ties += o != r && ctx[static_cast<std::size_t>(o)].clock == ctx[u].clock;
+      if (op == 0) {
+        fib::PureTask task;
+        task.fn = [](void*) {};
+        want.push_back(ref.busy(r));
+        fib::run_pure(task);
+        got.push_back(r);
+      } else if (op == 1) {
+        ++yields;
+        want.push_back(ref.yield(r));
+        fib::yield_point();
+        got.push_back(r);
+      } else {
+        const int peer = r ^ mask;
+        const auto p = static_cast<std::size_t>(peer);
+        inbox[p * kFibers + u].push_back(ctx[u].clock);
+        if (waits_on[p] == r) {
+          waits_on[p] = -1;
+          ref.wake(peer, ctx[u].clock);
+          fib::wake(fibers[p], ctx[u].clock);
+        }
+        auto& box = inbox[u * kFibers + p];
+        while (box.empty()) {
+          ++parks;
+          waits_on[u] = peer;
+          want.push_back(ref.park(r));
+          fib::park("exchange", peer);
+          got.push_back(r);
+        }
+        ctx[u].clock = std::max(ctx[u].clock, box.front()) + kTick;
+        box.pop_front();
+      }
+    }
+    const int next = ref.finish(r);
+    if (next >= 0) want.push_back(next);
+  };
+  fib::run_fibers(kFibers, main, [](const char* why) {
+    std::fprintf(stderr, "%s\n", why);
+  });
+  EXPECT_EQ(got, want);
+  EXPECT_GT(yields, 500u);
+  EXPECT_GT(parks, 500u);
+  EXPECT_GT(ties, 1000u) << "equal clocks barely exercised";
 }
 
 TEST(SchedulerDeathTest, DeadlockAbortsWithPerRankDump) {
