@@ -129,6 +129,7 @@ BlockHeader eos_header(std::uint64_t seq) {
 Stream::Stream(StreamConfig cfg) : cfg_(cfg) {
   if (cfg_.block_size == 0) throw std::invalid_argument("block_size == 0");
   if (cfg_.n_async <= 0) throw std::invalid_argument("n_async must be > 0");
+  if (!(cfg_.hb_lease >= 0)) throw std::invalid_argument("hb_lease < 0");
 }
 
 Stream::~Stream() {
@@ -179,7 +180,6 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   universe_ = env.universe;
   rt_ = env.runtime;
   writer_ = mode != nullptr && mode[0] == 'w';
-  open_ = true;
 
   if (obs::enabled()) {
     sobs().opens.add(1);
@@ -188,6 +188,9 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
                          mpi::Runtime::self().clock);
   }
 
+  auto crash_planned = [&](int w) {
+    return rt_->injector().enabled() && rt_->injector().has_crash(w);
+  };
   if (writer_) {
     peers_ = map.peers();
     if (peers_.empty()) throw std::invalid_argument("writer has no endpoint");
@@ -229,35 +232,20 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
       universe_.psend(&ctl, sizeof ctl, peer, kStreamCtlTag);
     out_.resize(static_cast<std::size_t>(cfg_.n_async));
     out_seq_.assign(peers_.size(), 0);
-    // Failover engages only when this run can actually lose a reader:
-    // fault injection on and a crash scheduled for at least one endpoint.
-    // A chained failover stays covered — the endpoint only moves after its
+    // Failover engages only when this run can actually lose a reader: a
+    // crash is scheduled for an endpoint or, since an elastic endpoint can
+    // move onto any member, for any member of the elastic partition. A
+    // chained failover stays covered — the endpoint only moves after its
     // original peer (which had a scheduled crash) died.
-    if (rt_->injector().enabled()) {
-      for (int peer : peers_) {
-        if (rt_->injector().has_crash(peer)) {
-          failover_armed_ = true;
-          break;
-        }
-      }
-      // With elastic membership the endpoint can migrate onto *any*
-      // member, so a crash scheduled anywhere in the elastic partition
-      // must arm the lease machinery even if the epoch-0 holder is safe.
-      if (!failover_armed_ && elastic_armed_) {
-        const net::ElasticSchedule& elastic = rt_->elastic();
-        for (int m = 0; m < elastic.n_members(); ++m) {
-          if (rt_->injector().has_crash(elastic.world_of_member(m))) {
-            failover_armed_ = true;
-            break;
-          }
-        }
-      }
-    }
-    if (failover_armed_ || elastic_armed_) resend_.resize(peers_.size());
-    if (elastic_armed_) {
+    failover_armed_ = std::ranges::any_of(peers_, crash_planned);
+    for (int m = 0; elastic_armed_ && m < elastic.n_members(); ++m)
+      failover_armed_ |= crash_planned(elastic.world_of_member(m));
+    if (failover_armed_ || elastic_armed_) {
+      resend_.resize(peers_.size());
       prior_holders_.resize(peers_.size());
       replay_base_.assign(peers_.size(), 0);
     }
+    open_ = true;  // only now may the destructor close it
     return;
   }
 
@@ -271,8 +259,9 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
   // off drain handoffs.
   std::vector<int> sources = map.peers();
   const net::ElasticSchedule& elastic = rt_->elastic();
-  if (elastic.enabled() && elastic.contains_world(env.universe_rank)) {
-    elastic_reader_ = true;
+  const bool elastic_reader =
+      elastic.enabled() && elastic.contains_world(env.universe_rank);
+  if (elastic_reader) {
     std::vector<int> active;
     for (const int m : elastic.active_at(0))
       active.push_back(elastic.world_of_member(m));
@@ -305,7 +294,6 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
       throw std::runtime_error("writers disagree on block size");
     cfg_.block_size = ctl.block_size;
     adopted = true;
-    geom_adopted_ = true;
     InPeer ip;
     ip.universe_rank = peer;
     ip.tag = ctl.tag;
@@ -314,32 +302,21 @@ void Stream::open_map(mpi::ProcEnv& env, const Map& map, const char* mode) {
       s = universe_.pirecv_block(cfg_.block_size + kFrameBytes, peer, ip.tag);
     in_peers_.push_back(std::move(ip));
   }
-  if (in_peers_.empty() && !elastic_reader_)
+  if (in_peers_.empty() && !elastic_reader)
     throw std::invalid_argument("reader has no endpoint");
   // A reader must hold the stream open past its own end-of-stream while a
   // sibling of its partition can still die: writers re-route the dead
   // sibling's endpoints here, and the adopted links arrive *after* this
   // reader's original writers closed. Armed by the same predicate the
-  // writers use, so a fault-free run never enters the grace loop.
-  if (rt_->injector().enabled()) {
-    const auto& mine = rt_->partition_of_world(env.universe_rank);
-    for (int r = mine.first_world_rank; r < mine.first_world_rank + mine.size;
-         ++r) {
-      if (r != env.universe_rank && rt_->injector().has_crash(r)) {
-        failover_possible_ = true;
-        break;
-      }
-    }
-  }
-  // An elastic member holds the stream open for drain handoffs even in a
-  // fault-free run: epoch boundaries re-route links here at any time
-  // until every writer finished.
-  if (elastic_reader_) failover_possible_ = true;
-  if (failover_possible_ && grace_ranks_.empty()) {
-    const auto& mine = rt_->partition_of_world(env.universe_rank);
-    for (int r = 0; r < rt_->world_size(); ++r)
-      if (!mine.contains_world(r)) grace_ranks_.push_back(r);
-  }
+  // writers use, so a fault-free run never enters the grace loop. An
+  // elastic member holds it open for drain handoffs even in a fault-free
+  // run: epoch boundaries re-route links here until every writer finished.
+  failover_possible_ = elastic_reader;
+  const auto& mine = rt_->partition_of_world(env.universe_rank);
+  for (int r = mine.first_world_rank; r < mine.first_world_rank + mine.size;
+       ++r)
+    failover_possible_ |= r != env.universe_rank && crash_planned(r);
+  open_ = true;
 }
 
 void Stream::open_peer(mpi::ProcEnv& env, int remote_universe_rank,
@@ -402,8 +379,7 @@ int Stream::write_partial(const void* buf, std::uint64_t bytes) {
     throw std::invalid_argument("bad partial-block size");
   auto& rc = mpi::Runtime::self();
   const double t_begin = rc.clock;
-  check_reader_leases();
-  if (elastic_armed_) check_elastic_epoch();
+  if (failover_armed_ || elastic_armed_) route_endpoints(true);
   const std::size_t ti = static_cast<std::size_t>(next_target());
   const int peer = peers_[ti];
   if (peer < 0) {
@@ -487,143 +463,45 @@ double Stream::peer_death_time(int peer) const {
   return t;
 }
 
-void Stream::check_reader_leases() {
-  if (!failover_armed_) return;
+void Stream::route_endpoints(bool follow_epoch) {
   auto& rc = mpi::Runtime::self();
-  for (std::size_t ti = 0; ti < peers_.size(); ++ti) {
-    for (;;) {
-      const int peer = peers_[ti];
-      if (peer < 0) break;
-      const double t_dead = peer_death_time(peer);
-      // Lease boundary is inclusive: at exactly t_dead + hb_lease the
-      // reader is declared dead. The candidate filter in
-      // fail_over_endpoint() uses the same `>=` on the same expression,
-      // so a rank rejected as a replacement here would also have been
-      // declared dead here — the two sites can never disagree about the
-      // boundary instant.
-      if (rc.clock < t_dead + cfg_.hb_lease) break;
-      fail_over_endpoint(ti, t_dead);
-      // The handshake + replay advanced the clock; re-judge the slot's
-      // new peer (pre-filtered to be inside its lease at declaration
-      // time, but possibly expired by the replay cost).
-    }
-  }
-}
-
-void Stream::fail_over_endpoint(std::size_t ti, double t_dead) {
-  auto& rc = mpi::Runtime::self();
-  const int dead = peers_[ti];
-  lease_dead_.push_back(dead);
-  // Every beacon the dead reader owed between its death and this
-  // declaration went unanswered; the count is derived rather than
-  // messaged (see StreamConfig) so it is exact and free.
-  const double silent = rc.clock - t_dead;
-  const std::uint64_t missed =
-      cfg_.hb_interval > 0.0
-          ? std::max<std::uint64_t>(
-                1, static_cast<std::uint64_t>(silent / cfg_.hb_interval))
-          : 1;
-  heartbeats_missed_ += missed;
-  ++failovers_;
-  const double t0 = rc.clock;
-
-  if (obs::enabled()) {
-    sobs().failovers.add(1);
-    sobs().hb_missed.add(missed);
-  }
-  // The chosen survivor can itself be dead — already (a cascading crash
-  // this writer has not charged a lease against yet) or by dying while
-  // the handshake is in flight. Either way the re-route must chain to
-  // the next survivor instead of wedging this endpoint on a corpse; each
-  // extra hop is charged like an ordinary failover (the dead target's
-  // missed beacon and the detection gap go to the loss accounting).
-  for (;;) {
-    // Survivors of the dead reader's partition, excluding ranks this
-    // writer already declared dead, ranks the oracle says are dead at
-    // this virtual instant, ranks past their own lease, and current
-    // endpoints — sharing a target would collide two sequence spaces on
-    // a single (source, tag) link.
+  const net::ElasticSchedule& elastic = rt_->elastic();
+  // Where a dead holder's link goes: a survivor of its partition that is
+  // alive at this instant (the boundary instant of a crash is dead, as in
+  // poll_scheduled_crash; that also rules out every rank this writer has
+  // declared dead). It must hold none of this writer's endpoints — two
+  // sequence spaces would collide on one (source, tag) link — and never
+  // have held this link: its partials already cover those sequence
+  // ranges. Under elastic membership it must be active. -1 when nobody
+  // is left.
+  auto successor = [&](std::size_t ti) {
+    const int dead = peers_[ti];
+    const int epoch = elastic_armed_ ? elastic.epoch_at(rc.clock) : 0;
     const auto& part = rt_->partition_of_world(dead);
     std::vector<int> cands;
     for (int r = part.first_world_rank; r < part.first_world_rank + part.size;
          ++r) {
-      if (r == dead || r == rc.world_rank) continue;
-      if (std::find(lease_dead_.begin(), lease_dead_.end(), r) !=
-          lease_dead_.end())
+      const int m = elastic_armed_ ? elastic.member_of_world(r) : -1;
+      if (r == rc.world_rank || peer_death_time(r) <= rc.clock ||
+          std::ranges::find(peers_, r) != peers_.end() ||
+          std::ranges::count(prior_holders_[ti], r) != 0 ||
+          (m >= 0 && !elastic.is_active(m, epoch)))
         continue;
-      if (std::find(peers_.begin(), peers_.end(), r) != peers_.end()) continue;
-      // Boundary audit: `<=` mirrors poll_scheduled_crash (a rank is dead
-      // once clock >= its crash time — the boundary instant is dead), and
-      // the `>=` lease test below matches check_reader_leases() exactly,
-      // so a candidate adopted here can never be one the very next lease
-      // scan would immediately re-declare.
-      if (peer_death_time(r) <= rc.clock) continue;  // already dead now
-      if (rc.clock >= peer_death_time(r) + cfg_.hb_lease) continue;
-      if (elastic_armed_) {
-        // Membership-aware: only currently-active members may adopt, and
-        // a rank that held this link in an earlier epoch never re-adopts
-        // it — its partials already cover those sequence ranges, so
-        // handing the link back would double-analyze the replayed tail.
-        const net::ElasticSchedule& elastic = rt_->elastic();
-        const int m = elastic.member_of_world(r);
-        if (m >= 0 && !elastic.is_active(m, elastic.epoch_at(rc.clock)))
-          continue;
-        if (std::find(prior_holders_[ti].begin(), prior_holders_[ti].end(),
-                      r) != prior_holders_[ti].end())
-          continue;
-      }
       cands.push_back(r);
     }
-    const int target = Map::failover_target(
-        kRemapPolicy, rt_->config().seed, rc.world_rank, dead, cands,
-        elastic_armed_ ? rt_->elastic().epoch_at(rc.clock) : 0);
-    if (target < 0) {
-      // Total partition loss: the endpoint becomes a dead end; further
-      // writes to it are counted failed.
-      peers_[ti] = -1;
-      return;
-    }
-    FailoverCtl fc;
-    fc.ctl = StreamCtl{data_tag_, cfg_.block_size, cfg_.n_async};
-    fc.resume_seq = out_seq_[ti];
-    fc.replayed = resend_[ti].size();
-    if (elastic_armed_) fc.base_seq = replay_base_[ti];
-    universe_.psend(&fc, sizeof fc, target, kStreamFailoverTag);
-    // Replay the unacknowledged tail. Original sequence numbers are baked
-    // into the frames, so the new link's gap accounting charges exactly
-    // the unreplayable prefix as lost — replayed blocks can never be
-    // counted lost, and (the dead reader's partial analysis dying with
-    // it) never analysed twice either.
-    for (const auto& blk : resend_[ti]) {
-      universe_.psend(blk->data(), blk->size(), target, data_tag_);
-      ++resent_blocks_;
-      if (obs::enabled()) sobs().resent.add(1);
-    }
-    // after_calls crashes have no oracle, so the target may only now be
-    // observably dead; the handshake and replay above went to a corpse.
-    // Chain: declare it, charge the hop, pick the next survivor (which
-    // re-replays the same ring — the dead target analysed nothing).
-    if (rt_->rank_dead(target) && rt_->death_time(target) <= rc.clock) {
-      lease_dead_.push_back(target);
-      ++failovers_;
-      ++heartbeats_missed_;
-      if (obs::enabled()) {
-        sobs().failovers.add(1);
-        sobs().hb_missed.add(1);
-      }
-      continue;
-    }
-    peers_[ti] = target;
-    break;
+    return Map::failover_target(kRemapPolicy, rt_->config().seed,
+                                rc.world_rank, dead, cands, epoch);
+  };
+  // Lease boundary is inclusive: at exactly t_dead + hb_lease the reader
+  // is declared dead. A move advances the clock, so the new holder is
+  // judged again at once.
+  if (failover_armed_) {
+    for (std::size_t ti = 0; ti < peers_.size(); ++ti)
+      while (peers_[ti] >= 0 &&
+             rc.clock >= peer_death_time(peers_[ti]) + cfg_.hb_lease)
+        move_link(ti, successor(ti), false);
   }
-  if (obs::enabled())
-    obs::trace_span("stream", "stream.failover", t0, rc.clock,
-                    static_cast<std::uint64_t>(resend_[ti].size()), "blocks");
-}
-
-void Stream::check_elastic_epoch() {
-  auto& rc = mpi::Runtime::self();
-  const net::ElasticSchedule& elastic = rt_->elastic();
+  if (!follow_epoch || !elastic_armed_) return;
   const int now = elastic.epoch_at(rc.clock);
   if (now == elastic_epoch_) return;
   elastic_epoch_ = now;
@@ -637,170 +515,167 @@ void Stream::check_elastic_epoch() {
                                         rc.world_rank, now, active);
     if (want < 0 || want == old) continue;
     // A holder the oracle already declares dead cannot acknowledge a
-    // drain — its partial analysis died with it — so the handoff must be
-    // the crash kind: ledger charged, ring replayed. (The lease scan may
-    // not have fired yet; the epoch boundary is just an earlier trigger.)
-    if (peer_death_time(old) <= rc.clock) {
-      fail_over_endpoint(ti, peer_death_time(old));
-      continue;
-    }
-    drain_handoff(ti, want);
+    // drain — its partial analysis died with it — so the boundary moves
+    // the link as a crash, before its lease would have.
+    if (peer_death_time(old) <= rc.clock)
+      move_link(ti, successor(ti), false);
+    else
+      move_link(ti, want, true);
   }
 }
 
-void Stream::drain_handoff(std::size_t ti, int want) {
+void Stream::move_link(std::size_t ti, int target, bool drain) {
   auto& rc = mpi::Runtime::self();
   const int old = peers_[ti];
-  // Per-link FIFO: every in-flight block of this endpoint is delivered
-  // before this header-only drain end-of-stream, whose seq equals the
-  // link's final block count — the old holder sees a clean close with a
-  // zero sequence gap.
-  const BlockHeader h = eos_header(out_seq_[ti]);
-  universe_.psend(&h, sizeof h, old, data_tag_);
-  // The old holder is live and analyzes everything delivered so far;
-  // replaying any of it to the successor would double-count. Advance the
-  // accountability base instead: a later *crash* successor charges its
-  // ledger only from here.
-  resend_[ti].clear();
-  replay_base_[ti] = out_seq_[ti];
-  prior_holders_[ti].push_back(old);
-  FailoverCtl fc;
-  fc.ctl = StreamCtl{data_tag_, cfg_.block_size, cfg_.n_async};
-  fc.resume_seq = out_seq_[ti];
-  fc.replayed = 0;
-  fc.base_seq = replay_base_[ti];
-  fc.drain = 1;
-  universe_.psend(&fc, sizeof fc, want, kStreamFailoverTag);
-  peers_[ti] = want;
-  ++planned_handoffs_;
-  if (obs::enabled()) {
+  const double t0 = rc.clock;
+  std::uint64_t missed = 0;
+  if (drain) {
+    // Per-link FIFO: every in-flight block reaches the old holder before
+    // this drain end-of-stream, whose seq is the link's final block count,
+    // so it sees a clean close with no gap. It analyzes all of that, so
+    // replaying any of it would double-count: drop the ring and advance
+    // the base a later crash successor is charged from.
+    const BlockHeader h = eos_header(out_seq_[ti]);
+    universe_.psend(&h, sizeof h, old, data_tag_);
+    resend_[ti].clear();
+    replay_base_[ti] = out_seq_[ti];
+    prior_holders_[ti].push_back(old);
+    ++planned_handoffs_;
+  } else {
+    // Every beacon the dead reader owed between its death and now went
+    // unanswered; the count is derived rather than messaged (see
+    // StreamConfig) so it is exact and free.
+    const double silent = rc.clock - peer_death_time(old);
+    missed = cfg_.hb_interval > 0.0
+                 ? std::max<std::uint64_t>(
+                       1, static_cast<std::uint64_t>(silent / cfg_.hb_interval))
+                 : 1;
+    heartbeats_missed_ += missed;
+    ++failovers_;
+  }
+  if (target >= 0) {
+    FailoverCtl fc;
+    fc.ctl = StreamCtl{data_tag_, cfg_.block_size, cfg_.n_async};
+    fc.resume_seq = out_seq_[ti];
+    fc.replayed = resend_[ti].size();
+    fc.base_seq = replay_base_[ti];
+    fc.drain = drain ? 1 : 0;
+    universe_.psend(&fc, sizeof fc, target, kStreamFailoverTag);
+    // Replay the unacknowledged tail (none after a drain). Original
+    // sequence numbers are baked into the frames, so the new link's gap
+    // accounting charges exactly the unreplayable prefix as lost —
+    // replayed blocks can never be counted lost, and (the dead reader's
+    // partial analysis dying with it) never analysed twice either.
+    for (const auto& blk : resend_[ti]) {
+      universe_.psend(blk->data(), blk->size(), target, data_tag_);
+      ++resent_blocks_;
+      if (obs::enabled()) sobs().resent.add(1);
+    }
+  }
+  peers_[ti] = target;
+  if (!obs::enabled()) return;
+  if (drain) {
     sobs().planned_handoffs.add(1);
     obs::trace_instant("stream", "stream.drain_handoff", rc.clock);
+  } else {
+    sobs().failovers.add(1);
+    sobs().hb_missed.add(missed);
+    obs::trace_span("stream", "stream.failover", t0, rc.clock,
+                    static_cast<std::uint64_t>(resend_[ti].size()), "blocks");
   }
 }
 
-bool Stream::accept_failover_joins() {
+/// A handshake is the writer's FailoverCtl plus the rank that sent it.
+struct Stream::Join {
+  int src = -1;
+  FailoverCtl fc;
+};
+
+bool Stream::accept_joins() {
   auto& rc = mpi::Runtime::self();
   bool any = false;
-  // Retry handshakes deferred behind a still-live previous incarnation of
-  // the same link (its drain end-of-stream must be consumed first).
-  if (!pending_joins_.empty()) {
-    std::vector<FailoverHello> still;
-    for (const auto& hello : pending_joins_) {
-      if (adopt_join(hello))
-        any = true;
-      else
-        still.push_back(hello);
-    }
-    pending_joins_.swap(still);
-  }
-  std::uint64_t bytes = 0;
-  int src = -1;
-  int tag = -1;
-  while (rt_->mailbox(rc.world_rank)
-             .probe(universe_.context(), mpi::kAnySource, kStreamFailoverTag,
-                    &bytes, &src, &tag)) {
-    FailoverCtl fc;
-    if (universe_.precv(&fc, sizeof fc, src, kStreamFailoverTag).error != 0)
-      break;  // the adopting writer died mid-handshake
-    if (!geom_adopted_ && in_peers_.empty()) {
-      // Spare elastic member: no StreamCtl ever taught it the writers'
-      // geometry, so the first handoff does. All writers of an elastic
-      // partition share one block size (enforced below from then on).
-      cfg_.block_size = fc.ctl.block_size;
-      geom_adopted_ = true;
-    }
-    if (fc.ctl.block_size != cfg_.block_size)
-      throw std::runtime_error("failover writer disagrees on block size");
-    FailoverHello hello;
-    hello.src = src;
-    hello.tag = fc.ctl.tag;
-    hello.n_async = fc.ctl.n_async;
-    hello.resume_seq = fc.resume_seq;
-    hello.replayed = fc.replayed;
-    hello.base_seq = fc.base_seq;
-    hello.drain = fc.drain != 0;
-    if (adopt_join(hello))
+  auto take = [&](const Join& j) {
+    if (adopt(j))
       any = true;
     else
-      pending_joins_.push_back(hello);
+      pending_joins_.push_back(j);
+  };
+  // Deferred handshakes first, in arrival order.
+  std::vector<Join> deferred;
+  deferred.swap(pending_joins_);
+  for (const Join& j : deferred) take(j);
+  int src = -1;
+  while (rt_->mailbox(rc.world_rank)
+             .probe(universe_.context(), mpi::kAnySource, kStreamFailoverTag,
+                    nullptr, &src, nullptr)) {
+    // Matches at once: the handshake is queued here, eager, and a
+    // writer's crash sweep keeps eager sends.
+    Join j{src, {}};
+    universe_.precv(&j.fc, sizeof j.fc, src, kStreamFailoverTag);
+    // A spare elastic member opened with no link, so no StreamCtl taught
+    // it the writers' geometry: its first handshake does. All writers of
+    // an elastic partition share one block size.
+    if (in_peers_.empty()) cfg_.block_size = j.fc.ctl.block_size;
+    if (j.fc.ctl.block_size != cfg_.block_size)
+      throw std::runtime_error("failover writer disagrees on block size");
+    take(j);
   }
   return any;
 }
 
-bool Stream::adopt_join(const FailoverHello& hello) {
-  auto& rc = mpi::Runtime::self();
-  InPeer* prior = nullptr;
-  for (auto& p : in_peers_)
-    if (p.universe_rank == hello.src && p.tag == hello.tag) prior = &p;
-  if (prior && !prior->closed && !prior->dead)
-    return false;  // the previous incarnation's drain EOS is still queued
-  InPeer fresh;
-  InPeer& ip = prior ? *prior : fresh;
-  ip.universe_rank = hello.src;
-  ip.tag = hello.tag;
-  if (hello.drain) {
+bool Stream::adopt(const Join& j) {
+  const FailoverCtl& fc = j.fc;
+  auto ip = std::ranges::find_if(in_peers_, [&](const InPeer& p) {
+    return p.universe_rank == j.src && p.tag == fc.ctl.tag;
+  });
+  if (ip == in_peers_.end()) {
+    ip = in_peers_.emplace(in_peers_.end());
+    ip->universe_rank = j.src;
+    ip->tag = fc.ctl.tag;
+  } else if (!ip->closed && !ip->dead) {
+    return false;  // the previous incarnation's drain EOS is still unread
+  }
+  if (fc.drain != 0) {
     // Clean handoff: pick up exactly where the previous holder stopped —
     // no gap, nothing replayed, nothing charged to the ledger.
-    ip.drain_join = true;
-    ip.expected_seq = hello.resume_seq;
+    ip->drain_join = true;
+    ip->expected_seq = fc.resume_seq;
     ++drain_joins_;
   } else {
     // Crash handoff: accountable from the last clean-handoff base (0
     // under fixed membership). The gap up to the first replayed block
     // charges exactly the unreplayable-and-unanalyzed prefix.
-    ip.failover_join = true;
-    ip.replay_announced += hello.replayed;
-    ip.expected_seq = hello.base_seq;
+    ip->failover_join = true;
+    ip->replay_announced += fc.replayed;
+    ip->expected_seq = fc.base_seq;
     ++failover_joins_;
   }
-  ip.closed = false;
-  ip.dead = false;
-  ip.consecutive_corrupt = 0;
-  if (ip.slots.empty()) {
-    ip.head = 0;
-    ip.slots.resize(static_cast<std::size_t>(std::max(1, hello.n_async)));
-    for (auto& s : ip.slots)
-      s = universe_.pirecv_block(cfg_.block_size + kFrameBytes, hello.src,
-                                 ip.tag);
-  } else {
+  ip->closed = false;
+  ip->dead = false;
+  ip->consecutive_corrupt = 0;
+  if (ip->slots.empty()) {
+    ip->head = 0;
+    ip->slots.resize(static_cast<std::size_t>(std::max(1, fc.ctl.n_async)));
+    for (auto& s : ip->slots)
+      s = universe_.pirecv_block(cfg_.block_size + kFrameBytes, j.src,
+                                 ip->tag);
+  } else if (!ip->slots[ip->head]) {
     // Reopen of a cleanly-closed incarnation: every slot except the one
     // that consumed the end-of-stream is still posted. Re-arm that slot
     // and advance past it, so consumption order keeps matching the
     // per-link post order (FIFO matching would otherwise wedge the head
     // behind n_async-1 older receives).
-    auto& s = ip.slots[ip.head];
-    if (!s) {
-      s = universe_.pirecv_block(cfg_.block_size + kFrameBytes, hello.src,
-                                 ip.tag);
-      ip.head = (ip.head + 1) % ip.slots.size();
-    }
+    ip->slots[ip->head] = universe_.pirecv_block(
+        cfg_.block_size + kFrameBytes, j.src, ip->tag);
+    ip->head = (ip->head + 1) % ip->slots.size();
   }
   if (obs::enabled()) {
-    (hello.drain ? sobs().drain_joins : sobs().failover_joins).add(1);
+    const bool drain = fc.drain != 0;
+    (drain ? sobs().drain_joins : sobs().failover_joins).add(1);
     obs::trace_instant(
-        "stream", hello.drain ? "stream.drain_join" : "stream.failover_join",
-        rc.clock);
+        "stream", drain ? "stream.drain_join" : "stream.failover_join",
+        mpi::Runtime::self().clock);
   }
-  if (!prior) in_peers_.push_back(std::move(fresh));
-  return true;
-}
-
-bool Stream::failover_grace_over() {
-  auto& rc = mpi::Runtime::self();
-  // A deferred handshake will be adopted once its link's previous
-  // incarnation closes — never exit while one is pending.
-  if (!pending_joins_.empty()) return false;
-  // A queued handshake means a join is imminent — never exit under it.
-  if (rt_->mailbox(rc.world_rank)
-          .probe(universe_.context(), mpi::kAnySource, kStreamFailoverTag,
-                 nullptr, nullptr, nullptr))
-    return false;
-  // Writers queue their handshake strictly before finishing, so once every
-  // rank outside this partition is finished (or dead) and the mailbox
-  // holds no handshake, no join can ever arrive again.
-  for (int r : grace_ranks_)
-    if (!rt_->rank_finished(r) && !rt_->rank_dead(r)) return false;
   return true;
 }
 
@@ -808,8 +683,7 @@ void Stream::mark_peer_dead(InPeer& ip) {
   if (ip.dead) return;
   ip.dead = true;
   // The simulated reader spent its detection timeout before giving up.
-  if (mpi::Runtime::on_rank_thread())
-    mpi::Runtime::self().advance(kReadDeadline);
+  mpi::Runtime::self().advance(kReadDeadline);
 }
 
 bool Stream::scan_silent_dead() {
@@ -824,14 +698,12 @@ bool Stream::scan_silent_dead() {
   for (auto& ip : in_peers_) {
     if (ip.closed || ip.dead) continue;
     if (!rt_->rank_finished(ip.universe_rank)) continue;
-    if (!ip.slots.empty()) {
-      auto& head = ip.slots[ip.head];
-      if (head && head->is_done()) continue;  // data to consume
-      if (rt_->mailbox(rc.world_rank)
-              .probe(universe_.context(), ip.universe_rank, ip.tag, nullptr,
-                     nullptr, nullptr))
-        continue;  // a block is queued but unmatched; let it arrive
-    }
+    auto& head = ip.slots[ip.head];  // a live link always has its slots
+    if (head && head->is_done()) continue;  // data to consume
+    if (rt_->mailbox(rc.world_rank)
+            .probe(universe_.context(), ip.universe_rank, ip.tag, nullptr,
+                   nullptr, nullptr))
+      continue;  // a block is queued but unmatched; let it arrive
     mark_peer_dead(ip);
     changed = true;
   }
@@ -1014,8 +886,17 @@ int Stream::read_impl(void* buf, BufferRef* out, int nblocks, int flags) {
         // elastic epoch boundary) may still re-route endpoints here: hold
         // the stream open until no join can ever arrive (grace), adopting
         // handshakes as they land.
-        if (accept_failover_joins()) continue;  // adopted a link: rescan
-        if (!failover_grace_over()) {
+        if (accept_joins()) continue;  // adopted a link: rescan
+        // Writers queue their handshake strictly before finishing, and
+        // accept_joins() just emptied the queue and adopted every deferred
+        // one (every link is closed or dead here): once every rank outside
+        // this partition is finished or dead, no join can arrive again.
+        const auto& mine = rt_->partition_of_world(rc.world_rank);
+        bool grace_over = true;
+        for (int w = 0; w < rt_->world_size(); ++w)
+          grace_over &= mine.contains_world(w) || rt_->rank_finished(w) ||
+                        rt_->rank_dead(w);
+        if (!grace_over) {
           if (flags & kNonblock) return kEagain;
           mpi::fib::idle();
           continue;
@@ -1025,7 +906,7 @@ int Stream::read_impl(void* buf, BufferRef* out, int nblocks, int flags) {
     }
     // Nothing ready.
     if (got > 0) return got;
-    if (failover_possible_) accept_failover_joins();
+    if (failover_possible_) accept_joins();
     if (flags & kNonblock) {
       // A spinning non-blocking reader must still notice dead writers,
       // or the kEagain loop never terminates.
@@ -1036,7 +917,7 @@ int Stream::read_impl(void* buf, BufferRef* out, int nblocks, int flags) {
     std::vector<mpi::Request> heads;
     heads.reserve(in_peers_.size());
     for (auto& ip : in_peers_) {
-      if (!ip.closed && !ip.dead && !ip.slots.empty() && ip.slots[ip.head])
+      if (!ip.closed && !ip.dead && ip.slots[ip.head])
         heads.push_back(ip.slots[ip.head]);
     }
     if (heads.empty()) {
@@ -1100,7 +981,7 @@ void Stream::close() {
     // A reader may have died since the last write; re-route its endpoint
     // *before* end-of-stream so the EOS (and the replayed tail) reach the
     // survivor instead of vanishing into a dead mailbox.
-    check_reader_leases();
+    route_endpoints(false);
     for (auto& req : out_) {
       if (!req) continue;
       if (mpi::pwait(req).error != 0) ++writes_failed_;

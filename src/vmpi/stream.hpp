@@ -250,21 +250,8 @@ class Stream {
     std::uint64_t replay_announced = 0;  ///< Writer's announced replay count.
   };
 
-  /// A decoded failover/drain handshake, kept pending when it targets a
-  /// link whose previous incarnation (same writer, same tag) is still
-  /// live — the queued drain end-of-stream must close it first, or the
-  /// reopen would corrupt the old incarnation's sequence accounting.
-  struct FailoverHello {
-    int src = -1;
-    int tag = 0;
-    int n_async = 0;
-    std::uint64_t resume_seq = 0;
-    std::uint64_t replayed = 0;
-    /// First sequence number the successor is accountable for: everything
-    /// below it was analyzed by live previous holders of the link.
-    std::uint64_t base_seq = 0;
-    bool drain = false;  ///< Planned handoff (clean), not a crash failover.
-  };
+  /// A received failover/drain handshake and its sender (stream.cpp).
+  struct Join;
 
   int next_target();
   int acquire_out_buf();
@@ -272,38 +259,29 @@ class Stream {
   /// (nblocks must be 1) instead of copying into `buf`.
   int read_counted(void* buf, BufferRef* out, int nblocks, int flags);
   int read_impl(void* buf, BufferRef* out, int nblocks, int flags);
-  /// Writer: declare readers whose lease expired dead and re-route their
-  /// endpoints. Called on entry to write_partial() and close().
-  void check_reader_leases();
+  /// Writer: move every endpoint that must move. A reader
+  /// whose lease expired moves to a crash successor; with `follow_epoch`,
+  /// a holder that an elastic epoch boundary no longer routes to drains
+  /// to the new one (or, if it is already dead, moves as a crash). Called
+  /// on entry to write_partial() (following epochs) and close() (not).
+  void route_endpoints(bool follow_epoch);
   /// Writer: earliest virtual time at which `peer` dies, from the fault
   /// plan's oracle (at_time crashes) or the recorded death (after_calls
   /// crashes); +inf for a healthy rank.
   double peer_death_time(int peer) const;
-  /// Writer: re-route endpoint `ti` (whose reader died at `t_dead`) to a
-  /// surviving rank of the same partition and replay the resend window.
-  /// Returns false when no survivor exists (endpoint becomes a dead end).
-  void fail_over_endpoint(std::size_t ti, double t_dead);
-  /// Writer: execute any elastic epoch transition the virtual clock has
-  /// crossed — re-route every endpoint whose elastic_route changed, via a
-  /// drain handoff (live old holder) or crash failover (dead old holder).
-  void check_elastic_epoch();
-  /// Writer: planned handoff of endpoint `ti` from its live current
-  /// holder to active member `want`: drain end-of-stream to the old
-  /// holder (zero sequence gap), drop the resend ring (the old holder
-  /// analyzed it; replaying would double-count), drain-flagged handshake
-  /// to the successor.
-  void drain_handoff(std::size_t ti, int want);
-  /// Reader: adopt any pending failover/drain handshakes into in_peers_.
-  /// Returns true when at least one link was adopted or reopened (the
-  /// caller must rescan — a reopen does not change in_peers_.size()).
-  bool accept_failover_joins();
-  /// Reader: apply one decoded handshake — fresh link, or reopen of a
-  /// closed previous incarnation. Returns false when it must stay pending
-  /// (previous incarnation still live).
-  bool adopt_join(const FailoverHello& hello);
-  /// Reader: true once no failover join can ever arrive again (every
-  /// potential writer rank finished and no handshake is queued).
-  bool failover_grace_over();
+  /// Writer: the one link move. Hands endpoint `ti` to `target` with a
+  /// FailoverCtl handshake. A crash move charges the dead holder's missed
+  /// beacons and replays the resend ring; `target` -1 makes the endpoint
+  /// a dead end. A drain move first closes the live holder with a drain
+  /// end-of-stream, then drops the ring and advances the accountability
+  /// base (the holder analyzed all of it).
+  void move_link(std::size_t ti, int target, bool drain);
+  /// Reader: adopt queued and deferred handshakes. Returns true when at
+  /// least one link was adopted or reopened (the caller must rescan).
+  bool accept_joins();
+  /// Reader: apply one handshake — a new link, or a reopen of the closed
+  /// previous incarnation. False while that incarnation is still live.
+  bool adopt(const Join& join);
   /// Try to consume one completed block, copied into `buf` or, with
   /// `out`, handed over as a view of its block; -2 when nothing ready, 0
   /// when every peer closed cleanly, -3 when done with >= 1 dead peer.
@@ -338,7 +316,6 @@ class Stream {
   bool failover_armed_ = false;
   /// Per-endpoint ring of framed block copies available for replay.
   std::vector<std::deque<BufferRef>> resend_;
-  std::vector<int> lease_dead_;  ///< Readers this writer declared dead.
   std::uint64_t failovers_ = 0;
   std::uint64_t heartbeats_missed_ = 0;
   std::uint64_t resent_blocks_ = 0;
@@ -364,21 +341,12 @@ class Stream {
   std::size_t rr_peer_ = 0;
   mpi::WaitSet waitset_;  ///< Wait-any target for blocking reads.
   bool failover_possible_ = false;
-  /// Ranks whose termination ends the failover grace period (everything
-  /// outside this reader's partition).
-  std::vector<int> grace_ranks_;
   std::uint64_t failover_joins_ = 0;
-  /// Reader: elastic member — may start with zero links (spare) and must
-  /// keep accepting handoffs until the grace period ends.
-  bool elastic_reader_ = false;
-  /// Reader: stream geometry (block size) has been adopted from a writer
-  /// handshake. A spare that opened with zero links adopts it from its
-  /// first handoff instead; after that, disagreement is a hard error.
-  bool geom_adopted_ = false;
   std::uint64_t drain_joins_ = 0;
-  /// Handshakes deferred because the link's previous incarnation was
-  /// still live when they arrived (see FailoverHello).
-  std::vector<FailoverHello> pending_joins_;
+  /// Handshakes that arrived while their link's previous incarnation was
+  /// still live: its drain end-of-stream must close it first, or the
+  /// reopen would corrupt that incarnation's sequence accounting.
+  std::vector<Join> pending_joins_;
 
   std::uint64_t blocks_written_ = 0;
   std::uint64_t blocks_read_ = 0;

@@ -414,7 +414,7 @@ LeaseProbe probe_lease_boundary(double probe_clock, int pre_blocks) {
 
 TEST(FailoverLease, BoundaryIsInclusiveDeclaredExactlyAtDeadline) {
   // Clock exactly t_dead + hb_lease — the same double expression
-  // check_reader_leases computes from the crash oracle: the inclusive
+  // route_endpoints computes from the crash oracle: the inclusive
   // `>=` must declare at this very write, so only the two pre-blocks
   // were in the ring when the failover replayed it.
   const LeaseProbe p = probe_lease_boundary(kLeaseDead + kLeaseLen, 2);

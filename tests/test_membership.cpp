@@ -165,6 +165,69 @@ TEST(Membership, CrashOfDrainingNodeChargesOnlyUnreplayablePrefix) {
       << "same seed must emit bit-identical report bytes under crash";
 }
 
+TEST(Membership, LinkReturningToAClosedHolderReopensIt) {
+  // A spare joins at 1 ms and leaves at 2.5 ms. Under round-robin routing
+  // writer 0 goes member 0 -> 1 -> 0 and writer 5 goes 1 -> 0 -> 1: each
+  // link comes back to a base member that has already read the drain
+  // end-of-stream of its first tenure. That member reopens the closed
+  // link where the writer resumes; everything is analysed exactly once.
+  SessionConfig cfg = elastic_config();
+  cfg.analyzer_ratio = 4;
+  cfg.elastic.spares = 1;
+  cfg.elastic.plan.push_back({.at_time = 1e-3, .member = 2, .join = true});
+  cfg.elastic.plan.push_back({.at_time = 2.5e-3, .member = 2, .join = false});
+  Session session(cfg);
+  const int app = session.add_application("ring", 8, ring(600));
+  auto results = session.run();
+
+  EXPECT_EQ(results->health.membership_epochs, 3u);
+  EXPECT_EQ(results->health.failover_joins, 0u);
+  EXPECT_GT(results->health.planned_handoffs, 0u);
+  const an::AppResults* r = results->find(app);
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->loss.clean()) << "a reopened link must resume seamlessly";
+  EXPECT_EQ(r->total_events, session.instrument_totals().events);
+}
+
+TEST(Membership, HandshakeBehindAnUnreadDrainWaitsForIt) {
+  // Two spares join (1 ms, 2 ms) and base member 1 leaves at 3 ms. Writer
+  // 7's link goes member 1 -> 2 -> 1 -> 2, writer 1's goes 1 -> 2 -> 3 ->
+  // 2. Spare 2 has no link at open and idles until no other rank can run,
+  // so it finds both handshakes of a writer queued at once: the second
+  // must wait until the first tenure's drain end-of-stream has been
+  // read, then reopen the link. Adopting it early would feed the second
+  // tenure's blocks to the first one's sequence accounting; dropping it
+  // would lose them.
+  auto run_once = [](const std::string& dir) {
+    SessionConfig cfg = elastic_config();
+    cfg.analyzer_ratio = 4;
+    cfg.output_dir = dir;
+    cfg.elastic.spares = 2;
+    cfg.elastic.plan.push_back({.at_time = 1e-3, .member = 2, .join = true});
+    cfg.elastic.plan.push_back({.at_time = 2e-3, .member = 3, .join = true});
+    cfg.elastic.plan.push_back({.at_time = 3e-3, .member = 1, .join = false});
+    Session session(cfg);
+    const int app = session.add_application("ring", 8, ring(600));
+    auto results = session.run();
+    EXPECT_EQ(results->find(app)->total_events,
+              session.instrument_totals().events)
+        << "every block of every tenure must be analysed exactly once";
+    return std::make_pair(results, slurp(dir + "/report.md"));
+  };
+  auto [ra, rep_a] = run_once(testing::TempDir() + "esp_membership_defer_a");
+  auto [rb, rep_b] = run_once(testing::TempDir() + "esp_membership_defer_b");
+
+  EXPECT_EQ(ra->health.membership_epochs, 4u);
+  EXPECT_EQ(ra->health.failover_joins, 0u);
+  EXPECT_GT(ra->health.planned_handoffs, 0u);
+  const an::AppResults* r = ra->find(0);
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->loss.clean());
+  EXPECT_EQ(ra->health.planned_handoffs, rb->health.planned_handoffs);
+  ASSERT_FALSE(rep_a.empty());
+  EXPECT_EQ(rep_a, rep_b);
+}
+
 TEST(Membership, JoinRacingTenantAttachStaysDeterministic) {
   // A tenant arrives at exactly the virtual instant a spare joins: both
   // transitions are pure functions of the seed and the schedule, so the

@@ -342,6 +342,13 @@ TEST(VmpiStream, WriterWithoutEndpointThrows) {
   rt.run();
 }
 
+TEST(VmpiStream, NegativeLeaseIsRejected) {
+  // A lease below zero would declare a reader dead before it dies, so a
+  // rank declared dead could be picked again as its own successor.
+  EXPECT_THROW(Stream(StreamConfig{.hb_lease = -1e-3}), std::invalid_argument);
+  EXPECT_NO_THROW(Stream(StreamConfig{.hb_lease = 0.0}));
+}
+
 TEST(VmpiStream, NeverOpenedStreamFailsCleanly) {
   Stream st;
   std::byte b{};
@@ -980,6 +987,158 @@ TEST(VmpiStream, SameSeedRunsAreIdenticalWithHelpersOrInline) {
   const StreamPrint inline_run = run_stream_job();
   mpi::fib::set_inline_pure_for_testing(false);
   EXPECT_EQ(inline_run, first) << "inline byte work changed the run";
+}
+
+TEST(VmpiStream, WriterWhoseWholeReaderPartitionDiedWritesIntoADeadEnd) {
+  // Writers w0, w1 (world 0, 1) map one-to-one onto readers r0, r1
+  // (world 2, 3), and both readers crash at 1 ms. Past the lease each
+  // writer declares its reader dead and finds no survivor: the endpoint
+  // becomes a dead end. Later writes must fail (counted, never blocking),
+  // and close() must send no end-of-stream at all — a send to rank -1
+  // would throw out of the writer and out of rt.run().
+  constexpr int kEarly = 2, kLate = 3;
+  std::vector<StreamStats> writer_stats(2);
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", 2, [&](ProcEnv& env) {
+                     Map map;
+                     map.map_partitions(
+                         env, env.runtime->partition_by_name("r")->id,
+                         MapPolicy::RoundRobin);
+                     StreamConfig sc;
+                     sc.block_size = 4096;
+                     sc.hb_lease = 5e-4;
+                     Stream st(sc);
+                     st.open_map(env, map, "w");
+                     std::vector<std::byte> block(4096);
+                     for (int b = 0; b < kEarly; ++b) st.write(block.data(), 1);
+                     mpi::compute(5e-3);  // past both deaths and the lease
+                     for (int b = 0; b < kLate; ++b) st.write(block.data(), 1);
+                     st.close();
+                     writer_stats[static_cast<std::size_t>(env.world_rank)] =
+                         st.stats();
+                   }});
+  progs.push_back({"r", 2, [](ProcEnv& env) {
+                     Map map;
+                     map.map_partitions(
+                         env, env.runtime->partition_by_name("w")->id,
+                         MapPolicy::RoundRobin);
+                     StreamConfig sc;
+                     sc.block_size = 4096;
+                     sc.hb_lease = 5e-4;
+                     Stream st(sc);
+                     st.open_map(env, map, "r");
+                     std::vector<std::byte> block(4096);
+                     while (st.read(block.data(), 1) > 0) {
+                     }
+                   }});
+  RuntimeConfig cfg;
+  for (const int reader : {2, 3}) {
+    cfg.faults.crashes.push_back({});
+    cfg.faults.crashes.back().world_rank = reader;
+    cfg.faults.crashes.back().at_time = 1e-3;
+  }
+  Runtime rt(cfg, std::move(progs));
+  ASSERT_NO_THROW(rt.run());
+  EXPECT_TRUE(rt.rank_dead(2));
+  EXPECT_TRUE(rt.rank_dead(3));
+  for (const StreamStats& s : writer_stats) {
+    EXPECT_EQ(s.blocks_written, static_cast<std::uint64_t>(kEarly));
+    EXPECT_EQ(s.writes_failed, static_cast<std::uint64_t>(kLate))
+        << "every write into the dead end is a counted failure";
+    EXPECT_EQ(s.failovers, 1u);
+    EXPECT_EQ(s.resent_blocks, 0u) << "nobody to replay to";
+  }
+}
+
+TEST(VmpiStream, LinkReturningToAReclaimedReaderIsRepostedInFull) {
+  // Writers w0, w1 (world 0, 1), elastic readers r0, r1 (world 2, 3).
+  // Member 0 leaves at 1 ms and re-joins at 2 ms, so under round-robin
+  // routing w0's link goes r0 -> r1 -> r0. r0 reclaims the receives of
+  // every closed link between its reads, and w0 waits after its drain
+  // until r0 has done so: when the link comes back its previous
+  // incarnation has no slot left, and the reopen must post all n_async
+  // receives again.
+  constexpr int kBlocks = 10;
+  constexpr int kDrainWrite = 3;  ///< w0's first write past 1 ms.
+  std::vector<std::uint64_t> delivered(2), drain_joins(2), lost(2);
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", 2, [](ProcEnv& env) {
+                     Map map;
+                     map.map_partitions(
+                         env, env.runtime->partition_by_name("r")->id,
+                         MapPolicy::RoundRobin);
+                     Stream st(StreamConfig{.block_size = 4096});
+                     st.open_map(env, map, "w");
+                     std::vector<std::byte> block(4096);
+                     for (int b = 0; b < kBlocks; ++b) {
+                       st.write(block.data(), 1);
+                       if (b == kDrainWrite && env.world_rank == 0)
+                         recv_token(env, 2);
+                       mpi::compute(4e-4);
+                     }
+                     st.close();
+                   }});
+  progs.push_back({"r", 2, [&](ProcEnv& env) {
+                     Map map;
+                     map.map_partitions(
+                         env, env.runtime->partition_by_name("w")->id,
+                         MapPolicy::RoundRobin);
+                     Stream st(StreamConfig{.block_size = 4096});
+                     st.open_map(env, map, "r");
+                     std::vector<std::byte> block(4096);
+                     bool reclaimed = env.world_rank != 0;
+                     while (st.read(block.data(), 1, kNonblock) != 0) {
+                       st.reclaim_closed_slots();
+                       const auto ps = st.peer_stats();
+                       if (!reclaimed && !ps.empty() && ps[0].closed) {
+                         send_token(env, 0);  // w0's first tenure is over
+                         reclaimed = true;
+                       }
+                     }
+                     const auto i = static_cast<std::size_t>(env.world_rank);
+                     for (const StreamPeerStats& ps : st.peer_stats()) {
+                       delivered[i] += ps.blocks_delivered;
+                       lost[i] += ps.blocks_lost;
+                     }
+                     drain_joins[i] = st.stats().drain_joins;
+                   }});
+  RuntimeConfig cfg;
+  cfg.elastic.events = {{.at_time = 1e-3, .member = 0, .join = false},
+                        {.at_time = 2e-3, .member = 0, .join = true}};
+  cfg.elastic.first_world = 2;
+  cfg.elastic.n_members = 2;
+  Runtime rt(cfg, std::move(progs));
+  rt.run();
+  EXPECT_EQ(drain_joins[0], 1u) << "w0's link must come back to r0";
+  EXPECT_EQ(drain_joins[1], 1u);
+  EXPECT_GT(delivered[0], 0u);
+  EXPECT_EQ(delivered[0] + delivered[1],
+            static_cast<std::uint64_t>(2 * kBlocks));
+  EXPECT_EQ(lost[0] + lost[1], 0u);
+}
+
+TEST(VmpiStream, FailedElasticOpenDestroysCleanly) {
+  // One writer over two elastic readers holds two endpoints in the
+  // elastic partition, which open_map rejects. The half-opened stream
+  // must then be destroyed without closing anything.
+  std::vector<ProgramSpec> progs;
+  progs.push_back({"w", 1, [](ProcEnv& env) {
+                     Map map;
+                     map.map_partitions(
+                         env, env.runtime->partition_by_name("r")->id,
+                         MapPolicy::RoundRobin);
+                     Stream st;
+                     EXPECT_THROW(st.open_map(env, map, "w"),
+                                  std::invalid_argument);
+                     EXPECT_FALSE(st.is_open());
+                   }});
+  progs.push_back({"r", 2, [](ProcEnv&) {}});
+  RuntimeConfig cfg;
+  cfg.elastic.events = {{.at_time = 1e-3, .member = 1, .join = false}};
+  cfg.elastic.first_world = 1;
+  cfg.elastic.n_members = 2;
+  Runtime rt(cfg, std::move(progs));
+  rt.run();
 }
 
 }  // namespace

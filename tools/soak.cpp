@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "core/session.hpp"
 #include "net/fault.hpp"
@@ -648,7 +649,8 @@ int main(int argc, char** argv) {
       if (verbose)
         std::printf(
             "soak: seed=%llu epochs=%llu joined=%llu left=%llu "
-            "handoffs=%llu failovers=%llu lost=%llu dead=%zu\n",
+            "handoffs=%llu failovers=%llu lost=%llu dead=%zu "
+            "digest=%016llx\n",
             static_cast<unsigned long long>(s),
             static_cast<unsigned long long>(a.epochs),
             static_cast<unsigned long long>(a.joined),
@@ -656,7 +658,8 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(a.planned_handoffs),
             static_cast<unsigned long long>(a.failover_joins),
             static_cast<unsigned long long>(a.blocks_lost),
-            a.dead_world.size());
+            a.dead_world.size(),
+            static_cast<unsigned long long>(esp::fnv1a(a.report)));
     }
     // Non-vacuity: a campaign of this size must really churn membership
     // and hand streams off, or it soaks nothing.
@@ -698,11 +701,12 @@ int main(int argc, char** argv) {
       if (verbose)
         std::printf(
             "soak: seed=%llu tenants=%d admitted=%llu rejected=%llu "
-            "shed=%llu dead=%zu\n",
+            "shed=%llu dead=%zu digest=%016llx\n",
             static_cast<unsigned long long>(s), tenants,
             static_cast<unsigned long long>(a.admitted),
             static_cast<unsigned long long>(a.rejected),
-            static_cast<unsigned long long>(a.shed), a.dead_world.size());
+            static_cast<unsigned long long>(a.shed), a.dead_world.size(),
+            static_cast<unsigned long long>(esp::fnv1a(a.report)));
     }
     // Non-vacuity: a campaign of this size must actually exercise the
     // quota machinery it claims to soak.
@@ -742,14 +746,15 @@ int main(int argc, char** argv) {
     if (verbose)
       std::printf(
           "soak: seed=%llu crashes=%zu dead=%zu joins=%llu replayed=%llu "
-          "lost=%llu corrupt=%llu degraded=%d\n",
+          "lost=%llu corrupt=%llu degraded=%d digest=%016llx\n",
           static_cast<unsigned long long>(s),
           sc.planned_analyzer_crashes.size(), a.dead_analyzer.size(),
           static_cast<unsigned long long>(a.failover_joins),
           static_cast<unsigned long long>(a.blocks_replayed),
           static_cast<unsigned long long>(a.blocks_lost),
           static_cast<unsigned long long>(a.blocks_corrupted),
-          a.degraded_fidelity ? 1 : 0);
+          a.degraded_fidelity ? 1 : 0,
+          static_cast<unsigned long long>(esp::fnv1a(a.report)));
   }
 
   // The campaign must actually exercise the machinery it claims to soak:
