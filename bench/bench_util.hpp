@@ -56,8 +56,9 @@ inline WorkloadRun run_workload(nas::WorkloadParams params, int nprocs,
   if (tool == baseline::ToolKind::OnlineCoupling) {
     const int n_an = std::max(1, nprocs / std::max(1, analyzer_ratio));
     an::AnalyzerConfig acfg;
-    // One blackboard worker per analyzer rank: in the machine model one
-    // analysis core backs one analyzer process.
+    // One blackboard slot per analyzer rank: in the machine model one
+    // analysis core backs one analyzer process. Slots are shares of the
+    // process's one helper pool, not threads.
     acfg.board.workers = 1;
     acfg.board.fifo_count = 4;
     progs.push_back({"analyzer", n_an, [acfg](mpi::ProcEnv& env) {

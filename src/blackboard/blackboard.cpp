@@ -1,8 +1,8 @@
 #include "blackboard/blackboard.hpp"
 
 #include <algorithm>
-#include <thread>
 
+#include "common/helpers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -14,6 +14,7 @@ namespace {
 /// Registry lookups hoisted out of the job hot path; every use is guarded
 /// by obs::enabled().
 struct BoardObs {
+  /// Pool sweeps that found no job: wake-ups that did no work.
   obs::Counter& backoff_waits = obs::counter("bb.backoff_waits");
   obs::Counter& jobs = obs::counter("bb.jobs_executed");
   obs::Histogram& batch_size = obs::histogram("bb.batch_size");
@@ -24,17 +25,14 @@ BoardObs& bobs() {
   return o;
 }
 
-/// Back-off cap for idle workers.
-constexpr std::chrono::microseconds kMaxBackoff{2000};
-
 }  // namespace
 
 /// Per-thread scratch for submit_batch: the snapshot/grouping vectors are
 /// reused across calls (capacity — including the nested vectors' — is
 /// retained via used-counters instead of clear()), so a warm submitter
-/// allocates nothing. submit_batch never re-enters itself on a thread
-/// (enqueue_batch only queues; operations run later), so one scratch per
-/// thread is safe.
+/// allocates nothing. Only a sweep run inline (the pool's test seam) can
+/// call submit_batch from inside it, and submit_batch resets the scratch
+/// before it posts sweeps, so one scratch per thread is safe.
 struct Blackboard::BatchScratch {
   struct TypeSnap {
     TypeId type;
@@ -91,10 +89,6 @@ Blackboard::Blackboard(BlackboardConfig cfg) : cfg_(cfg) {
   fifos_.reserve(static_cast<std::size_t>(cfg_.fifo_count));
   for (int i = 0; i < cfg_.fifo_count; ++i)
     fifos_.push_back(std::make_unique<Fifo>());
-
-  workers_.reserve(static_cast<std::size_t>(cfg_.workers));
-  for (int i = 0; i < cfg_.workers; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 Blackboard::~Blackboard() { stop(); }
@@ -290,8 +284,10 @@ void Blackboard::submit_batch(std::span<const DataEntry> entries,
       }
     }
   }
+  const std::size_t jobs = sc.jobs.size();
   enqueue_batch(sc.jobs, affinity);
   sc.reset();
+  post_sweeps(jobs);
 }
 
 void Blackboard::enqueue_batch(std::vector<Job*>& jobs, int affinity) {
@@ -309,10 +305,62 @@ void Blackboard::enqueue_batch(std::vector<Job*>& jobs, int affinity) {
     for (Job* j : jobs)
       push_fifo(mix64(rr_seed_.fetch_add(0x9e3779b9)) % fifos_.size(), j);
   }
-  if (jobs.size() == 1)
-    wake_cv_.notify_one();
-  else
-    wake_cv_.notify_all();
+}
+
+void Blackboard::post_sweeps(std::size_t jobs) {
+  if (jobs == 0) return;
+  std::size_t posts = 0;
+  {
+    // Taken after the jobs are queued: an enqueue that finds every slot
+    // held leaves its jobs to sweeps that re-check under mu_ (sweep()).
+    std::lock_guard lock(mu_);
+    posts = std::min(jobs, static_cast<std::size_t>(cfg_.workers - slots_));
+    slots_ += static_cast<int>(posts);
+    queued_ += static_cast<int>(posts);
+  }
+  for (std::size_t i = 0; i < posts; ++i)
+    helpers::post(&Blackboard::sweep_task, this);
+}
+
+void Blackboard::sweep_task(void* arg) {
+  auto* board = static_cast<Blackboard*>(arg);
+  {
+    std::lock_guard lock(board->mu_);
+    if (board->orphans_ > 0) {
+      // A drainer took this sweep's slot; the board may go after this.
+      if (--board->orphans_ == 0) board->idle_cv_.notify_all();
+      return;
+    }
+    --board->queued_;
+  }
+  if (!board->sweep() && obs::enabled()) bobs().backoff_waits.add(1);
+}
+
+bool Blackboard::sweep() {
+  // On a draining carrier: real-time job spans stay off the rank's track.
+  obs::UnboundTrack unbound;
+  bool ran = false;
+  for (;;) {
+    Job* job = next_job(sweep_start());
+    if (job == nullptr) {
+      // Retire with a re-check under mu_: an enqueue that saw this slot
+      // held queued its jobs before it looked, so this scan finds them.
+      std::lock_guard lock(mu_);
+      job = next_job(sweep_start());
+      if (job == nullptr) {
+        if (--slots_ == 0) idle_cv_.notify_all();
+        return ran;
+      }
+    }
+    ran = true;
+    execute(job);
+  }
+}
+
+std::size_t Blackboard::sweep_start() {
+  const std::uint64_t k = sweep_seq_.fetch_add(1, std::memory_order_relaxed);
+  return static_cast<std::size_t>(cfg_.fair_share ? k : mix64(k)) %
+         fifos_.size();
 }
 
 void Blackboard::push_fifo(std::size_t qi, Job* job) {
@@ -358,7 +406,7 @@ void Blackboard::execute(Job* job) {
     // this very chunk stops the remaining invocations.
     if (job->ks->alive.load(std::memory_order_acquire)) {
       // Exception isolation: a throwing operation must not unwind the
-      // worker thread (std::terminate would take the whole pool down).
+      // sweep (std::terminate would take the whole process down).
       try {
         job->ks->operation(
             *this, std::span<const DataEntry>(job->entries.data() + off,
@@ -370,7 +418,7 @@ void Blackboard::execute(Job* job) {
         const int streak = job->ks->consecutive_failures.fetch_add(
                                1, std::memory_order_acq_rel) +
                            1;
-        // fetch_add makes exactly one worker observe the threshold
+        // fetch_add makes exactly one sweep observe the threshold
         // crossing, so the KS is quarantined once.
         if (streak == cfg_.quarantine_threshold) {
           remove_ks(job->ks->id);
@@ -392,65 +440,36 @@ void Blackboard::execute(Job* job) {
   // stream block the last view was pinning.
   delete job;
   if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard lock(drain_mu_);
-    drain_cv_.notify_all();
-  }
-}
-
-void Blackboard::worker_loop(int worker_index) {
-  if (obs::enabled())
-    obs::name_current_thread("bb-worker-" + std::to_string(worker_index));
-  Rng rng(mix64(0x9e3779b97f4a7c15ull ^
-                static_cast<std::uint64_t>(worker_index + 1)));
-  // Sweep start: rotating under fair share (one quantum per tenant FIFO
-  // per round), random otherwise (paper Fig. 13).
-  std::size_t rr = static_cast<std::size_t>(worker_index);
-  std::chrono::microseconds backoff{1};
-  for (;;) {
-    const std::size_t start =
-        cfg_.fair_share ? rr++ : rng.below(fifos_.size());
-    if (Job* job = next_job(start)) {
-      backoff = std::chrono::microseconds{1};
-      execute(job);
-      continue;
-    }
-    if (stopping_.load(std::memory_order_acquire)) break;
-    // Exponential back-off keeps idle workers from spinning on the locks.
-    const bool obs_on = obs::enabled();
-    const double t_begin = obs_on ? obs::real_now() : 0.0;
-    {
-      std::unique_lock lock(wake_mu_);
-      wake_cv_.wait_for(lock, backoff);
-    }
-    if (obs_on) {
-      bobs().backoff_waits.add(1);
-      obs::trace_span("bb", "bb.backoff", t_begin, obs::real_now());
-    }
-    backoff = std::min(backoff * 2, kMaxBackoff);
+    std::lock_guard lock(mu_);
+    idle_cv_.notify_all();
   }
 }
 
 void Blackboard::drain() {
-  std::unique_lock lock(drain_mu_);
-  drain_cv_.wait(lock, [&] {
+  if (inflight_.load(std::memory_order_acquire) == 0) return;
+  bool help = true;
+  {
+    std::lock_guard lock(mu_);
+    if (slots_ < cfg_.workers) {
+      ++slots_;
+    } else if (queued_ > 0) {
+      --queued_;
+      ++orphans_;
+    } else {
+      help = false;  // every slot runs a sweep, which retires only when idle
+    }
+  }
+  if (help) sweep();
+  std::unique_lock lock(mu_);
+  idle_cv_.wait(lock, [&] {
     return inflight_.load(std::memory_order_acquire) == 0;
   });
 }
 
-void Blackboard::drain_leftovers() {
-  // Workers are joined, but a producer may have queued a job after the
-  // last sweep saw every FIFO empty. The stop() contract says queued jobs
-  // run before stop returns, so finish them inline; jobs submitted by
-  // these executions land in the FIFOs, where this loop picks them up.
-  while (Job* job = next_job(0)) execute(job);
-}
-
 void Blackboard::stop() {
-  if (stopping_.exchange(true)) return;
-  wake_cv_.notify_all();
-  for (auto& w : workers_)
-    if (w.joinable()) w.join();
-  drain_leftovers();
+  drain();
+  std::unique_lock lock(mu_);
+  idle_cv_.wait(lock, [&] { return slots_ == 0 && orphans_ == 0; });
 }
 
 BlackboardStats Blackboard::stats() const {

@@ -25,11 +25,18 @@
 ///    (Fig. 5).
 ///
 /// Scheduling follows the paper: "an array of lock-protected FIFOs …
-/// swept by workers with back-off" (Fig. 13, bench/ablation_blackboard.cpp):
-///  - every runnable job goes to a random FIFO, and every worker sweep
-///    starts at a random FIFO, so producers and workers spread over
+/// swept by a worker pool" (Fig. 13, bench/ablation_blackboard.cpp). The
+/// pool is the process's one helper pool (common/helpers.hpp), shared by
+/// every board and by the streams' byte work; a board owns no thread:
+///  - every runnable job goes to a random FIFO, and every grab of a sweep
+///    starts at a random FIFO, so producers and sweeps spread over
 ///    `fifo_count` locks instead of convoying on one;
-///  - an idle worker backs off exponentially up to 2 ms;
+///  - an enqueue posts a sweep of the board to the pool while fewer than
+///    `workers` of its sweeps hold a slot; a sweep runs jobs until it finds
+///    the array empty, then retires with a re-check, so no job is left
+///    behind and no sweep idles;
+///  - drain() runs queued jobs on the calling thread too, in the same
+///    sweep order, then waits for the jobs still running;
 ///  - under `fair_share` (tenant fabric) a batch with an affinity key
 ///    goes to its tenant's FIFO and the sweep start rotates, so each
 ///    tenant with queued work gets a one-job quantum per round;
@@ -49,8 +56,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <stdexcept>
-#include <thread>
-#include <chrono>
 #include <span>
 #include <string>
 #include <string_view>
@@ -59,7 +64,6 @@
 
 #include "common/buffer.hpp"
 #include "common/hash.hpp"
-#include "common/rng.hpp"
 
 namespace esp::bb {
 
@@ -106,8 +110,9 @@ struct DataEntry {
 
 class Blackboard;
 
-/// A KS operation: runs on a worker thread with the satisfied entries (in
-/// sensitivity declaration order) and the blackboard for submissions.
+/// A KS operation: runs on a helper-pool thread, or on a thread in drain(),
+/// with the satisfied entries (in sensitivity declaration order) and the
+/// blackboard for submissions.
 using Operation =
     std::function<void(Blackboard&, std::span<const DataEntry>)>;
 
@@ -124,6 +129,8 @@ struct KsSpec {
 };
 
 struct BlackboardConfig {
+  /// At most this many of the board's jobs run at once: the board's share
+  /// of the helper pool.
   int workers = 4;
   /// Width of the job-FIFO array (the paper's Fig. 13).
   int fifo_count = 16;
@@ -132,7 +139,7 @@ struct BlackboardConfig {
   /// the pool; a single success resets the streak.
   int quarantine_threshold = 3;
   /// Fair-share service (tenant fabric): batches with an affinity key
-  /// k >= 0 all go to FIFO k mod fifo_count, and each worker rotates its
+  /// k >= 0 all go to FIFO k mod fifo_count, and the board rotates its
   /// sweep start by one per grab — a deficit-style one-job quantum per
   /// queue, so one flooding tenant cannot starve the others. Off, the
   /// affinity key is ignored: a single-app run must not pile every job
@@ -140,7 +147,7 @@ struct BlackboardConfig {
   bool fair_share = false;
 };
 
-/// Engine counters. A snapshot taken by stats() while workers are running
+/// Engine counters. A snapshot taken by stats() while jobs are running
 /// is necessarily a moment-in-time read of independently updated atomics,
 /// but it is never *torn* with respect to the subset relations below: the
 /// writers increment the superset counter before the subset counter and
@@ -161,13 +168,12 @@ struct BlackboardStats {
   std::uint64_t batches_submitted = 0;  ///< submit_batch calls (incl. push).
 };
 
-/// The engine. Workers start in the constructor and stop in the destructor
-/// (or via stop()).
+/// The engine. The destructor stops it (see stop()).
 class Blackboard {
  public:
   /// Throws std::invalid_argument on a non-positive worker, FIFO or
-  /// quarantine-threshold count (a zero-width pool would hang, a zero-width
-  /// FIFO array was UB).
+  /// quarantine-threshold count (a zero-width share would hang, a
+  /// zero-width FIFO array was UB).
   explicit Blackboard(BlackboardConfig cfg = {});
   ~Blackboard();
 
@@ -200,8 +206,11 @@ class Blackboard {
   /// affinity -1, this is submit_batch(entries).
   void submit_batch(std::span<const DataEntry> entries, int affinity);
 
-  /// Block until no jobs are queued or running. Entries held by partially
-  /// satisfied multi-sensitivity KSs are not runnable work and stay queued.
+  /// Block until no jobs are queued or running, running queued jobs on the
+  /// calling thread meanwhile in one of the `workers` slots: a free one, or
+  /// that of a posted sweep the pool has not started. Entries held by
+  /// partially satisfied multi-sensitivity KSs are not runnable work and
+  /// stay queued.
   void drain();
 
   // ---- tenant fabric: per-tenant accounting + containment teardown ----
@@ -225,7 +234,8 @@ class Blackboard {
   /// tenant's tail entries.
   int remove_tenant(int tenant);
 
-  /// Stop the worker pool; queued jobs are executed before stop returns.
+  /// drain(), then return once no pool task can touch the board again.
+  /// The destructor calls it.
   void stop();
 
   BlackboardStats stats() const;
@@ -252,7 +262,7 @@ class Blackboard {
   /// A runnable chunk: one or more satisfied sensitivity groups of a
   /// single KS, concatenated. Batched submission produces one chunk per
   /// (KS, batch) — one allocation and one queue operation amortize over
-  /// the whole batch; the worker invokes the operation once per
+  /// the whole batch; the sweep invokes the operation once per
   /// arity-sized group.
   struct Job {
     std::shared_ptr<KsState> ks;
@@ -286,13 +296,21 @@ class Blackboard {
   }
 
   void enqueue_batch(std::vector<Job*>& jobs, int affinity);
+  /// Post a sweep per new job while free slots last.
+  void post_sweeps(std::size_t jobs);
+  /// Pool entry point of a posted sweep (`arg` is the board).
+  static void sweep_task(void* arg);
+  /// Run jobs while any is queued, then give the slot back; true when it
+  /// ran one.
+  bool sweep();
+  /// Where a grab starts its scan: rotating under fair share, random
+  /// otherwise (paper Fig. 13).
+  std::size_t sweep_start();
   void push_fifo(std::size_t qi, Job* job);
   Job* pop_fifo(std::size_t qi);
-  /// Sweep the whole FIFO array once, starting at `start`.
+  /// Scan the whole FIFO array once, starting at `start`.
   Job* next_job(std::size_t start);
   void execute(Job* job);
-  void worker_loop(int worker_index);
-  void drain_leftovers();
 
   /// Reusable per-thread submit_batch scratch (defined in the .cpp).
   struct BatchScratch;
@@ -314,17 +332,18 @@ class Blackboard {
 
   std::vector<std::unique_ptr<Fifo>> fifos_;
   std::atomic<std::uint64_t> rr_seed_{0x1234};
+  std::atomic<std::uint64_t> sweep_seq_{0};
 
-  // Worker pool + idle back-off.
-  std::vector<std::thread> workers_;
-  std::atomic<bool> stopping_{false};
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
+  // Sweep slots. A pool task's last touch of the board is under mu_,
+  // which stop() waits on.
+  std::mutex mu_;
+  std::condition_variable idle_cv_;  ///< inflight_, slots_ or orphans_ hit 0.
+  int slots_ = 0;    ///< Sweeps posted or running, drainers included.
+  int queued_ = 0;   ///< Posted sweeps not started yet, each with a slot.
+  int orphans_ = 0;  ///< Posted sweeps whose slot a drainer took.
 
   // Drain accounting: jobs queued or running.
   std::atomic<std::int64_t> inflight_{0};
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
 
   // Stats.
   std::atomic<std::uint64_t> entries_pushed_{0};

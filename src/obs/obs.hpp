@@ -19,9 +19,9 @@
 /// Tracks: the tracer renders one Perfetto track per thread or rank. Each
 /// rank owns an explicit (pid = partition id + 1, tid = universe rank)
 /// track timed on its *virtual* clock, bound to the carrier thread while
-/// the rank's fiber runs; auxiliary threads (blackboard workers) fall onto
-/// an auto-assigned real-time track that can be named with
-/// name_current_thread().
+/// the rank's fiber runs; auxiliary threads (the helper pool, which runs
+/// stream byte work and blackboard sweeps) fall onto an auto-assigned
+/// real-time track that can be named with name_current_thread().
 
 #include <atomic>
 #include <cstdint>
@@ -70,6 +70,20 @@ std::shared_ptr<TraceTrack> make_track(std::int32_t pid, std::int32_t tid,
 /// Route the calling thread's spans to `track` (null: back to the thread's
 /// own track). The rank scheduler rebinds it on every fiber switch.
 void bind_track(TraceTrack* track) noexcept;
+
+/// While it lives, the calling thread's spans go to its own real-time
+/// track; the bound track returns after. Work a carrier runs outside any
+/// rank's virtual time (a draining board's jobs) keeps off the rank track.
+class UnboundTrack {
+ public:
+  UnboundTrack() noexcept;
+  ~UnboundTrack();
+  UnboundTrack(const UnboundTrack&) = delete;
+  UnboundTrack& operator=(const UnboundTrack&) = delete;
+
+ private:
+  TraceTrack* saved_;
+};
 
 /// Name the calling thread's auto-assigned (real-time) track.
 void name_current_thread(const std::string& name);

@@ -105,6 +105,10 @@ std::shared_ptr<TraceTrack> make_track(std::int32_t pid, std::int32_t tid,
 
 void bind_track(TraceTrack* track) noexcept { t_bound = track; }
 
+UnboundTrack::UnboundTrack() noexcept : saved_(t_bound) { t_bound = nullptr; }
+
+UnboundTrack::~UnboundTrack() { t_bound = saved_; }
+
 void name_current_thread(const std::string& name) {
   auto& b = thread_buf();
   std::lock_guard lock(b.mu);

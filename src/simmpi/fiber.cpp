@@ -1,28 +1,19 @@
 #include "simmpi/fiber.hpp"
 
 #include <cxxabi.h>
-#include <linux/futex.h>
 #include <pthread.h>
-#include <sched.h>
 #include <sys/mman.h>
-#include <sys/resource.h>
-#include <sys/syscall.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <bit>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -98,95 +89,52 @@ constexpr std::size_t kGuardBytes = 4096;
 /// Size of libstdc++'s per-thread __cxa_eh_globals (caught-exception
 /// chain + uncaught count): each fiber keeps its own.
 constexpr std::size_t kEhBytes = 16;
+constexpr std::size_t kMapBytes = kStackBytes + kGuardBytes;
+/// Stacks a thread keeps for its next run: a 64-rank job with its
+/// analyzers, or a 256-rank job without, fits.
+constexpr std::size_t kCachedStacks = 256;
 
-long futex(std::atomic<std::uint32_t>* addr, int op, std::uint32_t val) {
-  static_assert(sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t));
-  return syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(addr), op, val,
-                 nullptr, nullptr, 0);
-}
-
-/// The process-wide helper threads that run pure byte work: created on
-/// first use, one per CPU of the process's affinity mask minus the
-/// carrier. Idle helpers sleep on a futex; a carrier waiting for a task
-/// runs queued tasks itself. Which thread runs a task never changes what
-/// it computes, so output bytes do not depend on the helper count.
-class Helpers {
+/// Guarded stacks of finished runs, reused by the next run on the same
+/// carrier: mapping, guarding and unmapping one per rank on every run cost
+/// about 3 % of the carrier on a 64-rank run.
+class StackCache {
  public:
-  static Helpers& get() {
-    static Helpers* h = new Helpers;  // never destroyed: threads are detached
-    return *h;
+  StackCache() = default;
+  StackCache(const StackCache&) = delete;
+  StackCache& operator=(const StackCache&) = delete;
+  ~StackCache() {
+    for (void* m : free_) munmap(m, kMapBytes);
   }
 
-  void submit(PureTask* t) {
-    {
-      std::lock_guard lock(mu_);
-      queue_.push_back(t);
+  void* take() {
+    if (!free_.empty()) {
+      void* m = free_.back();
+      free_.pop_back();
+      return m;
     }
-    work_seq_.fetch_add(1);
-    if (sleepers_.load() > 0) futex(&work_seq_, FUTEX_WAKE_PRIVATE, 1);
+    void* m = mmap(nullptr, kMapBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m == MAP_FAILED) throw std::bad_alloc();
+    mprotect(m, kGuardBytes, PROT_NONE);  // overflow faults, not corrupts
+    return m;
   }
 
-  /// Return once `t` finished, running queued tasks meanwhile.
-  void wait(PureTask* t) {
-    while (!t->done.load(std::memory_order_acquire)) {
-      if (run_one()) continue;
-      waiters_.fetch_add(1);
-      const std::uint32_t seen = done_seq_.load();
-      if (!t->done.load(std::memory_order_acquire))
-        futex(&done_seq_, FUTEX_WAIT_PRIVATE, seen);
-      waiters_.fetch_sub(1);
-    }
+  void give(void* m) {
+#ifdef ESP_FIB_ASAN
+    // A finished fiber never unwinds its last frames: clear their redzones.
+    __asan_unpoison_memory_region(m, kMapBytes);
+#endif
+    if (free_.size() < kCachedStacks)
+      free_.push_back(m);
+    else
+      munmap(m, kMapBytes);
   }
 
  private:
-  Helpers() {
-    cpu_set_t set;
-    const int cpus =
-        sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 1;
-    for (int i = 1; i < cpus; ++i) std::thread([this] { loop(); }).detach();
-  }
-
-  bool run_one() {
-    PureTask* t = nullptr;
-    {
-      std::lock_guard lock(mu_);
-      if (queue_.empty()) return false;
-      t = queue_.front();
-      queue_.pop_front();
-    }
-    t->fn(t->arg);
-    // The last touch of `t`: its owner may free it as soon as it sees done.
-    t->done.store(true, std::memory_order_release);
-    done_seq_.fetch_add(1);
-    if (waiters_.load() > 0) futex(&done_seq_, FUTEX_WAKE_PRIVATE, INT_MAX);
-    return true;
-  }
-
-  [[noreturn]] void loop() {
-    // Background work: a helper woken onto the carrier's core must not
-    // preempt it, because every rank waits on the carrier. SCHED_BATCH
-    // drops wakeup preemption, and a nicer helper loses a shared core.
-    sched_param param{};
-    pthread_setschedparam(pthread_self(), SCHED_BATCH, &param);
-    setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)), 5);
-    for (;;) {
-      const std::uint32_t seen = work_seq_.load();
-      if (run_one()) continue;
-      sleepers_.fetch_add(1);
-      futex(&work_seq_, FUTEX_WAIT_PRIVATE, seen);
-      sleepers_.fetch_sub(1);
-    }
-  }
-
-  std::mutex mu_;
-  std::deque<PureTask*> queue_;
-  std::atomic<std::uint32_t> work_seq_{0};
-  std::atomic<std::uint32_t> done_seq_{0};
-  std::atomic<int> sleepers_{0};
-  std::atomic<int> waiters_{0};
+  std::vector<void*> free_;
 };
 
-std::atomic<bool> g_inline_pure{false};
+thread_local StackCache t_stacks;
 
 /// A saved execution context: a fiber's, or the carrier's own.
 struct Ctx {
@@ -259,12 +207,8 @@ class Scheduler {
       auto f = std::make_unique<Fiber>();
       f->sched = this;
       f->rank = r;
-      void* m = mmap(nullptr, kStackBytes + kGuardBytes,
-                     PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
-                     0);
-      if (m == MAP_FAILED) throw std::bad_alloc();
+      void* m = t_stacks.take();
       f->mapping = m;
-      mprotect(m, kGuardBytes, PROT_NONE);  // overflow faults, not corrupts
       auto* lo = static_cast<unsigned char*>(m) + kGuardBytes;
       f->ctx.stack_lo = lo;
       f->ctx.stack_size = kStackBytes;
@@ -291,15 +235,13 @@ class Scheduler {
     live_ = n;
   }
 
+  /// Stacks go back in reverse, so the next run's rank r takes rank r's.
   ~Scheduler() {
-    for (auto& f : fibers_) {
+    for (auto it = fibers_.rbegin(); it != fibers_.rend(); ++it) {
 #ifdef ESP_FIB_TSAN
-      __tsan_destroy_fiber(f->ctx.tsan);
+      __tsan_destroy_fiber((*it)->ctx.tsan);
 #endif
-#ifdef ESP_FIB_ASAN
-      __asan_unpoison_memory_region(f->mapping, kStackBytes + kGuardBytes);
-#endif
-      munmap(f->mapping, kStackBytes + kGuardBytes);
+      t_stacks.give((*it)->mapping);
     }
   }
 
@@ -367,12 +309,8 @@ class Scheduler {
   }
 
   void run_pure(Fiber* self, PureTask& t) {
-    if (g_inline_pure.load(std::memory_order_relaxed)) {
-      t.fn(t.arg);
-    } else {
-      Helpers::get().submit(&t);
-      self->task = &t;
-    }
+    helpers::submit(t);
+    self->task = &t;
     self->state = State::Busy;
     busy_.push_back(self);
     ++events_;
@@ -458,7 +396,7 @@ class Scheduler {
   /// any) finished.
   static Fiber* take(Fiber* f) {
     if (f->task != nullptr) {
-      Helpers::get().wait(f->task);
+      helpers::wait(*f->task);
       f->task = nullptr;
     }
     f->state = State::Running;
@@ -632,10 +570,6 @@ void run_pure(PureTask& task) {
     f->sched->run_pure(f, task);
   else
     task.fn(task.arg);
-}
-
-void set_inline_pure_for_testing(bool on) noexcept {
-  g_inline_pure.store(on, std::memory_order_relaxed);
 }
 
 }  // namespace esp::mpi::fib

@@ -12,9 +12,10 @@
 ///    key (yield_point);
 ///  - **park** — a blocking wait leaves the heap until the completion
 ///    wakes it, keyed at max(its clock, the completion's finish time);
-///  - **busy** — pure byte work (a stream CRC copy) runs on a helper
-///    thread while the fiber is out of the heap; busy fibers rejoin in one
-///    wave, in key order, once no other fiber is ready (run_pure);
+///  - **busy** — pure byte work (a stream CRC copy) runs on the helper
+///    pool (common/helpers.hpp) while the fiber is out of the heap; busy
+///    fibers rejoin in one wave, in key order, once no other fiber is ready
+///    (run_pure);
 ///  - **idle** — a real-time poll (a non-blocking read that found
 ///    nothing, a dead-writer poll) resumes only when nothing else can run
 ///    at all, busy waves included; that moment is its timeout (idle).
@@ -26,10 +27,11 @@
 /// callback prints what each rank is doing and the process aborts.
 /// DESIGN.md "Deterministic scheduler" has the full contract.
 
-#include <atomic>
 #include <functional>
 #include <string>
 #include <type_traits>
+
+#include "common/helpers.hpp"
 
 namespace esp::mpi {
 struct RankContext;
@@ -55,13 +57,9 @@ void run_fibers(int n, const std::function<void(int)>& main,
 /// "running", "idle", "parked, waits on X peer P" or "finished".
 std::string status(int r);
 
-/// Pure byte work handed to a helper thread: it may touch only memory its
+/// Pure byte work handed to the helper pool: it may touch only memory its
 /// fiber owns while it is out of the ready heap.
-struct PureTask {
-  void (*fn)(void*) = nullptr;
-  void* arg = nullptr;
-  std::atomic<bool> done{false};
-};
+using helpers::PureTask;
 
 /// The fiber running on this thread, or null (helper threads, the
 /// carrier's own context, threads outside any runtime).
@@ -96,7 +94,7 @@ bool idle(bool wakeable = false);
 /// made by host state a later idle pass depends on. No-op off a fiber.
 void progressed() noexcept;
 
-/// Run `task` off the carrier while this fiber is busy (see the file
+/// Run `task` on the helper pool while this fiber is busy (see the file
 /// comment); returns once it finished. Runs inline off a fiber.
 void run_pure(PureTask& task);
 
@@ -108,9 +106,5 @@ void run_pure(F&& fn) {
   t.arg = const_cast<void*>(static_cast<const void*>(&fn));
   run_pure(t);
 }
-
-/// Test seam: run pure work inline on the carrier instead of on helpers.
-/// The busy/rejoin order is unchanged, so outputs must be identical.
-void set_inline_pure_for_testing(bool on) noexcept;
 
 }  // namespace esp::mpi::fib

@@ -2,20 +2,25 @@
 /// \brief Blackboard semantics: sensitivity matching, multi-sensitivity
 /// joins, dynamic (de)registration, ref-counted writability, multi-level
 /// isolation, worker-pool stress, batched submission, config validation,
-/// tenant fair share, tear-free stats, and same-seed determinism of the
-/// fault ledger on top of the scheduler.
+/// tenant fair share, tear-free stats, the shared helper pool's thread
+/// bound and sweep retirement, and same-seed determinism of the fault
+/// ledger on top of the scheduler.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "blackboard/blackboard.hpp"
 #include "core/session.hpp"
+#include "simmpi/runtime.hpp"
 
 namespace esp::bb {
 namespace {
@@ -510,6 +515,87 @@ TEST(BlackboardStats, SnapshotsObeySubsetInvariantsUnderLoad) {
   EXPECT_EQ(s.ks_registered, 80u);
   EXPECT_GT(s.jobs_failed, 0u);
   EXPECT_GT(s.ks_quarantined, 0u);
+}
+
+/// Threads: of this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+/// Sixteen analyzer ranks, each with a board of four workers, all alive at
+/// once: boards share the one helper pool, so a KS operation sees at most
+/// one thread per CPU plus the carrier however many boards exist.
+TEST(BlackboardPool, ThreadCountIsBoundedByCpusNotBoards) {
+  cpu_set_t set;
+  ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+  const int nproc = CPU_COUNT(&set);
+  constexpr int kRanks = 16, kEntries = 64;
+  std::atomic<int> peak{0};
+  std::atomic<int> jobs{0};
+  std::vector<mpi::ProgramSpec> progs;
+  progs.push_back({"analyzer", kRanks, [&](mpi::ProcEnv& env) {
+                     Blackboard board({.workers = 4});
+                     const TypeId t = type_id("probe");
+                     board.register_ks(
+                         {"threads", {t}, [&](Blackboard&, auto) {
+                            const int now = process_threads();
+                            int seen = peak.load();
+                            while (now > seen &&
+                                   !peak.compare_exchange_weak(seen, now)) {
+                            }
+                            jobs.fetch_add(1);
+                          }});
+                     env.world.barrier();  // every board exists
+                     for (int i = 0; i < kEntries; ++i)
+                       board.push(DataEntry::of(t, i));
+                     board.drain();
+                     env.world.barrier();  // until every rank's jobs ran
+                   }});
+  mpi::Runtime rt(mpi::RuntimeConfig{}, std::move(progs));
+  rt.run();
+  EXPECT_EQ(jobs.load(), kRanks * kEntries);
+  EXPECT_GT(peak.load(), 0);
+  EXPECT_LE(peak.load(), nproc + 1) << "threads grew with boards x workers";
+}
+
+/// One-slot boards fed by producer threads that drain as they go, while
+/// the owner drains in a loop and destroys the board right after its last
+/// drain(): sweeps retire and repost all the time, every job runs exactly
+/// once, and no pool task touches a board after it is gone (the sanitizer
+/// builds check the last part).
+TEST(BlackboardPool, SweepsRetireAndBoardsTearDownExactly) {
+  constexpr int kRounds = 100, kProducers = 3, kPer = 200;
+  // Entries 0, 7, 14, ... each chain one follow-up job.
+  constexpr int kPerRound = kProducers * (kPer + (kPer + 6) / 7);
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> count{0};
+    std::atomic<int> running{kProducers};
+    {
+      Blackboard board({.workers = 1, .fifo_count = 4});
+      const TypeId t = type_id("n");
+      board.register_ks({"count", {t}, [&](Blackboard& b, auto entries) {
+                           count.fetch_add(1);
+                           if (entries[0].template as<int>() % 7 == 0)
+                             b.push(DataEntry::of(t, 1));
+                         }});
+      std::vector<std::thread> producers;
+      for (int p = 0; p < kProducers; ++p)
+        producers.emplace_back([&] {
+          for (int i = 0; i < kPer; ++i) {
+            board.push(DataEntry::of(t, i));
+            if (i % 50 == 49) board.drain();
+          }
+          running.fetch_sub(1);
+        });
+      while (running.load() > 0) board.drain();
+      for (auto& th : producers) th.join();
+      board.drain();
+    }
+    ASSERT_EQ(count.load(), kPerRound) << "round " << round;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 
 #include "common/buffer.hpp"
 #include "common/hash.hpp"
+#include "common/helpers.hpp"
 #include "core/session.hpp"
 #include "nas/workloads.hpp"
 #include "net/fault.hpp"
@@ -772,12 +773,13 @@ TEST(Scheduler, SameSeedRunsAreBitIdenticalWithHelpersOrInline) {
   ASSERT_EQ(first.walltime_bits.size(), 2u);
   EXPECT_EQ(run_sp_session("sched_same_seed_b"), first)
       << "two same-seed runs differ";
-  // The same pure byte work run inline on the carrier: how fast (or
-  // where) it runs must not change a single simulation step.
-  fib::set_inline_pure_for_testing(true);
+  // The same pure byte work and knowledge-source jobs run inline on the
+  // carrier: how fast (or where) they run must not change a single
+  // simulation step or report byte.
+  helpers::set_inline_for_testing(true);
   const RunPrint inline_run = run_sp_session("sched_same_seed_c");
-  fib::set_inline_pure_for_testing(false);
-  EXPECT_EQ(inline_run, first) << "inline byte work changed the run";
+  helpers::set_inline_for_testing(false);
+  EXPECT_EQ(inline_run, first) << "inline byte or KS work changed the run";
   for (const char* d :
        {"sched_same_seed_a", "sched_same_seed_b", "sched_same_seed_c"})
     std::filesystem::remove_all(d);

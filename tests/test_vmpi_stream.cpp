@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/helpers.hpp"
 #include "core/pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -983,9 +984,9 @@ TEST(VmpiStream, SameSeedRunsAreIdenticalWithHelpersOrInline) {
   const StreamPrint first = run_stream_job();
   EXPECT_EQ(first.arrivals[0].size() + first.arrivals[1].size(), 48u);
   EXPECT_EQ(run_stream_job(), first) << "two same-seed runs differ";
-  mpi::fib::set_inline_pure_for_testing(true);
+  helpers::set_inline_for_testing(true);
   const StreamPrint inline_run = run_stream_job();
-  mpi::fib::set_inline_pure_for_testing(false);
+  helpers::set_inline_for_testing(false);
   EXPECT_EQ(inline_run, first) << "inline byte work changed the run";
 }
 
